@@ -28,7 +28,7 @@ type RunSpec struct {
 	// seed).
 	WorldSeed int64
 	// SimWorkers sets the per-tick simulation parallelism of the server
-	// under test — the terrain drains and the region-parallel entity tick
+	// under test — the terrain drains and the parallel entity tick
 	// both run on it (0 = GOMAXPROCS, 1 = legacy serial). Simulation output
 	// is bit-identical at any value — the golden checksum suite and the
 	// serial-vs-parallel equivalence matrices enforce it — so this knob

@@ -13,13 +13,13 @@ import (
 // pathfinding of §2.2.3.
 //
 // The whole mob tick — staleness checks, decisions, path following, physics
-// — runs on a tick context shared by the serial loop and the region-parallel
+// — runs on a tick context shared by the serial loop and the parallel
 // workers. Decision randomness (choosePath's wander goal, the cooldown rolls
 // on path failure and completion) comes from per-region decision streams
 // (see rng.go): each draw is a pure function of (world seed, chunk, entity,
-// tick), so region workers draw in place and the serial loop produces the
+// tick), so pool workers draw in place and the serial loop produces the
 // identical values — mob decisions no longer couple entities through a
-// shared RNG stream. The one thing a region worker cannot do is GENERATE
+// shared RNG stream. The one thing a pool worker cannot do is GENERATE
 // terrain (choosePath's surfaceAt over an unloaded column): that escapes the
 // entity to the serial re-tick pass (see parallel.go).
 
@@ -42,7 +42,7 @@ func (c *tickCtx) tickMob(e *Entity) {
 			e.wanderCooldown--
 		} else {
 			c.choosePath(e, &d)
-			if r := c.region; r != nil && r.escaped {
+			if u := c.unit; u != nil && u.escaped {
 				// The goal column is unloaded: generation is serial-only.
 				// The entity is rolled back and re-ticked on the root context.
 				return
@@ -58,7 +58,7 @@ func (c *tickCtx) tickMob(e *Entity) {
 
 // pathStale reports whether any chunk the path crosses mutated since the
 // path was computed. chunkVersion only changes on terrain mutation, which
-// never happens during the entity phase, so concurrent region workers read
+// never happens during the entity phase, so concurrent pool workers read
 // a frozen map.
 func (c *tickCtx) pathStale(e *Entity) bool {
 	for cp, v := range e.pathVersions {
@@ -73,7 +73,7 @@ func (c *tickCtx) pathStale(e *Entity) bool {
 // mutating anything: it reports whether the mob's tick will reach choosePath
 // — the only operation in the entity phase that can generate terrain. The
 // scheduler uses it to compute the tick's generation horizon (the smallest
-// such mob's ID; see parallel.go): a region read that misses an unloaded
+// such mob's ID; see parallel.go): a worker read that misses an unloaded
 // chunk is serial-equivalent only for entities ordered at or before that
 // horizon. The predicate is exact, not merely conservative — every input
 // (the age throttle via the pre-stamped activation marks, path staleness via
@@ -93,7 +93,7 @@ func (ew *World) mayChoosePath(e *Entity) bool {
 // grid: only buckets around the mob are visited, and the lowest-index match
 // is chosen — the same player a first-match linear scan would pick. Runs on
 // any context: random draws come from the mob's decision stream and terrain
-// reads resolve through the context's cache. On a region context a goal over
+// reads resolve through the context's cache. On a unit context a goal over
 // an unloaded column escapes (generation must happen serially) and leaves
 // early; the serial re-tick then generates it.
 func (c *tickCtx) choosePath(e *Entity, d *decisionStream) {
@@ -159,15 +159,15 @@ func (c *tickCtx) followPath(e *Entity, d *decisionStream) {
 
 // surfaceAt returns one above the highest solid Y of the column (the query
 // height for empty columns) — a dynamic spawn/goal height query. The root
-// context generates the column on demand (§2.2.2 lazy generation); a region
+// context generates the column on demand (§2.2.2 lazy generation); a unit
 // context cannot (generation mutates the chunk index the workers share
 // frozen), so an unloaded column escapes the current entity to the serial
 // re-tick pass and returns ok=false.
 func (c *tickCtx) surfaceAt(p world.Pos) (int, bool) {
-	if r := c.region; r != nil {
+	if u := c.unit; u != nil {
 		ch := c.wc.Chunk(world.ChunkPosAt(p))
 		if ch == nil {
-			r.escaped = true
+			u.escaped = true
 			return 0, false
 		}
 		lx, lz := world.ChunkLocal(p)
@@ -205,7 +205,7 @@ func (h *nodeHeap) Pop() interface{} {
 
 // FindPath runs A* on the store's root context (the serial read path). Tests
 // and external callers use it; tick-time pathing goes through tickCtx.findPath
-// so region workers resolve terrain from their frozen caches.
+// so pool workers resolve terrain from their frozen caches.
 func (ew *World) FindPath(start, goal world.Pos, nodeBudget int) ([]world.Pos, int) {
 	return ew.root.findPath(start, goal, nodeBudget)
 }
@@ -272,7 +272,7 @@ func reconstruct(n *pathNode) []world.Pos {
 
 // walkableNeighbors returns the standable positions reachable in one step:
 // flat moves, single-block step-ups, and drops of up to three blocks.
-// Terrain reads go through the context, so A* expansions on a region worker
+// Terrain reads go through the context, so A* expansions on a pool worker
 // resolve from the frozen chunk index (and unloaded misses trip the
 // generation-horizon guard in blockIfLoaded).
 func (c *tickCtx) walkableNeighbors(p world.Pos) []world.Pos {

@@ -58,17 +58,10 @@ func (ew *World) DrainDepartures(owns func(world.ChunkPos) bool) []Handoff {
 			SeedKey:        e.seedKey,
 			WanderCooldown: e.wanderCooldown,
 		})
-		delete(ew.byID, e.ID)
-		ew.index.remove(e)
-		ew.noteDespawned(e.chunk)
-		if e.Kind == Mob {
-			ew.mobs--
-		}
+		ew.unlink(e)
 	}
 	ew.list = live
-	if len(out) > 0 {
-		ew.purgeItemCells()
-	}
+	ew.purgeItemCells()
 	return out
 }
 

@@ -1,55 +1,30 @@
 package entity
 
-// Region-parallel entity ticks, mirroring the terrain engine's
-// partition-and-merge architecture (internal/mlg/sim/region.go, parallel.go)
-// on the entity phase.
+// Parallel entity ticks over contiguous ID ranges.
 //
-// The serial loop visits every live entity in list (ID) order. Within one
-// tick, entity ticks never read each other's state: AI targets come from the
-// frozen player snapshot, physics and path checks read terrain — which the
-// entity phase never mutates, only extends (choosePath's surfaceAt may
-// GENERATE an unloaded column) — and spawning, item merging and blast
-// impulses all happen in the serial phases around the loop. Decision
-// randomness comes from per-region streams (rng.go): each draw is a pure
-// function of simulation state, so draws are identical under any schedule.
-// The deterministic contract is therefore worker-count independence — every
-// Workers value, including 1 (the serial loop), produces the same world —
-// built from three pieces:
+// The serial loop visits every live entity in list (ID) order. The parallel
+// schedule cuts ew.list into contiguous ranges — work units — and ticks them
+// on the SimWorkers pool. No spatial partition is needed, because entity
+// ticks are already independent:
 //
-//  1. Region independence: entities are partitioned by the chunk-bucketed
-//     spatial index into connected components of occupied chunk columns
-//     (Chebyshev distance <= entRegionLinkChunks), each owning its core
-//     chunks plus a one-chunk halo. Workers write only their own entities;
-//     buffered side effects (index rebuckets, per-chunk update counts,
-//     detonations) keep the shared maps untouched until the merge.
-//
-//  2. The generation horizon: the only cross-entity coupling left is lazy
-//     terrain generation — serially, a mob reaching choosePath can generate
-//     a chunk that a later entity's read then sees loaded. The scheduler
-//     computes the smallest ID among mobs that will reach choosePath this
-//     tick (mayChoosePath, exact on pre-tick state). Region reads that hit
-//     loaded chunks are always serial-equivalent (loaded terrain is frozen
-//     for the phase); a read that misses an unloaded chunk is provably
-//     serial-equivalent only for entities at or before the horizon. Past it,
-//     the entity escapes: it is rolled back from its undo snapshot and
-//     re-ticked serially — in global ID order, on the root context, after
-//     the exclusive phase — where generation is allowed. Escapes are
-//     per-entity, not per-tick: the rest of the region commits.
-//
-//  3. Order reconstruction at merge time: detonations are buffered with
-//     their entity IDs and flushed in ID order (the serial append order)
-//     after the re-tick pass; counters and per-chunk update counts are
-//     order-free sums; index rebuckets commute because buckets are
-//     ID-sorted sets.
-//
-// Escape is impossible for most regions — no generation-capable mob, no
-// fast entity, every owned chunk loaded — and those regions skip the
-// per-entity undo snapshots entirely (see entRegion.run), which removes the
-// dominant overhead the old bit-identical schedule paid on small regions.
-// Scheduling is size-aware: regions carry a cost estimate (their entity
-// count) and are packed into contiguous cost-balanced work units
-// (world.PackUnits), so a swarm of tiny regions shares a few worker
-// handoffs and the pool's fan-out follows the work available.
+//  1. Inputs are frozen for the phase: AI targets come from the tick's
+//     player grid, terrain is never mutated by an entity tick, and every
+//     decision draw is a pure function of (chunk column, seedKey, tick)
+//     (rng.go) — so a tick reads nothing another entity's tick writes.
+//  2. Outputs are buffered per unit and merged order-free: index rebuckets
+//     (buckets are ID-sorted sets), per-chunk update counts and counters
+//     (sums), and detonations (keyed by entity ID, flushed in ID order).
+//  3. The one coupling left is lazy terrain generation — serially, a mob
+//     reaching choosePath can generate a chunk a later entity's read then
+//     sees loaded. The scheduler computes the generation horizon: the
+//     smallest ID among mobs that will reach choosePath this tick
+//     (mayChoosePath, exact on pre-tick state). Workers cannot generate
+//     (the chunk index is frozen), so a surfaceAt over an unloaded column,
+//     or any unloaded read by an entity past the horizon, escapes that one
+//     entity: it is rolled back from its undo snapshot and re-ticked
+//     serially in ID order on the root context, where generation is
+//     allowed. Only entities at or past the horizon can escape, so only
+//     they pay for a snapshot; the rest of the unit commits.
 //
 // The workers run inside the world's exclusive phase with frozen chunk-index
 // caches, so concurrent joins and readers block exactly as they would behind
@@ -61,34 +36,18 @@ import (
 	"repro/internal/mlg/world"
 )
 
-// entRegionLinkChunks is the Chebyshev chunk distance at which occupied
-// chunk columns merge into one entity region. Cores of distinct regions are
-// then >= 3 chunks apart, so their owned sets (core ⊕ 1-chunk halo) are
-// >= 1 chunk apart.
-const entRegionLinkChunks = 2
-
 // minParallelEntities is the population below which a parallel attempt is
-// not worth the partition + worker handoff cost.
+// not worth the worker handoff cost.
 const minParallelEntities = 32
 
-// minUnitEntities is the target entity count per packed work unit: regions
-// are merged into contiguous units until each carries at least this much
-// estimated work, so the parallel fan-out tracks the population, not the
-// region count.
+// minUnitEntities is the smallest entity count worth a work unit of its own,
+// so the parallel fan-out tracks the population.
 const minUnitEntities = 16
 
-// unitsPerWorker bounds the packed unit count to a few units per worker:
-// enough slack for the pool's work stealing to balance uneven units, few
-// enough that handoffs stay amortized.
+// unitsPerWorker bounds the unit count to a few units per worker: enough
+// slack for the pool's work stealing to balance uneven units (mobs cost far
+// more than resting items), few enough that handoffs stay amortized.
 const unitsPerWorker = 4
-
-// fastEscapeVel is the per-axis horizontal velocity (blocks/tick) above
-// which an entity's movement and collision probes are no longer provably
-// confined to its region's owned set (core chunk + 16-block halo). Regions
-// containing a faster entity keep undo snapshots on, since an unloaded-chunk
-// probe can then trip the generation-horizon escape. Slow entities reach at
-// most |v| + 2 blocks from a core chunk, comfortably inside the halo.
-const fastEscapeVel = 8.0
 
 // minParallelImpulses is the detonation-batch size below which blast
 // impulses run serially.
@@ -96,7 +55,7 @@ const minParallelImpulses = 4
 
 // tickCtx is one entity-tick execution context. The store's root context
 // aliases the store's own chunk cache and counters (the legacy serial
-// path); a region context owns region-local counters and caches and buffers
+// path); a unit context owns unit-local counters and caches and buffers
 // every order-sensitive effect for the deterministic merge. The per-entity
 // tick body is written once against tickCtx, so the serial and parallel
 // paths cannot drift apart.
@@ -104,8 +63,8 @@ type tickCtx struct {
 	ew       *World
 	wc       *world.ChunkCache
 	counters *Counters
-	region   *entRegion // nil for the store's root (serial) context
-	cur      *Entity    // entity currently being ticked (escape attribution)
+	unit     *entUnit // nil for the store's root (serial) context
+	cur      *Entity  // entity currently being ticked (escape attribution)
 }
 
 // blockIfLoaded is the context's terrain read. Reads that hit a loaded chunk
@@ -118,8 +77,8 @@ type tickCtx struct {
 func (c *tickCtx) blockIfLoaded(p world.Pos) (world.Block, bool) {
 	b, ok := c.wc.BlockIfLoaded(p)
 	if !ok {
-		if r := c.region; r != nil && r.genHorizon >= 0 && c.cur != nil && c.cur.ID > r.genHorizon {
-			r.escaped = true
+		if u := c.unit; u != nil && u.genHorizon >= 0 && c.cur != nil && c.cur.ID > u.genHorizon {
+			u.escaped = true
 		}
 	}
 	return b, ok
@@ -138,20 +97,13 @@ type entExplosion struct {
 	pos world.Pos
 }
 
-// entRegion is one region's tick execution: its core chunk columns, the
-// owned set bounding its entities' movement, and the buffers the merge
-// consumes.
-type entRegion struct {
-	key    world.ChunkPos
-	chunks []world.ChunkPos            // core chunk columns, discovery order
-	owned  map[world.ChunkPos]struct{} // core plus one-chunk halo
-	// cost estimates the region's tick work (its entity count at partition
-	// time) for the unit packer.
-	cost int
-
+// entUnit is one work unit's tick execution: the buffers the merge consumes
+// and the undo snapshot of the entity in flight. Shells live on the store
+// and are reset per tick, so steady-state parallel ticks do not grow the
+// heap with per-tick buffers.
+type entUnit struct {
 	cache      world.ChunkCache
 	counters   Counters
-	ticking    []*Entity // entities the worker ticks (classify pass output)
 	retick     []*Entity // escaped entities, re-ticked serially after merge
 	moves      []entMove
 	chunkMoved map[world.ChunkPos]int
@@ -160,203 +112,96 @@ type entRegion struct {
 	// genHorizon is the tick's generation horizon (smallest ID among mobs
 	// that will reach choosePath; -1 when none), copied from the scheduler.
 	genHorizon int64
-	// undoOn gates the per-entity undo snapshots. It is false — and
-	// snapshots are skipped — when the region provably cannot escape: no
-	// generation-capable mob (no choosePath can need an unloaded column,
-	// and only those mobs' A* reads leave the owned set), no fast entity
-	// (slow probes stay inside the owned halo), and, when a generation
-	// horizon exists, no unloaded owned chunk (so in-halo probes cannot
-	// miss). An escape with undoOn unset would be a scheduler bug; run
-	// panics rather than committing a half-ticked entity.
-	undoOn bool
-	// prev and prevCounters snapshot the current entity and the region
-	// counters before its tick (only while undoOn): restoring the struct
-	// value is a full per-entity rollback, since workers never mutate the
-	// contents of the referenced path/pathVersions slices or maps, only
-	// replace the pointers.
+	// prev and prevCounters snapshot the current entity and the unit
+	// counters before its tick (only for entities that can escape):
+	// restoring the struct value is a full per-entity rollback, since
+	// workers never mutate the contents of the referenced path/pathVersions
+	// slices or maps, only replace the pointers.
 	prev         Entity
 	prevCounters Counters
-	// escaped marks the CURRENT entity's tick as not completable in-region
+	// escaped marks the CURRENT entity's tick as not completable on a worker
 	// (terrain generation needed, or an unloaded read past the generation
 	// horizon). The run loop rolls that entity back, queues it for the
 	// serial re-tick, clears the flag and continues.
 	escaped bool
 }
 
-// run ticks the region's entities. The classify pass gathers them from the
-// frozen buckets and decides undo gating; the tick pass then runs each
-// entity, rolling back and queueing for serial re-tick any that escape.
-// Within-region tick order is free: entity ticks are independent, and every
-// order-sensitive effect is keyed for the merge.
-func (r *entRegion) run(c *tickCtx, index map[world.ChunkPos]*world.Chunk) {
-	hasGen, anyFast := false, false
-	for _, cp := range r.chunks {
-		for _, e := range c.ew.index.buckets[cp] {
-			if e.Dead {
-				continue
-			}
-			r.ticking = append(r.ticking, e)
-			if !hasGen && c.ew.mayChoosePath(e) {
-				hasGen = true
-			}
-			if v := e.Vel; v.X > fastEscapeVel || v.X < -fastEscapeVel ||
-				v.Z > fastEscapeVel || v.Z < -fastEscapeVel {
-				anyFast = true
-			}
+// run ticks one contiguous range of the entity list. An entity can escape
+// only at or past the generation horizon: blockIfLoaded requires a larger
+// ID, and surfaceAt is reached only through choosePath, whose callers all
+// have IDs >= the horizon by its definition. Exactly those entities get an
+// undo snapshot; an escape without one would be a scheduler bug, and run
+// panics rather than committing a half-ticked entity.
+func (u *entUnit) run(c *tickCtx, list []*Entity) {
+	for _, e := range list {
+		if e.Dead {
+			continue
 		}
-	}
-	r.undoOn = hasGen
-	if !r.undoOn && r.genHorizon >= 0 {
-		if anyFast {
-			r.undoOn = true
-		} else {
-			for cp := range r.owned {
-				if index[cp] == nil {
-					r.undoOn = true
-					break
-				}
-			}
-		}
-	}
-
-	for _, e := range r.ticking {
-		if r.undoOn {
-			r.prev = *e
-			r.prevCounters = r.counters
+		undo := u.genHorizon >= 0 && e.ID >= u.genHorizon
+		if undo {
+			u.prev = *e
+			u.prevCounters = u.counters
 		}
 		c.cur = e
 		c.tickEntity(e)
-		if r.escaped {
-			if !r.undoOn {
-				panic("entity: region escape with undo snapshots gated off")
+		if u.escaped {
+			if !undo {
+				panic("entity: escape before the generation horizon, no undo snapshot")
 			}
-			*e = r.prev
-			r.counters = r.prevCounters
-			r.retick = append(r.retick, e)
-			r.escaped = false
+			*e = u.prev
+			u.counters = u.prevCounters
+			u.retick = append(u.retick, e)
+			u.escaped = false
 		}
 	}
 	c.cur = nil
 }
 
-func (r *entRegion) reset() {
-	r.chunks = r.chunks[:0]
-	clear(r.owned)
-	clear(r.chunkMoved)
-	r.cost = 0
-	r.ticking = r.ticking[:0]
-	r.retick = r.retick[:0]
-	r.moves = r.moves[:0]
-	r.explosions = r.explosions[:0]
-	r.counters = Counters{}
-	r.genHorizon = -1
-	r.undoOn = false
-	r.escaped = false
-	r.cache = world.ChunkCache{}
+func (u *entUnit) reset(genHorizon int64, index map[world.ChunkPos]*world.Chunk) {
+	clear(u.chunkMoved)
+	u.retick = u.retick[:0]
+	u.moves = u.moves[:0]
+	u.explosions = u.explosions[:0]
+	u.counters = Counters{}
+	u.genHorizon = genHorizon
+	u.escaped = false
+	u.cache = world.NewFixedChunkCache(index)
 }
 
-// takeEntRegion reuses a pooled region shell (maps cleared, buffer capacity
-// retained) or allocates a fresh one, so steady-state parallel ticks stop
-// growing the heap with per-tick region buffers.
-func (ew *World) takeEntRegion() *entRegion {
-	if n := len(ew.regionPool); n > 0 {
-		r := ew.regionPool[n-1]
-		ew.regionPool = ew.regionPool[:n-1]
-		r.reset()
-		return r
+// unitCount returns how many work units a population of n >=
+// minParallelEntities entities is cut into: at most unitsPerWorker per
+// worker, each at least minUnitEntities.
+func unitCount(n, workers int) int {
+	units := n / minUnitEntities
+	if limit := workers * unitsPerWorker; units > limit {
+		units = limit
 	}
-	return &entRegion{
-		owned:      make(map[world.ChunkPos]struct{}, 64),
-		chunkMoved: make(map[world.ChunkPos]int, 16),
-		genHorizon: -1,
-	}
+	return units
 }
 
-func (ew *World) releaseEntRegions(regions []*entRegion) {
-	ew.regionPool = append(ew.regionPool, regions...)
-}
-
-// partitionEntityRegions groups the occupied chunk columns of the spatial
-// index into entity regions: connected components at Chebyshev distance
-// <= entRegionLinkChunks, each owning its core plus a one-chunk halo and
-// carrying its entity count as the packing cost estimate. Regions are
-// returned sorted by key (minimal core chunk in (Z, X) order). When fewer
-// than minRegions components exist only the count is returned — the caller
-// drains serially.
-func (ew *World) partitionEntityRegions(minRegions int) (regions []*entRegion, nComps int) {
-	if ew.regionScratch == nil {
-		ew.regionScratch = make(map[world.ChunkPos]int32, 64)
-	}
-	clear(ew.regionScratch)
-	occ := ew.regionScratch
-	for cp := range ew.index.buckets {
-		occ[cp] = -1
-	}
-
-	// Connected components over the occupied set (the shared flood fill).
-	// Component ids follow map iteration order, but components are
-	// canonical and the final region order is fixed by the key sort below.
-	world.LabelComponents(occ, entRegionLinkChunks, func(comp int32, c world.ChunkPos) {
-		if int(comp) == len(regions) {
-			r := ew.takeEntRegion()
-			r.key = c
-			regions = append(regions, r)
-		}
-		r := regions[comp]
-		r.chunks = append(r.chunks, c)
-		r.cost += len(ew.index.buckets[c])
-		if c.Z < r.key.Z || (c.Z == r.key.Z && c.X < r.key.X) {
-			r.key = c
-		}
-		for dz := int32(-1); dz <= 1; dz++ {
-			for dx := int32(-1); dx <= 1; dx++ {
-				r.owned[world.ChunkPos{X: c.X + dx, Z: c.Z + dz}] = struct{}{}
-			}
-		}
-	})
-	nComps = len(regions)
-	if nComps < minRegions {
-		ew.releaseEntRegions(regions)
-		return nil, nComps
-	}
-	sort.Slice(regions, func(i, j int) bool {
-		a, b := regions[i].key, regions[j].key
-		if a.Z != b.Z {
-			return a.Z < b.Z
-		}
-		return a.X < b.X
-	})
-	return regions, nComps
+// unitRange returns unit u's half-open range of an n-entity list cut into
+// units near-equal contiguous ranges. For units <= n every range is
+// non-empty, and together they cover [0, n) exactly.
+func unitRange(n, units, u int) (lo, hi int) {
+	return u * n / units, (u + 1) * n / units
 }
 
 // tryParallelTick attempts to run this tick's per-entity loop on the
-// region-parallel schedule. It returns true when the loop ran and merged
-// (identically to the serial loop under the per-region-stream contract);
-// false leaves every entity untouched so the caller runs the serial path.
+// parallel schedule. It returns true when the loop ran and merged
+// (identically to the serial loop); false leaves every entity untouched so
+// the caller runs the serial path.
 func (ew *World) tryParallelTick() bool {
 	ew.lastParallel = false
 	ew.lastRegions = 0
-	if ew.workers < 2 || len(ew.list) < minParallelEntities {
-		return false
-	}
-	if ew.serialHold > 0 {
-		ew.serialHold--
-		return false
-	}
-	regions, nComps := ew.partitionEntityRegions(2)
-	ew.lastRegions = nComps
-	if regions == nil {
-		// Single occupied cluster: nothing to parallelize. Hold the serial
-		// path for a few ticks instead of re-scanning a dense one-cluster
-		// population every tick.
-		ew.serialHold = 8
+	n := len(ew.list)
+	if ew.workers < 2 || n < minParallelEntities {
 		return false
 	}
 
 	// The tick's generation horizon: the smallest ID among mobs that will
 	// reach choosePath — the only mid-loop terrain generator. The list is
 	// ID-ordered, so the first match is the minimum. Computed once,
-	// serially, on pre-tick state; every region receives the same value.
+	// serially, on pre-tick state; every unit receives the same value.
 	genHorizon := int64(-1)
 	for _, e := range ew.list {
 		if !e.Dead && ew.mayChoosePath(e) {
@@ -365,35 +210,26 @@ func (ew *World) tryParallelTick() bool {
 		}
 	}
 
-	// Size the fan-out by the work available: regions pack into contiguous
-	// cost-balanced units, so a swarm of tiny regions shares a few worker
-	// handoffs instead of paying one each, and a sparse tick spawns only
-	// the goroutines its units need.
-	costs := ew.costScratch[:0]
-	for _, r := range regions {
-		costs = append(costs, r.cost)
+	nUnits := unitCount(n, ew.workers)
+	for len(ew.units) < nUnits {
+		ew.units = append(ew.units, &entUnit{chunkMoved: make(map[world.ChunkPos]int, 16)})
 	}
-	ew.costScratch = costs
-	units := world.PackUnits(ew.unitScratch[:0], costs, ew.workers*unitsPerWorker, minUnitEntities)
-	ew.unitScratch = units
+	units := ew.units[:nUnits]
+	ew.lastRegions = nUnits
 
 	// Exclusive phase: workers resolve terrain reads from the frozen chunk
 	// index (they cannot take the world's read lock while it is held), and
 	// concurrent joins/readers block exactly as behind a serial entity storm.
 	index := ew.w.BeginExclusive()
-	world.Parallel(ew.workers, len(units), func(u int) {
-		for i := units[u][0]; i < units[u][1]; i++ {
-			r := regions[i]
-			r.genHorizon = genHorizon
-			r.cache = world.NewFixedChunkCache(index)
-			c := &tickCtx{ew: ew, wc: &r.cache, counters: &r.counters, region: r}
-			r.run(c, index)
-		}
+	world.Parallel(ew.workers, nUnits, func(i int) {
+		u := units[i]
+		u.reset(genHorizon, index)
+		lo, hi := unitRange(n, nUnits, i)
+		u.run(&tickCtx{ew: ew, wc: &u.cache, counters: &u.counters, unit: u}, ew.list[lo:hi])
 	})
 	ew.w.EndExclusive()
 
-	retick := ew.mergeEntRegions(regions)
-	ew.releaseEntRegions(regions)
+	retick := ew.mergeEntUnits(units)
 	if len(retick) > 0 {
 		// Escaped entities re-run serially on the root context in global ID
 		// order — the positions their terrain generation occupies in the
@@ -410,35 +246,35 @@ func (ew *World) tryParallelTick() bool {
 	return true
 }
 
-// mergeEntRegions folds the regions' buffered effects into the store:
-// counters and per-chunk update counts sum (order-free), index rebuckets
-// apply (buckets are ID-sorted sets, so application order is immaterial),
+// mergeEntUnits folds the units' buffered effects into the store: counters
+// and per-chunk update counts sum (order-free), index rebuckets apply
+// (buckets are ID-sorted sets, so application order is immaterial),
 // detonations join the tick's ID-keyed buffer (flushed in serial order at
-// the end of the tick), and escaped entities are collected — sorted by ID —
-// for the serial re-tick pass.
-func (ew *World) mergeEntRegions(regions []*entRegion) []*Entity {
+// the end of the tick), and escaped entities are collected for the serial
+// re-tick pass — already in ID order, since units are ascending ID ranges
+// visited in order.
+func (ew *World) mergeEntUnits(units []*entUnit) []*Entity {
 	retick := ew.retickScratch[:0]
-	for _, r := range regions {
-		ew.counters = ew.counters.Add(r.counters)
-		for cp, n := range r.chunkMoved {
-			u := ew.chunkUpdates[cp]
-			u.Moved += n
-			ew.chunkUpdates[cp] = u
+	for _, u := range units {
+		ew.counters = ew.counters.Add(u.counters)
+		for cp, n := range u.chunkMoved {
+			cu := ew.chunkUpdates[cp]
+			cu.Moved += n
+			ew.chunkUpdates[cp] = cu
 		}
-		for _, m := range r.moves {
+		for _, m := range u.moves {
 			ew.index.move(m.e, m.to)
 		}
-		ew.exBuf = append(ew.exBuf, r.explosions...)
-		retick = append(retick, r.retick...)
+		ew.exBuf = append(ew.exBuf, u.explosions...)
+		retick = append(retick, u.retick...)
 	}
-	sort.Slice(retick, func(i, j int) bool { return retick[i].ID < retick[j].ID })
 	ew.retickScratch = retick
 	return retick
 }
 
 // flushExplosions emits the tick's buffered detonations to explosionsDue in
 // entity-ID order — the serial loop's append order — regardless of which
-// schedule (serial, region worker, re-tick pass) buffered them.
+// schedule (serial, unit worker, re-tick pass) buffered them.
 func (ew *World) flushExplosions() {
 	if len(ew.exBuf) == 0 {
 		return
@@ -451,8 +287,9 @@ func (ew *World) flushExplosions() {
 }
 
 // ApplyExplosionImpulses applies blast impulses for a whole detonation
-// batch. The scans fold into the same regioned execution as the entity
-// tick: centers partition into groups whose bucket scans cannot overlap
+// batch, and is the one place the entity store still partitions space,
+// because here the dependency is real (two blasts in reach of one entity
+// must hit it in batch order): centers partition into groups whose bucket scans cannot overlap
 // (components at Chebyshev chunk distance <= 2×reach, where reach is the
 // blast radius in chunks rounded up), each group processes its centers in
 // original batch order, and group counters merge afterwards. An entity is
@@ -519,7 +356,7 @@ func (ew *World) ApplyExplosionImpulses(centers []world.Pos, radius float64) {
 }
 
 // Add returns the component-wise sum of c and o — the merge operation for
-// per-region and per-group counters.
+// per-unit and per-group counters.
 func (c Counters) Add(o Counters) Counters {
 	return Counters{
 		MobTicks:      c.MobTicks + o.MobTicks,
@@ -542,11 +379,12 @@ func (c Counters) Add(o Counters) Counters {
 type ParallelStats struct {
 	// Workers is the resolved worker count (Config.Workers, or GOMAXPROCS).
 	Workers int
-	// LastRegions is the region count of the last attempted partition (0
-	// when the last tick never partitioned).
+	// LastRegions is the number of work units (contiguous ID ranges) the
+	// last tick's entity loop was cut into (0 when it ran serially). The name
+	// is kept for the tick-record and snapshot surfaces built on it.
 	LastRegions int
 	// LastParallel reports whether the last tick's entity loop ran on the
-	// region-parallel schedule.
+	// parallel schedule.
 	LastParallel bool
 	// ParallelTicks counts ticks run in parallel; FallbackTicks counts
 	// parallel ticks in which at least one escaped entity had to be rolled

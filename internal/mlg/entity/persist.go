@@ -124,7 +124,7 @@ func (ew *World) AppendPersist(dst []byte) []byte {
 	dst = persist.AppendU8(dst, lp)
 	dst = persist.AppendI64(dst, ew.parallelTicks)
 	dst = persist.AppendI64(dst, ew.fallbackTicks)
-	dst = persist.AppendI64(dst, int64(ew.serialHold))
+	dst = persist.AppendI64(dst, 0) // v2 layout: the retired serial-hold counter
 	return dst
 }
 
@@ -202,7 +202,7 @@ func (ew *World) RestorePersist(data []byte) error {
 	lastParallel := d.U8() != 0
 	parallelTicks := d.I64()
 	fallbackTicks := d.I64()
-	serialHold := int(d.I64())
+	d.I64() // v2 layout: the retired serial-hold counter
 
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("entity section: %w", err)
@@ -252,7 +252,6 @@ func (ew *World) RestorePersist(data []byte) error {
 	ew.lastParallel = lastParallel
 	ew.parallelTicks = parallelTicks
 	ew.fallbackTicks = fallbackTicks
-	ew.serialHold = serialHold
 	// Restored chunks are new objects; drop any cached pointers.
 	ew.wc = world.NewChunkCache(ew.w)
 	return nil

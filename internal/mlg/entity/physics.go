@@ -15,7 +15,7 @@ const (
 // stepPhysics integrates one tick of motion with terrain collision: gravity,
 // drag, axis-separated movement against solid blocks, and fluid push — the
 // entity-collision workload the TNT world stresses (§3.3.1). It runs on a
-// tick context so the serial loop and the region-parallel workers share one
+// tick context so the serial loop and the pool workers share one
 // implementation: terrain reads go through the context's chunk cache and
 // collision counts through the context's counters.
 func (c *tickCtx) stepPhysics(e *Entity) {

@@ -10,7 +10,7 @@ import "repro/internal/mlg/world"
 // was part of a bit-equality contract with the serial loop: the parallel
 // schedule had to route every possibly-drawing mob through a serial replay
 // pass in global ID order, which serialized exactly the workloads (farms
-// full of pathing mobs) the region engine exists to speed up.
+// full of pathing mobs) the parallel schedule exists to speed up.
 //
 // The contract is now "deterministic per-region streams" instead of "the
 // serial stream": every decision draw comes from a stateless counter-based
@@ -20,8 +20,8 @@ import "repro/internal/mlg/world"
 //
 // and advanced by draw index within the mob's tick. A draw is a pure
 // function of simulation state, so its value does not depend on worker
-// count, scheduling, or whether the tick ran on the serial loop or a region
-// worker — region workers draw in place, and the serial replay pass is
+// count, scheduling, or whether the tick ran on the serial loop or a pool
+// worker — pool workers draw in place, and the serial replay pass is
 // gone. The chunk key makes the streams per-region in the spatial sense
 // (the chunk column is the finest region unit; RegionSeed is the same
 // derivation the terrain engine's region contexts use), so neighbouring
@@ -57,7 +57,7 @@ type decisionStream struct {
 // decisionStreamFor returns the stream for one mob tick. The key uses
 // e.chunk — the spatial-index bucket at tick start — which is stable for
 // the whole tick on both schedules: the serial loop rebuckets only after
-// the kind switch, and region workers buffer rebuckets for the merge.
+// the kind switch, and pool workers buffer rebuckets for the merge.
 func (ew *World) decisionStreamFor(e *Entity) decisionStream {
 	return decisionStream{ew: ew, e: e}
 }

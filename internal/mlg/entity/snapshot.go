@@ -3,7 +3,7 @@ package entity
 // Entity wire snapshots: a compact, canonical serialization of one entity's
 // externally visible state (identity, kind, motion, lifecycle). The
 // serial-vs-parallel equivalence suites hash and diff whole-store snapshots
-// to prove region-parallel ticks bit-identical to the serial loop, and the
+// to prove parallel ticks bit-identical to the serial loop, and the
 // FuzzEntitySnapshot round-trip target guards the codec itself.
 //
 // The format is fixed-width big-endian: ID (8), Kind (1), flags (1),

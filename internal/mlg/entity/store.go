@@ -37,13 +37,13 @@ type Config struct {
 	// item-merge optimization that keeps TNT storms from flooding the
 	// entity list.
 	ItemMergeCells int
-	// Workers is the number of goroutines ticking independent entity regions
-	// per tick (the same pool discipline and knob as sim.Config.SimWorkers;
-	// the server wires both from one setting). 0 means GOMAXPROCS; 1 keeps
-	// the legacy serial loop. Whatever the value, output is identical:
-	// mob decisions draw from per-region RNG streams that are pure functions
-	// of simulation state (see rng.go), and the few entity ticks a worker
-	// cannot complete — ones needing mid-loop terrain generation — are
+	// Workers is the number of goroutines ticking contiguous ranges of the
+	// entity list per tick (the same pool discipline and knob as
+	// sim.Config.SimWorkers; the server wires both from one setting). 0 means
+	// GOMAXPROCS; 1 keeps the legacy serial loop. Whatever the value, output
+	// is identical: mob decisions draw from RNG streams that are pure
+	// functions of simulation state (see rng.go), and the few entity ticks a
+	// worker cannot complete — ones needing mid-loop terrain generation — are
 	// rolled back and re-ticked serially in ID order (see parallel.go), so
 	// every worker count produces the same world.
 	Workers int
@@ -129,12 +129,15 @@ type World struct {
 	chunkVersion map[world.ChunkPos]uint64
 
 	// itemCells maps a merge-grid cell to the item entity last spawned in
-	// it, for ItemMergeCells.
-	itemCells map[world.Pos]int64
+	// it, for ItemMergeCells. cellsStale is set when an entity leaves byID
+	// (unlink) — the only way an entry goes stale — and cleared by
+	// purgeItemCells, which every unlinking pass ends with.
+	itemCells  map[world.Pos]int64
+	cellsStale bool
 
 	// explosionsDue collects TNT detonations for the server to route to the
 	// terrain engine after the entity phase. exBuf is the tick's ID-keyed
-	// staging buffer: every schedule (serial loop, region merge, re-tick
+	// staging buffer: every schedule (serial loop, unit merge, re-tick
 	// pass) appends there, and flushExplosions emits to explosionsDue in
 	// entity-ID order at the end of the tick.
 	explosionsDue []world.Pos
@@ -150,23 +153,17 @@ type World struct {
 	workers int
 
 	// Parallel-schedule scratch, reused across ticks (see parallel.go).
-	regionScratch   map[world.ChunkPos]int32
-	regionPool      []*entRegion
+	units           []*entUnit
 	retickScratch   []*Entity
-	costScratch     []int
-	unitScratch     [][2]int
 	impulseScratch  map[world.ChunkPos]int32
 	impulseCenters  [][]world.Pos
 	impulseCounters []Counters
 
-	// Parallel-schedule attribution (see ParallelStats), plus the serial-hold
-	// hysteresis that keeps a workload which just rolled back (or refuses to
-	// partition) off the partitioning cost for a few ticks.
+	// Parallel-schedule attribution (see ParallelStats).
 	lastRegions   int
 	lastParallel  bool
 	parallelTicks int64
 	fallbackTicks int64
-	serialHold    int
 }
 
 // NewWorld creates an entity world bound to the terrain, seeded
@@ -200,17 +197,15 @@ func NewWorld(w *world.World, cfg Config, seed int64) *World {
 
 // SetWorkers reconfigures the tick scheduler's worker count between ticks
 // (0 = GOMAXPROCS, 1 = the serial loop), as if the store had been restarted
-// with the new Config.Workers: the serial-hold hysteresis resets so the next
-// tick re-evaluates the schedule fresh. Output is unaffected — every worker
-// count produces the same world — so this trades wall-clock time only. Must
-// not be called while a tick is in flight.
+// with the new Config.Workers. Output is unaffected — every worker count
+// produces the same world — so this trades wall-clock time only. Must not be
+// called while a tick is in flight.
 func (ew *World) SetWorkers(n int) {
 	ew.cfg.Workers = n
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	ew.workers = n
-	ew.serialHold = 0
 }
 
 // Count returns the live entity population.
@@ -343,7 +338,7 @@ func (ew *World) DrainExplosions() []world.Pos {
 // detonation: items near the centre are destroyed, everything else in range
 // is knocked away. This is the entity-collision side of the TNT workload.
 // For a tick's whole detonation batch, ApplyExplosionImpulses runs these
-// scans region-parallel.
+// scans in parallel groups.
 func (ew *World) ApplyExplosionImpulse(center world.Pos, radius float64) {
 	ew.applyImpulse(center, radius, &ew.counters)
 }
@@ -379,12 +374,12 @@ func (ew *World) applyImpulse(center world.Pos, radius float64, counters *Counte
 // returned counters describe the tick's entity work.
 //
 // The per-entity loop — AI, physics, collision, the tick's hot path — runs
-// region-parallel on the SimWorkers pool when the population partitions into
-// independent regions (see parallel.go); otherwise, and as the universal
-// fallback, it runs the legacy serial loop. The output is identical under
-// every worker count: mob decisions draw from per-region streams that do not
-// depend on schedule, and the rare entity tick a worker cannot complete is
-// re-ticked serially in ID order. The phases around the loop (activation
+// on the SimWorkers pool over contiguous ranges of the entity list when the
+// population is large enough to pay for the handoff (see parallel.go);
+// otherwise it runs the legacy serial loop. The output is identical under
+// every worker count: mob decisions draw from streams that do not depend on
+// schedule, and the rare entity tick a worker cannot complete is re-ticked
+// serially in ID order. The phases around the loop (activation
 // marking, natural spawning, compaction) consume the store RNG in global
 // order and stay serial.
 func (ew *World) Tick(players []Vec3) Counters {
@@ -415,8 +410,8 @@ func (ew *World) Tick(players []Vec3) Counters {
 // tickEntity advances one entity through its game tick on the given context:
 // ageing, activation throttling, the kind switch, and movement bookkeeping.
 // This is the one copy of the per-entity tick body; the serial loop runs it
-// on the root context and region workers on region contexts, so the two
-// paths cannot drift apart.
+// on the root context and pool workers on unit contexts, so the two paths
+// cannot drift apart.
 func (c *tickCtx) tickEntity(e *Entity) {
 	if e.Dead {
 		return
@@ -438,7 +433,7 @@ func (c *tickCtx) tickEntity(e *Entity) {
 		c.counters.TNTTicks++
 		e.Fuse--
 		c.stepPhysics(e)
-		if r := c.region; r != nil && r.escaped {
+		if u := c.unit; u != nil && u.escaped {
 			// Escaped mid-physics: leave the fuse decision to the re-tick
 			// so the detonation buffers exactly once.
 			return
@@ -447,30 +442,29 @@ func (c *tickCtx) tickEntity(e *Entity) {
 			e.Dead = true
 			// Buffered with the entity ID on every schedule; flushExplosions
 			// emits the tick's batch in serial (ID) order.
-			if r := c.region; r != nil {
-				r.explosions = append(r.explosions, entExplosion{id: e.ID, pos: e.Pos.BlockPos()})
+			if u := c.unit; u != nil {
+				u.explosions = append(u.explosions, entExplosion{id: e.ID, pos: e.Pos.BlockPos()})
 			} else {
 				c.ew.exBuf = append(c.ew.exBuf, entExplosion{id: e.ID, pos: e.Pos.BlockPos()})
 			}
 		}
 	}
-	if r := c.region; r != nil && r.escaped {
+	if u := c.unit; u != nil && u.escaped {
 		return
 	}
 	if !e.Dead {
 		if after := e.Pos.BlockPos(); after != before {
 			c.counters.Moved++
 			nc := world.ChunkPosAt(after)
-			if r := c.region; r != nil {
-				// Rebuckets are buffered and applied at the serial merge, so
-				// the destination may lie anywhere — even another region's
-				// chunks. Bucket contents stay frozen for the whole worker
-				// phase, and bucket insertion is ID-sorted, so application
-				// order is immaterial.
+			if u := c.unit; u != nil {
+				// Rebuckets are buffered and applied at the serial merge:
+				// bucket contents stay frozen for the whole worker phase, and
+				// bucket insertion is ID-sorted, so application order is
+				// immaterial.
 				if nc != e.chunk {
-					r.moves = append(r.moves, entMove{e: e, to: nc})
+					u.moves = append(u.moves, entMove{e: e, to: nc})
 				}
-				r.chunkMoved[nc]++
+				u.chunkMoved[nc]++
 			} else {
 				if nc != e.chunk {
 					c.ew.index.move(e, nc)
@@ -539,12 +533,7 @@ func (ew *World) compact() {
 			e.Dead = true
 		}
 		if e.Dead {
-			delete(ew.byID, e.ID)
-			ew.index.remove(e)
-			ew.noteDespawned(e.chunk)
-			if e.Kind == Mob {
-				ew.mobs--
-			}
+			ew.unlink(e)
 			ew.counters.Despawns++
 			continue
 		}
@@ -557,11 +546,29 @@ func (ew *World) compact() {
 	}
 }
 
+// unlink removes an entity from every store index except ew.list, which the
+// caller is rebuilding (compact, DrainDepartures).
+func (ew *World) unlink(e *Entity) {
+	delete(ew.byID, e.ID)
+	ew.cellsStale = true
+	ew.index.remove(e)
+	ew.noteDespawned(e.chunk)
+	if e.Kind == Mob {
+		ew.mobs--
+	}
+}
+
 // purgeItemCells drops merge-cell entries whose item entity has died or
 // expired. Without this, cells pointing at dead items linger until a new
 // drop overwrites them, which under TNT storms leaks a map entry per crater
-// cell for the life of the run.
+// cell for the life of the run. The walk runs only when something left byID
+// since the last one: IDs are never reused and an item never changes kind,
+// so entries go stale no other way.
 func (ew *World) purgeItemCells() {
+	if !ew.cellsStale {
+		return
+	}
+	ew.cellsStale = false
 	for cell, id := range ew.itemCells {
 		if e := ew.byID[id]; e == nil || e.Dead || e.Kind != Item {
 			delete(ew.itemCells, cell)

@@ -118,7 +118,7 @@ func TestParallelEntityTickConcurrentJoinRace(t *testing.T) {
 	m := env.NewMachine(env.DAS5SixteenCore, 1)
 	s := server.New(w, cfg, m, env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)))
 	spec := workload.TNT.DefaultSpec()
-	spec.Scale = 2 // two cuboids: >= 2 entity regions once both storms burn
+	spec.Scale = 2 // two cuboids: two storms of entities for the work units to split
 	spec.IgniteAfterTicks = 2
 	if err := workload.Install(s, spec); err != nil {
 		t.Fatal(err)

@@ -241,7 +241,9 @@ type TickRecord struct {
 	// schedule: how many independent regions the update queues partitioned
 	// into, and whether the drains actually ran on the worker pool (false =
 	// serial path or rolled-back parallel attempt). EntRegions and
-	// EntParallel attribute the entity phase the same way.
+	// EntParallel attribute the entity phase: how many work units
+	// (contiguous ID ranges) the entity list was cut into, and whether the
+	// loop ran on the pool.
 	SimRegions  int
 	SimParallel bool
 	EntRegions  int

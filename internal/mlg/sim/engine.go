@@ -202,15 +202,14 @@ type Engine struct {
 	// engine fields above exactly as the pre-region-split engine did.
 	root exec
 
-	// Parallel-schedule scratch, reused across ticks: the dirty-chunk map,
-	// the initial virtual-queue tag buffers, pooled region shells, and the
+	// Parallel-schedule scratch, reused across ticks: the partitioner's and
+	// the merge replay's working memory, pooled region shells, and the
 	// cost/unit buffers of the size-aware work packer.
-	dirtyScratch map[world.ChunkPos]int32
-	vpScratch    []int32
-	vrScratch    []int32
-	regionPool   []*regionRun
-	costScratch  []int
-	unitScratch  [][2]int
+	part        partitionScratch
+	plan        mergePlan
+	regionPool  []*regionRun
+	costScratch []int
+	unitScratch [][2]int
 
 	// Parallel-schedule attribution (see ParallelStats).
 	lastRegions   int
@@ -553,6 +552,8 @@ func (e *Engine) Tick() Counters {
 	// Random ticks drive plant growth and similar slow processes.
 	e.randomTicks()
 
+	e.pending = trimQueue(e.pending)
+	e.redstonePending = trimQueue(e.redstonePending)
 	e.counters.Backlog = len(e.pending) + len(e.redstonePending)
 	_, _, lightAfter := e.w.Stats()
 	e.counters.LightScans += lightAfter - lightBefore
@@ -565,11 +566,17 @@ func (e *Engine) Tick() Counters {
 // within the tick, budget permitting). When redstoneAllowed is false,
 // updates targeting logic components are deferred to the redstone queue
 // instead of applied, preserving the every-other-tick redstone cadence.
+//
+// Pops advance a cursor and the unconsumed remainder is moved to the front
+// afterwards, so the queue keeps its backing array from tick to tick:
+// reslicing from the head instead would shed capacity with every pop and
+// regrow the whole queue from nothing on the next cascade.
 func (x *exec) drain(queue *[]scheduledUpdate, budget int, redstoneAllowed bool) int {
-	for len(*queue) > 0 && budget > 0 {
-		q := *queue
-		u := q[0]
-		*queue = q[1:]
+	head := 0
+	// *queue is re-read every iteration: apply appends to it and may move it.
+	for head < len(*queue) && budget > 0 {
+		u := (*queue)[head]
+		head++
 		if !redstoneAllowed {
 			if b, loaded := x.wc.BlockIfLoaded(u.pos); loaded && b.IsRedstoneComponent() {
 				*x.redstone = append(*x.redstone, u)
@@ -579,7 +586,29 @@ func (x *exec) drain(queue *[]scheduledUpdate, budget int, redstoneAllowed bool)
 		budget--
 		x.apply(u)
 	}
+	if head > 0 {
+		q := *queue
+		*queue = q[:copy(q, q[head:])]
+	}
 	return budget
+}
+
+// queueRetainEntries bounds the backing array an update queue keeps across
+// ticks (32 B an entry, so 4 MB): above it, a queue that ends a tick less
+// than a quarter full gives the array back. An overload backlog peaks at
+// millions of entries and then drains; holding that peak for the rest of
+// the run would cost more resident memory than the regrowth it saves.
+const queueRetainEntries = 128 << 10
+
+// trimQueue applies the retention bound at the end of a tick.
+func trimQueue(q []scheduledUpdate) []scheduledUpdate {
+	if cap(q) <= queueRetainEntries || len(q) >= cap(q)/4 {
+		return q
+	}
+	if len(q) == 0 {
+		return nil
+	}
+	return append(make([]scheduledUpdate, 0, 2*len(q)), q...)
 }
 
 // purgeWireSeen drops stale per-tick wire dedup entries once the map grows

@@ -83,6 +83,7 @@ type undoRec struct {
 // its private counters and caches, and the logs the merge replays.
 type regionRun struct {
 	key   world.ChunkPos
+	comp  int32 // flood-fill component id, carried across the key sort
 	core  map[world.ChunkPos]struct{}
 	owned map[world.ChunkPos]struct{} // core plus one-chunk halo
 
@@ -96,6 +97,10 @@ type regionRun struct {
 	log      []logRec
 	events   []event
 	undo     []undoRec
+	// wireSeen is the region's RedstoneBatch dedup map: within a tick a wire
+	// belongs to exactly one region, and entries never carry across ticks
+	// (reset clears it).
+	wireSeen map[world.Pos]int64
 	// setCount and lightScans mirror what World.SetBlock would have added
 	// to the world counters; merged via AddMutationStats.
 	setCount   int
@@ -196,12 +201,24 @@ func (r *regionRun) drainQueue(x *exec, q *[]scheduledUpdate, pops *int, redston
 	}
 }
 
-// mergePlan is the validated outcome of the virtual-queue replay: the
-// leftover queues and the effect events in serial order.
+// mergePlan is the virtual-queue replay: its working memory — engine-owned,
+// cleared per use — and, once buildMergePlan has validated it, its outcome:
+// the effect events in serial order and the tag sequences of the leftover
+// queues, which applyMergePlan materializes from the cursors.
 type mergePlan struct {
-	newPending  []scheduledUpdate
-	newRedstone []scheduledUpdate
-	events      []*event
+	regions []*regionRun
+	applied int
+
+	vp, vr   []int32 // virtual pending / redstone queues of region tags
+	leftover []int32 // even ticks: pending-queue children of the redstone drain
+	logIdx   []int   // per region: next log record
+	pIdx     []int   // per region: virtual cursor into pendingQ
+	rIdx     []int   // per region: virtual cursor into redstoneQ
+	evIdx    []int   // per region: next event
+
+	events   []*event
+	pendTags []int32 // leftover e.pending, materialized from pIdx
+	redTags  []int32 // leftover e.redstonePending, materialized from rIdx
 }
 
 // tryParallelDrains attempts to drain this tick's queues on the region-
@@ -281,10 +298,10 @@ func (e *Engine) tryParallelDrains(budget int) bool {
 				region:   r,
 			}
 			if e.cfg.RedstoneBatch {
-				// Fresh per-region dedup map: within a tick a wire belongs
-				// to exactly one region, and entries never carry across
-				// ticks (the lookup compares the tick).
-				x.wireSeen = make(map[world.Pos]int64)
+				if r.wireSeen == nil {
+					r.wireSeen = make(map[world.Pos]int64)
+				}
+				x.wireSeen = r.wireSeen
 			}
 			r.run(x, evenTick)
 		}
@@ -296,10 +313,8 @@ func (e *Engine) tryParallelDrains(budget int) bool {
 			abort = true
 		}
 	}
-	var plan *mergePlan
 	if !abort {
-		plan = e.buildMergePlan(regions, vpInit, vrInit, evenTick, budget)
-		abort = plan == nil
+		abort = !e.buildMergePlan(regions, vpInit, vrInit, evenTick, budget)
 	}
 	if abort {
 		// Still inside the exclusive phase: restore every chunk, then let
@@ -315,146 +330,146 @@ func (e *Engine) tryParallelDrains(budget int) bool {
 	}
 	e.w.EndExclusive()
 
-	e.applyMergePlan(regions, plan)
+	e.applyMergePlan(regions)
 	e.releaseRegionRuns(regions)
 	e.lastParallel = true
 	e.parallelTicks++
 	return true
 }
 
+// pop consumes one virtual queue entry of region tag: it advances the
+// region's queue cursor and returns its next log record, or false when the
+// region logged fewer pops than the replay needs.
+func (m *mergePlan) pop(tag int32, fromPending bool) (logRec, bool) {
+	if fromPending {
+		m.pIdx[tag]++
+	} else {
+		m.rIdx[tag]++
+	}
+	log := m.regions[tag].log
+	if m.logIdx[tag] >= len(log) {
+		return logRec{}, false
+	}
+	rec := log[m.logIdx[tag]]
+	m.logIdx[tag]++
+	return rec, true
+}
+
+// expand replays one applied update: its pending children join pendSink, its
+// redstone children the virtual redstone queue, and its events the plan.
+func (m *mergePlan) expand(tag int32, rec logRec, pendSink *[]int32) {
+	m.applied++
+	for i := 0; i < int(rec.np); i++ {
+		*pendSink = append(*pendSink, tag)
+	}
+	for i := 0; i < int(rec.nr); i++ {
+		m.vr = append(m.vr, tag)
+	}
+	evs := m.regions[tag].events
+	for i := 0; i < int(rec.ne); i++ {
+		m.events = append(m.events, &evs[m.evIdx[tag]])
+		m.evIdx[tag]++
+	}
+}
+
 // buildMergePlan replays the virtual queues to reconstruct the serial pop
-// order (see the package comment). It returns nil if the replay detects an
-// inconsistency — a budget overrun or a log/queue mismatch — in which case
-// the caller rolls the tick back.
-func (e *Engine) buildMergePlan(regions []*regionRun, vpInit, vrInit []int32, evenTick bool, budget int) *mergePlan {
-	nEvents := 0
-	for _, r := range regions {
-		nEvents += len(r.events)
-	}
-	plan := &mergePlan{events: make([]*event, 0, nEvents)}
-
-	vp := append(make([]int32, 0, len(vpInit)*2), vpInit...)
-	vr := append(make([]int32, 0, len(vrInit)*2), vrInit...)
-	logIdx := make([]int, len(regions))
-	pIdx := make([]int, len(regions)) // virtual cursor into each pendingQ
-	rIdx := make([]int, len(regions)) // virtual cursor into each redstoneQ
-	evIdx := make([]int, len(regions))
-	applied := 0
-
-	pop := func(tag int32, fromPending bool) (logRec, bool) {
-		r := regions[tag]
-		if fromPending {
-			pIdx[tag]++
-		} else {
-			rIdx[tag]++
-		}
-		if logIdx[tag] >= len(r.log) {
-			return logRec{}, false
-		}
-		rec := r.log[logIdx[tag]]
-		logIdx[tag]++
-		return rec, true
-	}
-	expand := func(tag int32, rec logRec, pendSink *[]int32) {
-		applied++
-		r := regions[tag]
-		for i := 0; i < int(rec.np); i++ {
-			*pendSink = append(*pendSink, tag)
-		}
-		for i := 0; i < int(rec.nr); i++ {
-			vr = append(vr, tag)
-		}
-		for i := 0; i < int(rec.ne); i++ {
-			plan.events = append(plan.events, &r.events[evIdx[tag]])
-			evIdx[tag]++
-		}
-	}
+// order (see the package comment) into e.plan. It returns false if the
+// replay detects an inconsistency — a budget overrun or a log/queue mismatch
+// — in which case the caller rolls the tick back.
+func (e *Engine) buildMergePlan(regions []*regionRun, vpInit, vrInit []int32, evenTick bool, budget int) bool {
+	m := &e.plan
+	n := len(regions)
+	m.regions, m.applied = regions, 0
+	m.vp = append(m.vp[:0], vpInit...)
+	m.vr = append(m.vr[:0], vrInit...)
+	m.leftover = m.leftover[:0]
+	m.logIdx, m.pIdx = zeroed(m.logIdx, n), zeroed(m.pIdx, n)
+	m.rIdx, m.evIdx = zeroed(m.rIdx, n), zeroed(m.evIdx, n)
+	m.events = m.events[:0]
+	m.pendTags, m.redTags = nil, nil
 
 	// Phase 1: the pending-queue drain. The budget guard mirrors the
-	// serial loop condition exactly (`for len(queue) > 0 && budget > 0`):
+	// serial loop condition exactly (`for head < len(queue) && budget > 0`):
 	// once the applied count reaches the budget, the serial drain stops
 	// popping entirely — including pops that would only re-route — so any
 	// further virtual pop means the tick is not reconstructible and must
 	// roll back.
-	for h := 0; h < len(vp); h++ {
-		if applied >= budget {
-			return nil
+	for h := 0; h < len(m.vp); h++ {
+		if m.applied >= budget {
+			return false
 		}
-		tag := vp[h]
-		rec, ok := pop(tag, true)
+		tag := m.vp[h]
+		rec, ok := m.pop(tag, true)
 		if !ok {
-			return nil
+			return false
 		}
 		if !rec.applied {
-			vr = append(vr, tag) // re-routed to the redstone queue
+			m.vr = append(m.vr, tag) // re-routed to the redstone queue
 			continue
 		}
-		expand(tag, rec, &vp)
+		m.expand(tag, rec, &m.vp)
 	}
 	for i, r := range regions {
-		if pIdx[i] != r.pendPops {
-			return nil
+		if m.pIdx[i] != r.pendPops {
+			return false
 		}
 	}
 
 	if evenTick {
 		// Phase 2: the redstone drain. Children routed to the pending queue
 		// are this tick's leftovers, kept in pop order.
-		var leftover []int32
-		for h := 0; h < len(vr); h++ {
-			if applied >= budget {
-				return nil // serial would stop popping here
+		for h := 0; h < len(m.vr); h++ {
+			if m.applied >= budget {
+				return false // serial would stop popping here
 			}
-			tag := vr[h]
-			rec, ok := pop(tag, false)
+			tag := m.vr[h]
+			rec, ok := m.pop(tag, false)
 			if !ok || !rec.applied {
-				return nil
+				return false
 			}
-			expand(tag, rec, &leftover)
+			m.expand(tag, rec, &m.leftover)
 		}
 		for i, r := range regions {
-			if rIdx[i] != r.redPops || logIdx[i] != len(r.log) || evIdx[i] != len(r.events) {
-				return nil
+			if m.rIdx[i] != r.redPops || m.logIdx[i] != len(r.log) || m.evIdx[i] != len(r.events) {
+				return false
 			}
 		}
-		plan.newPending = materialize(regions, leftover, pIdx, func(r *regionRun) []scheduledUpdate { return r.pendingQ })
+		m.pendTags = m.leftover
 	} else {
 		// Odd tick: the redstone queue was not drained; its reconstructed
 		// interleaving becomes the new queue.
 		for i, r := range regions {
-			if r.redPops != 0 || logIdx[i] != len(r.log) || evIdx[i] != len(r.events) {
-				return nil
+			if r.redPops != 0 || m.logIdx[i] != len(r.log) || m.evIdx[i] != len(r.events) {
+				return false
 			}
 		}
-		plan.newRedstone = materialize(regions, vr, rIdx, func(r *regionRun) []scheduledUpdate { return r.redstoneQ })
+		m.redTags = m.vr
 	}
-	return plan
+	return true
 }
 
-// materialize converts a tag sequence into concrete updates by walking each
-// region's queue from its cursor: the k-th tag for region r corresponds to
-// the k-th not-yet-consumed entry of r's queue, because tags were appended
-// to the virtual queue in the same order the region appended entries to its
-// local queue.
-func materialize(regions []*regionRun, tags []int32, cursor []int, queueOf func(*regionRun) []scheduledUpdate) []scheduledUpdate {
-	if len(tags) == 0 {
-		return nil
-	}
-	out := make([]scheduledUpdate, 0, len(tags))
+// materialize converts a tag sequence into concrete updates, appended to
+// dst, by walking each region's queue from its cursor: the k-th tag for
+// region r corresponds to the k-th not-yet-consumed entry of r's queue,
+// because tags were appended to the virtual queue in the same order the
+// region appended entries to its local queue.
+func materialize(dst []scheduledUpdate, regions []*regionRun, tags []int32, cursor []int, queueOf func(*regionRun) []scheduledUpdate) []scheduledUpdate {
 	for _, tag := range tags {
 		q := queueOf(regions[tag])
-		out = append(out, q[cursor[tag]])
+		dst = append(dst, q[cursor[tag]])
 		cursor[tag]++
 	}
-	return out
+	return dst
 }
 
 // applyMergePlan commits a successful parallel drain: counters and world
 // stats are summed (order-free), buffered effects replay in the
-// reconstructed serial order, and the leftover queues replace the drained
-// ones. Runs after EndExclusive — listeners and the entity store take their
-// own locks.
-func (e *Engine) applyMergePlan(regions []*regionRun, plan *mergePlan) {
+// reconstructed serial order, and the leftover queues are written into the
+// engine's own queue buffers — every entry of the drained queues lives on in
+// a region copy, so the retained arrays are free to overwrite. Runs after
+// EndExclusive — listeners and the entity store take their own locks.
+func (e *Engine) applyMergePlan(regions []*regionRun) {
+	plan := &e.plan
 	sets, light := 0, 0
 	for _, r := range regions {
 		sets += r.setCount
@@ -484,6 +499,8 @@ func (e *Engine) applyMergePlan(regions []*regionRun, plan *mergePlan) {
 	}
 	e.merging = false
 
-	e.pending = plan.newPending
-	e.redstonePending = plan.newRedstone
+	e.pending = materialize(e.pending[:0], regions, plan.pendTags, plan.pIdx,
+		func(r *regionRun) []scheduledUpdate { return r.pendingQ })
+	e.redstonePending = materialize(e.redstonePending[:0], regions, plan.redTags, plan.rIdx,
+		func(r *regionRun) []scheduledUpdate { return r.redstoneQ })
 }

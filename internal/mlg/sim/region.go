@@ -46,6 +46,17 @@ const minUnitUpdates = 16
 // slack for the pool's work stealing without per-region handoff overhead.
 const unitsPerWorker = 4
 
+// partitionScratch is the partitioner's working memory, owned by the engine
+// and cleared per use so a steady parallel workload partitions without
+// allocating.
+type partitionScratch struct {
+	dirty   map[world.ChunkPos]int32
+	comps   [][]world.ChunkPos // chunks per component, in component-id order
+	regions []*regionRun
+	remap   []int32 // component id -> index into the key-sorted regions
+	vp, vr  []int32
+}
+
 // partitionRegions groups the engine's queued updates into simulation
 // regions. It returns the regions sorted by key (minimal core chunk in
 // (Z, X) order — the same convention as World.LoadedChunks), plus the
@@ -55,42 +66,55 @@ const unitsPerWorker = 4
 // nComps is returned — the per-update queue copy (the expensive half of
 // partitioning) is skipped, since the caller will drain serially anyway.
 // The engine's queues are copied, never consumed, so an aborted parallel
-// attempt can fall back to the serial drain over the originals.
+// attempt can fall back to the serial drain over the originals. The returned
+// slices alias engine scratch and are valid until the next call.
 func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit, vrInit []int32, nComps int) {
 	const unassigned = -1
-	if e.dirtyScratch == nil {
-		e.dirtyScratch = make(map[world.ChunkPos]int32, 64)
+	ps := &e.part
+	if ps.dirty == nil {
+		ps.dirty = make(map[world.ChunkPos]int32, 64)
 	}
-	clear(e.dirtyScratch)
-	dirty := e.dirtyScratch
-	for _, u := range e.pending {
-		dirty[world.ChunkPosAt(u.pos)] = unassigned
-	}
-	for _, u := range e.redstonePending {
-		dirty[world.ChunkPosAt(u.pos)] = unassigned
+	clear(ps.dirty)
+	dirty := ps.dirty
+	// Cascade updates arrive in same-chunk runs (a block change queues its
+	// six neighbours and itself), so both passes over the queues remember
+	// the previous update's chunk and skip the map for the rest of a run.
+	var last world.ChunkPos
+	fresh := true
+	for _, q := range [2][]scheduledUpdate{e.pending, e.redstonePending} {
+		for _, u := range q {
+			if cp := world.ChunkPosAt(u.pos); fresh || cp != last {
+				dirty[cp] = unassigned
+				last, fresh = cp, false
+			}
+		}
 	}
 
 	// Connected components over the dirty set (the shared flood fill).
 	// Component ids follow map iteration order, but components are
 	// canonical, and the final region order is fixed by the key sort below.
-	var comps [][]world.ChunkPos
+	comps := ps.comps[:0]
 	world.LabelComponents(dirty, regionLinkChunks, func(comp int32, cp world.ChunkPos) {
 		if int(comp) == len(comps) {
-			comps = append(comps, nil)
+			if len(comps) < cap(comps) {
+				comps = comps[:len(comps)+1]
+				comps[comp] = comps[comp][:0]
+			} else {
+				comps = append(comps, nil)
+			}
 		}
 		comps[comp] = append(comps[comp], cp)
 	})
+	ps.comps = comps
 	nComps = len(comps)
 	if nComps < minRegions {
 		return nil, nil, nil, nComps
 	}
 
-	// byComp[compID] is the region in component order; regions is the same
-	// set sorted by key.
-	byComp := make([]*regionRun, len(comps))
-	regions = make([]*regionRun, len(comps))
+	regions = ps.regions[:0]
 	for i, comp := range comps {
 		r := e.takeRegionRun()
+		r.comp = int32(i)
 		r.key = comp[0]
 		for _, cp := range comp {
 			if cp.Z < r.key.Z || (cp.Z == r.key.Z && cp.X < r.key.X) {
@@ -103,8 +127,7 @@ func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit,
 				}
 			}
 		}
-		byComp[i] = r
-		regions[i] = r
+		regions = append(regions, r)
 	}
 	sort.Slice(regions, func(i, j int) bool {
 		a, b := regions[i].key, regions[j].key
@@ -113,32 +136,50 @@ func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit,
 		}
 		return a.X < b.X
 	})
-	// remap[compID] = sorted region index, so queue entries resolve through
-	// the dirty map in one lookup. The keys were computed on the regions
-	// themselves above; byComp carries them across the sort.
-	byKey := make(map[world.ChunkPos]int32, len(regions))
+	ps.regions = regions
+	// remap carries component ids across the sort, so queue entries resolve
+	// through the dirty map in one lookup.
+	remap := zeroed(ps.remap, len(regions))
 	for i, r := range regions {
-		byKey[r.key] = int32(i)
+		remap[r.comp] = int32(i)
 	}
-	remap := make([]int32, len(comps))
-	for compID, r := range byComp {
-		remap[compID] = byKey[r.key]
-	}
+	ps.remap = remap
 
-	vpInit = e.vpScratch[:0]
+	// regionOf resolves an update's region, again once per same-chunk run.
+	fresh = true
+	var lastIdx int32
+	regionOf := func(u scheduledUpdate) int32 {
+		if cp := world.ChunkPosAt(u.pos); fresh || cp != last {
+			lastIdx = remap[dirty[cp]]
+			last, fresh = cp, false
+		}
+		return lastIdx
+	}
+	vpInit = ps.vp[:0]
 	for _, u := range e.pending {
-		idx := remap[dirty[world.ChunkPosAt(u.pos)]]
+		idx := regionOf(u)
 		vpInit = append(vpInit, idx)
 		regions[idx].pendingQ = append(regions[idx].pendingQ, u)
 	}
-	vrInit = e.vrScratch[:0]
+	vrInit = ps.vr[:0]
 	for _, u := range e.redstonePending {
-		idx := remap[dirty[world.ChunkPosAt(u.pos)]]
+		idx := regionOf(u)
 		vrInit = append(vrInit, idx)
 		regions[idx].redstoneQ = append(regions[idx].redstoneQ, u)
 	}
-	e.vpScratch, e.vrScratch = vpInit, vrInit
+	ps.vp, ps.vr = vpInit, vrInit
 	return regions, vpInit, vrInit, nComps
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing array
+// when that is large enough — the per-use clear of engine-owned scratch.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // takeRegionRun reuses a pooled regionRun shell (its maps cleared, its
@@ -168,6 +209,7 @@ func (e *Engine) releaseRegionRuns(regions []*regionRun) {
 func (r *regionRun) reset() {
 	clear(r.core)
 	clear(r.owned)
+	clear(r.wireSeen)
 	r.pendingQ = r.pendingQ[:0]
 	r.redstoneQ = r.redstoneQ[:0]
 	r.log = r.log[:0]

@@ -7,9 +7,9 @@ package world
 // discovery order, and the component count is returned.
 //
 // This is the one flood fill behind the region-parallel schedulers: the
-// terrain engine's dirty-chunk partition, the entity store's occupied-chunk
-// partition, and the blast-impulse grouping all label their sets here, with
-// their own per-component bookkeeping in visit. Component ids depend on map
+// terrain engine's dirty-chunk partition and the entity store's
+// blast-impulse grouping both label their sets here, with their own
+// per-component bookkeeping in visit. Component ids depend on map
 // iteration order and are not canonical — callers needing a deterministic
 // order sort by a canonical key (e.g. the minimal member) afterwards.
 func LabelComponents(set map[ChunkPos]int32, link int32, visit func(comp int32, cp ChunkPos)) int32 {

@@ -6,11 +6,11 @@ import (
 )
 
 // Parallel runs fn(i) for every i in [0, n) across at most workers
-// goroutines, returning when all calls complete. It is the shared drain pool
-// of the region-parallel schedulers: the terrain engine and the entity store
-// both hand their per-tick region sets to it, so the two phases share one
-// worker discipline (atomic work-stealing over a fixed index range) and one
-// configuration knob (SimWorkers).
+// goroutines, returning when all calls complete. It is the shared pool of
+// the parallel schedulers: the terrain engine hands it the tick's packed
+// region units and the entity store its ID-range units and blast-impulse
+// groups, so the phases share one worker discipline (atomic work-stealing
+// over a fixed index range) and one configuration knob (SimWorkers).
 //
 // workers <= 1 or n <= 1 degrades to a plain serial loop on the calling
 // goroutine — no goroutines, no synchronization — which keeps the legacy
@@ -47,14 +47,14 @@ func Parallel(workers, n int, fn func(int)) {
 
 // PackUnits packs n cost-weighted items (identified by index, kept in order)
 // into at most maxUnits contiguous [start, end) ranges of roughly equal
-// total cost, each targeting at least minUnitCost. The region schedulers use
-// it to size their fan-out by the work available instead of by a fixed
-// worker count: a swarm of tiny regions packs into a few units (one worker
+// total cost, each targeting at least minUnitCost. The terrain engine's
+// region scheduler uses it to size its fan-out by the work available instead
+// of by a fixed worker count: a swarm of tiny regions packs into a few units (one worker
 // handoff amortized across all of them), and a tick with little total work
 // produces few units — Parallel then spawns goroutines only for the units
 // that exist. Every returned unit is non-empty and the units exactly cover
-// [0, n). Results are appended to dst (reset to length zero), so schedulers
-// can reuse a scratch buffer across ticks.
+// [0, n). Results are appended to dst (reset to length zero), so the
+// scheduler can reuse a scratch buffer across ticks.
 func PackUnits(dst [][2]int, costs []int, maxUnits, minUnitCost int) [][2]int {
 	dst = dst[:0]
 	n := len(costs)

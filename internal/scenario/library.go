@@ -168,7 +168,7 @@ func TeleportStormScenario() *Scenario {
 // parallel: the join/leave mutates the player set the exclusive phase
 // consumes (item pickup, interest sets), and the churned set must read
 // identically under every schedule. The expectation pins the scenario to
-// its purpose: the churn steps must overlap region-parallel entity ticks.
+// its purpose: the churn steps must overlap parallel entity ticks.
 func ChurnDuringParallelDrain() *Scenario {
 	return &Scenario{
 		Name:             "churn-during-parallel-drain",
