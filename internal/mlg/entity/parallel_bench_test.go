@@ -1,7 +1,7 @@
 package entity
 
 // BenchmarkEntityTickParallel is the entity-phase Workers sweep recorded in
-// BENCH_5.json: store-level ticks over multi-cluster populations (items,
+// BENCH.json: store-level ticks over multi-cluster populations (items,
 // mobs, slow TNT) at Workers 1/2/4. Workers=1 is the legacy serial loop —
 // the fixed baseline engine-level optimizations compare against; speedup at
 // Workers=N needs >= N cores and >= N clusters, so interpret alongside the

@@ -195,19 +195,6 @@ func NewWorld(w *world.World, cfg Config, seed int64) *World {
 	return ew
 }
 
-// SetWorkers reconfigures the tick scheduler's worker count between ticks
-// (0 = GOMAXPROCS, 1 = the serial loop), as if the store had been restarted
-// with the new Config.Workers. Output is unaffected — every worker count
-// produces the same world — so this trades wall-clock time only. Must not be
-// called while a tick is in flight.
-func (ew *World) SetWorkers(n int) {
-	ew.cfg.Workers = n
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	ew.workers = n
-}
-
 // Count returns the live entity population.
 func (ew *World) Count() int { return len(ew.list) }
 

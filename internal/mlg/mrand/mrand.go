@@ -1,7 +1,7 @@
-// Package mrand provides a serializable random source for the simulation
-// engines. The standard library's rand.Rand hides its generator state, which
+// Package mrand provides a serializable random source for the entity
+// store. The standard library's rand.Rand hides its generator state, which
 // makes a world snapshot impossible to restore exactly: a restored server
-// would draw a different random-tick/spawn sequence and immediately diverge
+// would draw a different natural-spawn sequence and immediately diverge
 // from the uninterrupted run. Source is a splitmix64 generator whose entire
 // state is a single uint64, so persistence is trivial and a restored stream
 // continues bit-for-bit where the saved one stopped.

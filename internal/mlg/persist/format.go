@@ -39,7 +39,7 @@ const (
 const (
 	SectionWorld      uint32 = 1 // full chunk set + world counters
 	SectionWorldDelta uint32 = 2 // changed chunks relative to the base full
-	SectionSim        uint32 = 3 // engine tick, RNG, schedule, queues
+	SectionSim        uint32 = 3 // engine tick, schedule, queues
 	SectionEntities   uint32 = 4 // entity store state
 	SectionServer     uint32 = 5 // players, inbox, net totals
 )

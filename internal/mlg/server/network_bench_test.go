@@ -3,7 +3,7 @@ package server
 // Benchmarks for the real-network outbound path: the per-tick broadcast
 // fan-out (sendReal) and the chunk-column serialization joining players pay
 // for. These are the regression harness for the encode-once/batched-flush
-// network layer; scripts/bench.sh records them into BENCH_3.json.
+// network layer; scripts/bench.sh records them into BENCH.json.
 //
 //	go test -bench 'SendReal|SerializeChunk' -benchmem ./internal/mlg/server
 

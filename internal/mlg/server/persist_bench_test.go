@@ -11,7 +11,7 @@ import (
 
 // Persistence cost benchmarks: what one snapshot costs the tick loop
 // (encode + atomic write) and what a restart pays to come back. Recorded
-// into the BENCH_8.json trajectory by scripts/bench.sh.
+// into the BENCH.json trajectory by scripts/bench.sh.
 
 // benchPersistServer builds a Farm server (Scale 2, like the equivalence
 // matrix) and runs it warm ticks so the snapshot carries a realistic

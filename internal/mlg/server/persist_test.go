@@ -10,6 +10,7 @@ package server_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -117,6 +118,13 @@ func TestRestoreReplayMatrix(t *testing.T) {
 					replayFrom(t, tc.k, workers, &persist.Resolved{Tick: full.Tick, Full: full},
 						recs, tc.total, &refFinal, true)
 				})
+				// Snapshots written up to PR 13 carry the state of an engine RNG
+				// no rule drew from where this codec writes a zero word.
+				t.Run("full-nonzero-rng-word", func(t *testing.T) {
+					old := withSimRNGWord(full, 0x9e3779b97f4a7c15)
+					replayFrom(t, tc.k, workers, &persist.Resolved{Tick: old.Tick, Full: old},
+						recs, tc.total, &refFinal, false)
+				})
 				t.Run("incremental", func(t *testing.T) {
 					replayFrom(t, tc.k, workers,
 						&persist.Resolved{Tick: incr.Tick, Full: full, Delta: incr},
@@ -125,6 +133,21 @@ func TestRestoreReplayMatrix(t *testing.T) {
 			})
 		}
 	}
+}
+
+// withSimRNGWord returns a copy of snap whose sim section holds v in the word
+// after the tick number.
+func withSimRNGWord(snap *persist.Snapshot, v uint64) *persist.Snapshot {
+	cp := *snap
+	cp.Sections = append([]persist.Section(nil), snap.Sections...)
+	for i := range cp.Sections {
+		if cp.Sections[i].ID == persist.SectionSim {
+			payload := append([]byte(nil), cp.Sections[i].Payload...)
+			binary.BigEndian.PutUint64(payload[8:], v)
+			cp.Sections[i].Payload = payload
+		}
+	}
+	return &cp
 }
 
 func replayFrom(t *testing.T, k workload.Kind, workers int, res *persist.Resolved,

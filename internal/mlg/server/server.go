@@ -472,25 +472,6 @@ func (s *Server) World() *world.World { return s.w }
 // Config returns the server's configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Hooks returns the hook set the server was constructed with.
-func (s *Server) Hooks() Hooks {
-	return Hooks{AfterTick: s.afterTick, EntityDelivery: s.deliverHook}
-}
-
-// SetSimWorkers reconfigures the per-tick simulation parallelism of both
-// world-exclusive phases between ticks: the terrain drain and the entity
-// tick switch schedulers on their next tick, exactly as if the server had
-// been restarted with the new value (0 = GOMAXPROCS, 1 = legacy serial
-// paths). Simulation output is worker-count independent, so the switch may
-// only change wall-clock time — the scenario harness reconfigures mid-run
-// and asserts exactly that. Call it only between ticks, from the goroutine
-// driving Tick.
-func (s *Server) SetSimWorkers(n int) {
-	s.cfg.Sim.Workers = n
-	s.engine.SetWorkers(n)
-	s.ents.SetWorkers(n)
-}
-
 // Snapshotter returns the server-owned snapshotter, or nil when the config
 // named no persistence store.
 func (s *Server) Snapshotter() *Snapshotter { return s.snap }

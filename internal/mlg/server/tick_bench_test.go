@@ -147,7 +147,7 @@ func setupScaledWorkload(b *testing.B, k workload.Kind, scale, simWorkers, playe
 
 // BenchmarkTickParallel is the SimWorkers sweep over the scale>=2 construct
 // workloads — the serial-vs-parallel tick benchmark recorded in
-// BENCH_4.json. The workers=1 runs are the legacy serial drain; speedup at
+// BENCH.json. The workers=1 runs are the legacy serial drain; speedup at
 // workers=N requires >= N available cores and >= N construct clusters
 // (regions), so interpret the sweep together with the host's GOMAXPROCS
 // (the -cpu suffix in the raw output).

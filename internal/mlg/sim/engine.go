@@ -16,15 +16,13 @@
 // The engine can drain independent simulation regions on a worker pool
 // (Config.SimWorkers); region.go builds the partition and parallel.go proves
 // the schedule equivalent to the serial drain by reconstructing the global
-// update order at merge time. SimWorkers <= 1 keeps the legacy serial path.
+// update order at merge time. SimWorkers = 1 drains serially.
 package sim
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
 
-	"repro/internal/mlg/mrand"
 	"repro/internal/mlg/world"
 )
 
@@ -95,8 +93,8 @@ type Config struct {
 	// SpawnerIntervalTicks is the mob-spawner period.
 	SpawnerIntervalTicks int
 	// SimWorkers is the number of goroutines draining independent simulation
-	// regions per tick. 0 means GOMAXPROCS; 1 keeps the legacy serial drain
-	// (the differential-testing baseline). Whatever the value, results are
+	// regions per tick. 0 means GOMAXPROCS; 1 drains serially (the
+	// differential-testing baseline). Whatever the value, results are
 	// bit-identical to the serial drain: parallel.go merges region output in
 	// the reconstructed serial order and falls back to the serial path when
 	// a tick cannot be proven independent.
@@ -153,12 +151,8 @@ type Engine struct {
 	// access skips the world lock and chunk-map hash.
 	wc   world.ChunkCache
 	ents EntityOps
-	// rng draws from src, a serializable splitmix64 source: its one-word
-	// state moves in and out of world snapshots (persist.go), so a restored
-	// engine continues the exact random-tick/drop sequence of the saved run.
-	rng  *rand.Rand
-	src  *mrand.Source
 	cfg  Config
+	// seed keys every random draw the rules make (streams.go).
 	seed int64
 	// workers is the resolved SimWorkers value (0 → GOMAXPROCS at creation).
 	workers int
@@ -228,7 +222,7 @@ type Engine struct {
 }
 
 // exec is one drain-execution context. The engine's root context aliases the
-// engine's own queues, counters and chunk cache (the legacy serial path); a
+// engine's own queues, counters and chunk cache (the serial path); a
 // region context owns region-local queues and buffers every externally
 // visible effect (entity spawns, future schedules, listener events) for the
 // deterministic merge. Rule code is written once against exec, so the serial
@@ -240,23 +234,7 @@ type exec struct {
 	pending  *[]scheduledUpdate
 	redstone *[]scheduledUpdate
 	wireSeen map[world.Pos]int64
-	// rng is the context's random stream. The root context aliases the
-	// engine RNG. Region contexts derive a stream from the world seed and
-	// region key (world.RegionSeed) lazily via rand(); no current rule draws
-	// from it — every remaining draw is keyed by position and tick
-	// (streams.go) so values are shard-layout and schedule independent — and
-	// any future rule that draws here must consume the region stream on BOTH
-	// paths or force the serial fallback.
-	rng    *rand.Rand
-	region *regionRun // nil for the engine's root (serial) context
-}
-
-// rand returns the context's RNG, deriving the region stream on first use.
-func (x *exec) rand() *rand.Rand {
-	if x.rng == nil {
-		x.rng = rand.New(rand.NewSource(world.RegionSeed(x.e.seed, x.region.key)))
-	}
-	return x.rng
+	region   *regionRun // nil for the engine's root (serial) context
 }
 
 // setBlock stores a block through the context: the root context goes through
@@ -301,13 +279,10 @@ func (x *exec) spawnMob(p world.Pos) {
 // New creates an engine bound to the world and entity store, seeded
 // deterministically, and registers its change listener on the world.
 func New(w *world.World, ents EntityOps, cfg Config, seed int64) *Engine {
-	src := mrand.NewSource(seed)
 	e := &Engine{
 		w:         w,
 		wc:        world.NewChunkCache(w),
 		ents:      ents,
-		rng:       rand.New(src),
-		src:       src,
 		cfg:       cfg,
 		seed:      seed,
 		scheduled: make(map[int64][]scheduledUpdate),
@@ -326,25 +301,9 @@ func New(w *world.World, ents EntityOps, cfg Config, seed int64) *Engine {
 		pending:  &e.pending,
 		redstone: &e.redstonePending,
 		wireSeen: e.wireSeen,
-		rng:      e.rng,
 	}
 	w.OnChange(e.onBlockChange)
 	return e
-}
-
-// SetWorkers reconfigures the drain scheduler's worker count between ticks
-// (0 = GOMAXPROCS, 1 = serial drains), as if the engine had been restarted
-// with the new SimWorkers: the serial-hold hysteresis resets so the next
-// tick re-evaluates the schedule fresh. Output is unaffected — the parallel
-// drain is bit-identical to the serial one — so this trades wall-clock time
-// only. Must not be called while a tick is in flight.
-func (e *Engine) SetWorkers(n int) {
-	e.cfg.SimWorkers = n
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.workers = n
-	e.serialHold = 0
 }
 
 // owns reports whether the engine owns the chunk containing p (shard-mode
@@ -529,7 +488,7 @@ func (e *Engine) Tick() Counters {
 	// updates partition into independent regions, else serially. The
 	// parallel path rolls itself back and reports false if the tick turns
 	// out not to be independent (cross-region cascade, budget pressure), so
-	// the serial drain below is both the SimWorkers<=1 legacy path and the
+	// the serial drain below is both the SimWorkers=1 path and the
 	// universal fallback.
 	if !e.tryParallelDrains(budget) {
 		// Drain the plain neighbour queue. Updates whose target turned into

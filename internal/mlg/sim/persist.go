@@ -9,7 +9,7 @@ import (
 )
 
 // Sim section codec for the MLGP save format. Everything that feeds future
-// tick output is captured: the tick number, the RNG state, the update
+// tick output is captured: the tick number, the update
 // queues (backlog carried across the tick boundary), the future-tick
 // schedule, the spawner/hopper sets (generator-placed blocks never passed
 // through trackSpecial, so they cannot be rederived from the world), and
@@ -80,7 +80,7 @@ func decodePosSet(d *persist.Dec) map[world.Pos]struct{} {
 // called between ticks.
 func (e *Engine) AppendPersist(dst []byte) []byte {
 	dst = persist.AppendI64(dst, e.tick)
-	dst = persist.AppendU64(dst, e.src.State())
+	dst = persist.AppendU64(dst, 0) // v2 layout: the retired engine RNG state
 	dst = persist.AppendI64(dst, e.ItemsCollected)
 	dst = appendUpdates(dst, e.pending)
 	dst = appendUpdates(dst, e.redstonePending)
@@ -118,7 +118,7 @@ func (e *Engine) AppendPersist(dst []byte) []byte {
 func (e *Engine) RestorePersist(data []byte) error {
 	d := persist.NewDec(data)
 	tick := d.I64()
-	rngState := d.U64()
+	d.U64() // v2 layout: the retired engine RNG state
 	items := d.I64()
 	pending := decodeUpdates(d)
 	redstone := decodeUpdates(d)
@@ -151,7 +151,6 @@ func (e *Engine) RestorePersist(data []byte) error {
 	}
 
 	e.tick = tick
-	e.src.SetState(rngState) // root exec's rng aliases src, so it follows
 	e.ItemsCollected = items
 	e.pending = pending
 	e.redstonePending = redstone

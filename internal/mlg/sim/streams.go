@@ -17,10 +17,6 @@ import "repro/internal/mlg/world"
 // pure function of simulation state: a shard that owns a chunk draws exactly
 // the values the single-shard run draws for it, no matter what the rest of
 // the cluster is doing.
-//
-// The serializable engine RNG still exists and its state still round-trips
-// through snapshots (persist.go), so the save format is unchanged; no drain
-// rule consumes it anymore.
 
 // posStream is a stateless counter-based splitmix64 stream.
 type posStream struct{ state uint64 }

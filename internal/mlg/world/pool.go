@@ -13,8 +13,7 @@ import (
 // over a fixed index range) and one configuration knob (SimWorkers).
 //
 // workers <= 1 or n <= 1 degrades to a plain serial loop on the calling
-// goroutine — no goroutines, no synchronization — which keeps the legacy
-// serial paths bit-and-cost-identical to their pre-pool form.
+// goroutine — no goroutines, no synchronization.
 //
 // fn must be safe to call concurrently for distinct i; calls are not ordered.
 func Parallel(workers, n int, fn func(int)) {

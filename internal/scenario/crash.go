@@ -71,7 +71,7 @@ func Crash(mode CrashMode, ticks int) Step {
 		Name:  fmt.Sprintf("crash(%s)", mode),
 		Ticks: ticks,
 		Before: func(tw *Twin) {
-			if err := tw.CrashRestart(mode); err != nil {
+			if err := tw.CrashRestart(mode, tw.Workers); err != nil {
 				tw.fail = fmt.Sprintf("crash-restart (%s): %v", mode, err)
 			}
 		},
@@ -79,9 +79,10 @@ func Crash(mode CrashMode, ticks int) Step {
 }
 
 // CrashRestart simulates a crash of this twin and restores it from its
-// snapshot store. The reference twin (Index 0) is never crashed: it is the
-// uninterrupted run the restored twins are compared against.
-func (tw *Twin) CrashRestart(mode CrashMode) error {
+// snapshot store into a server built with the given SimWorkers. The
+// reference twin (Index 0) is never crashed: it is the uninterrupted run the
+// restored twins are compared against.
+func (tw *Twin) CrashRestart(mode CrashMode, workers int) error {
 	if tw.Index == 0 {
 		return nil
 	}
@@ -113,7 +114,7 @@ func (tw *Twin) CrashRestart(mode CrashMode) error {
 	// The old server dies here: no flush, no goodbye. Build the replacement
 	// the way a fresh process start would — same config, bare world — and
 	// restore the newest snapshot the store still trusts.
-	s, clock := tw.rebuild(tw.Workers)
+	s, clock := tw.rebuild(workers)
 	res, err := tw.store.LoadLatest()
 	if err != nil {
 		return err
@@ -131,7 +132,7 @@ func (tw *Twin) CrashRestart(mode CrashMode) error {
 		s.Tick()
 	}
 
-	tw.S, tw.Clock = s, clock
+	tw.S, tw.Clock, tw.Workers = s, clock, workers
 	tw.snap = server.NewSnapshotter(s, tw.store, tw.snapCfg)
 	// The rebuilt server inherited the twin's delivery hook through its
 	// construction-time config; drop anything the replay ticks recorded.

@@ -262,17 +262,19 @@ func TornSnapshotFallback() *Scenario {
 	}
 }
 
-// ReconfigureMidRun restarts every twin with a different SimWorkers twice
-// mid-script — serial twins go parallel and vice versa — proving the
-// scheduler swap is invisible in all state.
+// ReconfigureMidRun restarts every non-reference twin at a different
+// SimWorkers twice mid-script — a parallel twin comes back serial, then
+// parallel again — proving the worker count a snapshot was written under is
+// invisible in all state.
 func ReconfigureMidRun() *Scenario {
 	return &Scenario{
-		Name:     "reconfigure-mid-run",
-		Workload: workload.Lag,
-		Scale:    2,
-		Flavor:   server.Paper,
-		Seed:     67,
-		Warmup:   8,
+		Name:          "reconfigure-mid-run",
+		Workload:      workload.Lag,
+		Scale:         2,
+		Flavor:        server.Paper,
+		Seed:          67,
+		Warmup:        8,
+		SnapshotEvery: 1,
 		// The Lag workload overloads the tick budget by design (its virtual
 		// ticks run tens of seconds); only equivalence is asserted here, so
 		// the duration and ISR bounds are slack.

@@ -87,7 +87,9 @@ func Generate(seed uint64) *Scenario {
 			case 7:
 				st = MobWave(r.next(), r.pick(1, 6), r.pick(4, 24), ticks)
 			case 8:
+				// A clean restart at another worker count: see case 9.
 				st = Reconfigure(r.pick(1, 2), ticks)
+				sc.SnapshotEvery = 1
 			case 9:
 				// Clean crash-restart from the per-tick snapshot: safe at any
 				// point in a random script (no replay gap). Corruption modes

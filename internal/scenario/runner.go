@@ -110,7 +110,9 @@ func Run(sc *Scenario, opts Options) *Result {
 			prevChunks: map[world.ChunkPos]world.ChunkState{}}
 		tw.S, tw.Clock = mkServer(tw, n)
 		tw.rebuild = func(n int) (*server.Server, env.Clock) { return mkServer(tw, n) }
-		if sc.SnapshotEvery > 0 {
+		// The reference twin never restarts (CrashRestart), so it takes no
+		// snapshots.
+		if sc.SnapshotEvery > 0 && i > 0 {
 			dir, err := os.MkdirTemp("", "scenario-snap-")
 			if err != nil {
 				res.Failed = true

@@ -1,12 +1,12 @@
 // Package scenario is the engine's scenario-simulation harness: a
 // declarative layer over the virtual-time server that scripts adversarial
 // multi-tick situations — join/leave waves, teleport storms, TNT griefing
-// bursts, chunk-border chases, mid-run SimWorkers reconfiguration — and
+// bursts, chunk-border chases, restarts at another SimWorkers — and
 // model-checks the region-parallel simulation against them.
 //
 // A Scenario is a typed script of per-tick Steps. The runner executes it
 // against several twin servers in lockstep — identical except for their
-// SimWorkers (by default 1, 2 and 4: the legacy serial paths versus two
+// SimWorkers (by default 1, 2 and 4: the serial paths versus two
 // region-parallel schedules) — with zero real I/O, and asserts invariants
 // after every tick and every step:
 //
@@ -59,9 +59,10 @@ type Scenario struct {
 	// ClientTimeout, when > 0, enables the crash-on-starvation semantics.
 	ClientTimeout time.Duration
 	// SnapshotEvery, when > 0, attaches a persistence store to every twin
-	// and snapshots each one every N ticks (synchronously, into a per-twin
-	// temp directory). Required by Crash steps; SnapshotEvery=1 guarantees a
-	// clean crash restores onto the exact crash tick with no replay gap.
+	// but the reference and snapshots each one every N ticks (synchronously,
+	// into a per-twin temp directory). Required by Crash and Reconfigure
+	// steps; SnapshotEvery=1 guarantees a clean restart restores onto the
+	// exact crash tick with no replay gap.
 	SnapshotEvery int
 	Steps         []Step
 	// MaxTickDur bounds every tick's busy duration (0 = 5s: a runaway
@@ -108,8 +109,9 @@ type delivery struct {
 // Twin is one server instance under scenario execution. All twins run the
 // same script in tick lockstep; they differ only in SimWorkers.
 type Twin struct {
-	// Index is the twin's position in Options.Workers; Workers is its
-	// current worker count (Reconfigure steps change it mid-run).
+	// Index is the twin's position in Options.Workers; Workers is the
+	// SimWorkers of its current server (a Reconfigure step restarts it at
+	// another).
 	Index   int
 	Workers int
 	S       *server.Server
@@ -175,16 +177,6 @@ func (tw *Twin) disconnect() {
 	}
 	tw.S.Disconnect(tw.players[0])
 	tw.players = tw.players[1:]
-}
-
-// Reconfigure switches the twin's SimWorkers to the worker count shift
-// positions ahead in the scenario's worker set — the serial twin restarts
-// parallel, a parallel twin restarts serial — exercising the mid-run
-// scheduler swap whose output must be invisible.
-func (tw *Twin) Reconfigure(shift int) {
-	n := tw.allWorkers[(tw.Index+shift)%len(tw.allWorkers)]
-	tw.Workers = n
-	tw.S.SetSimWorkers(n)
 }
 
 // --- Step constructors -------------------------------------------------
@@ -342,14 +334,23 @@ func MobWave(seed uint64, n, radius, ticks int) Step {
 	}
 }
 
-// Reconfigure swaps every twin's SimWorkers shift positions through the
-// worker set between ticks — the serial/parallel restart whose output must
-// be invisible.
+// Reconfigure restarts every non-reference twin from its newest snapshot
+// with the SimWorkers shift positions ahead of its own in the worker set —
+// a parallel twin comes back serial or at another width — the way a
+// deployment changes its worker count. The restart must be invisible
+// against the reference, which keeps running at its own worker count.
+// Requires Scenario.SnapshotEvery = 1, so the restore lands on the restart
+// tick whatever inputs preceded it.
 func Reconfigure(shift, ticks int) Step {
 	return Step{
-		Name:   fmt.Sprintf("reconfigure(shift=%d)", shift),
-		Ticks:  ticks,
-		Before: func(tw *Twin) { tw.Reconfigure(shift) },
+		Name:  fmt.Sprintf("reconfigure(shift=%d)", shift),
+		Ticks: ticks,
+		Before: func(tw *Twin) {
+			n := tw.allWorkers[(tw.Index+shift)%len(tw.allWorkers)]
+			if err := tw.CrashRestart(CrashClean, n); err != nil {
+				tw.fail = fmt.Sprintf("reconfigure (workers=%d): %v", n, err)
+			}
+		},
 	}
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"repro/internal/mlg/world"
@@ -14,18 +15,27 @@ var (
 		"number of random scenarios TestScenarioRandom runs")
 )
 
-// TestScenarioLibrary runs every curated scenario at SimWorkers 1/2/4.
+// TestScenarioLibrary runs every curated scenario at SimWorkers 1/2/4
+// (1/2 under -short).
 func TestScenarioLibrary(t *testing.T) {
+	var opts Options
+	if testing.Short() {
+		opts.Workers = []int{1, 2}
+	}
 	for _, sc := range Library() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			t.Parallel()
-			if res := Run(sc, Options{}); res.Failed {
+			if res := Run(sc, opts); res.Failed {
 				t.Fatal(res.String())
 			}
 		})
 	}
 }
+
+// sweepBase is the first seed of the random sweep (fixed, so CI runs are
+// reproducible).
+const sweepBase = uint64(0x5eed0000)
 
 // TestScenarioRandom is the model-checking sweep: -scenario.rounds generated
 // scenarios (fixed base seed, so CI runs are reproducible), each executed at
@@ -44,9 +54,8 @@ func TestScenarioRandom(t *testing.T) {
 	if testing.Short() && rounds > 8 {
 		rounds = 8
 	}
-	const base = uint64(0x5eed0000)
 	for i := 0; i < rounds; i++ {
-		seed := base + uint64(i)
+		seed := sweepBase + uint64(i)
 		res := RunRandom(seed, Options{})
 		if res.Failed {
 			t.Fatalf("random scenario failed (seed %d):\n%s", seed, res.String())
@@ -123,6 +132,28 @@ func TestScenarioMetaBrokenInvariant(t *testing.T) {
 	}
 	if res.Step != -1 {
 		t.Fatalf("violation surfaced at step %d, want the first warmup tick", res.Step)
+	}
+}
+
+// TestGenerateReconfigure checks the tier-1 sweep's seeds still script
+// worker-count changes, and that every script with one snapshots each tick
+// so the restart has a snapshot of the tick it happens on.
+func TestGenerateReconfigure(t *testing.T) {
+	const rounds = 50
+	found := 0
+	for i := 0; i < rounds; i++ {
+		sc := Generate(sweepBase + uint64(i))
+		for _, st := range sc.Steps {
+			if strings.HasPrefix(st.Name, "reconfigure(") {
+				found++
+				if sc.SnapshotEvery != 1 {
+					t.Fatalf("%s: %s with SnapshotEvery=%d, want 1", sc.Name, st.Name, sc.SnapshotEvery)
+				}
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatalf("no reconfigure step in %d generated scenarios", rounds)
 	}
 }
 

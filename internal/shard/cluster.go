@@ -5,14 +5,10 @@ import (
 	"net"
 	"sort"
 
-	"repro/internal/mlg"
 	"repro/internal/mlg/persist"
 	"repro/internal/mlg/server"
 	"repro/internal/mlg/world"
 )
-
-// A cluster is drivable wherever a single server is.
-var _ mlg.Node = (*Cluster)(nil)
 
 // Cluster drives N shard servers in lockstep inside one process: every
 // shard ticks the same tick number, then all exchange traffic flows, then
@@ -20,8 +16,7 @@ var _ mlg.Node = (*Cluster)(nil)
 // but through the full packet codec and async writer queues, so the
 // lockstep cluster exercises the identical wire path a multi-process
 // deployment uses — it is the reference implementation the equivalence and
-// failover suites pin, and it satisfies mlg.Node so harnesses drive it
-// exactly like a single server.
+// failover suites pin.
 type Cluster struct {
 	cfg    ClusterConfig
 	shards []*server.Server
@@ -246,9 +241,6 @@ func (c *Cluster) Snapshot() server.Snapshot {
 	})
 	return snap
 }
-
-// Hooks returns the cluster-level hook set.
-func (c *Cluster) Hooks() server.Hooks { return c.cfg.Hooks }
 
 // KillShard simulates a shard process dying mid-run: the server object is
 // abandoned unflushed and every peer drops its link. Entities that try to

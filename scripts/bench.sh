@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench.sh — run the tick + network benchmarks and record the perf
-# trajectory into a JSON file (default BENCH_9.json): one entry per
+# trajectory into a JSON file (default BENCH.json): one entry per
 # benchmark with name, ns/op, allocs/op and cpus. Three passes:
 #
 #   1. the full pinned set at -cpu 1 (GOMAXPROCS=1) — the serial per-
@@ -22,27 +22,27 @@
 # time-sliced (no real scaling, and that is what gets recorded); real
 # speedups only appear on runners with that many cores.
 #
-# BENCH_9.json extends the committed baselines the CI perf gate diffs fresh
-# runs
+# BENCH.json is the committed baseline the CI perf gate diffs fresh runs
 # against: scripts/bench_compare.sh keys entries on (name, cpus) and fails
 # the build on >25% calibrated ns/op or any allocs/op regression in the
 # pinned set (see its header for the exact rules — cpus>1 entries are
-# alloc-gated only, Swarm entries are presence-only). Re-record it in the
-# same change as any intentional
-# perf shift — and ALWAYS with BENCHTIME=1x, the mode CI measures in:
+# alloc-gated only, Swarm entries are presence-only). Re-record the whole
+# file in the same change as any intentional perf shift (git holds the
+# history) — and ALWAYS with BENCHTIME=1x, the mode CI measures in:
 # multi-iteration runs amortize setup allocations (e.g. BenchmarkSendReal
 # reports ~99 allocs/op at 20x vs ~640 at 1x), so a 1s-recorded baseline
 # makes the 1x alloc gate fail spuriously.
 #
-#   BENCHTIME=1x scripts/bench.sh BENCH_9.json   # re-record the gate baseline
+#   BENCHTIME=1x scripts/bench.sh                # re-record the gate baseline
 #
 # Usage:
-#   scripts/bench.sh [out.json]       # local profiling (1s per benchmark)
-#   BENCHTIME=1x scripts/bench.sh     # CI smoke: one iteration each
+#   scripts/bench.sh [out.json]                  # default out: BENCH.json
+#   BENCHTIME=1x scripts/bench.sh fresh.json     # CI: one iteration each
+#   scripts/bench.sh /tmp/profile.json           # local profiling (1s each)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_9.json}"
+out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-1s}"
 
 full='BenchmarkTick$|BenchmarkTickParallel$|BenchmarkEntityTickParallel$|BenchmarkSendReal$|BenchmarkSerializeChunk$|BenchmarkSnapshotSave$|BenchmarkRestore$'
@@ -62,7 +62,7 @@ go test -run '^$' -bench "$sweep" \
 # Shard handoff benchmark: the inter-shard entity migration path (departure
 # sweep, packet codec round trip, arrival insert) — the hot cost a sharded
 # deployment adds per boundary crossing. Pinned at -cpu 1 with the rest of
-# the serial set; its entry extends the gate baseline in BENCH_10.json.
+# the serial set.
 go test -run '^$' -bench 'BenchmarkShardHandoff$' \
   -benchmem -benchtime "$benchtime" -cpu 1 \
   ./internal/shard | tee -a "$raw"

@@ -2,16 +2,12 @@
 # bench_compare.sh — the CI perf-regression gate over the recorded benchmark
 # trajectory.
 #
-#   scripts/bench_compare.sh fresh.json [baseline.json ...]
+#   scripts/bench_compare.sh fresh.json [baseline.json]
 #
-# Baselines default to BENCH_4.json BENCH_5.json BENCH_6.json BENCH_8.json
-# BENCH_9.json BENCH_10.json; when several baselines pin the same benchmark,
-# the later file wins (BENCH_10 supersedes BENCH_9 supersedes BENCH_8
-# supersedes BENCH_6 supersedes BENCH_5 supersedes BENCH_4). Entries are keyed on (name, cpus) — cpus
-# defaults to 1 for baselines recorded before the multicore sweep existed —
-# so a cpus:1 measurement is only ever compared against a cpus:1 baseline,
-# never against a sweep entry of the same benchmark. The pinned set is
-# exactly the merged baseline's keys:
+# The baseline defaults to the committed BENCH.json. Entries are keyed on
+# (name, cpus), so a cpus:1 measurement is only ever compared against a
+# cpus:1 baseline, never against a sweep entry of the same benchmark. The
+# pinned set is exactly the baseline's keys:
 #
 #   - a pinned cpus:1 benchmark missing from the fresh trajectory fails the
 #     gate (the set may only shrink by editing the committed baseline in the
@@ -42,25 +38,21 @@
 #     whose ns/op is a fixed wall budget and whose allocs scale with live
 #     goroutine/connection scheduling, not with the hot path. Their recorded
 #     p99_tick_ns / isr fields are the trajectory of interest, tracked in
-#     the committed BENCH_9.json rather than gated.
+#     the committed BENCH.json rather than gated.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-fresh="${1:?usage: scripts/bench_compare.sh fresh.json [baseline.json ...]}"
-shift || true
-baselines=("$@")
-if [ "${#baselines[@]}" -eq 0 ]; then
-  baselines=(BENCH_4.json BENCH_5.json BENCH_6.json BENCH_8.json BENCH_9.json BENCH_10.json)
-fi
+fresh="${1:?usage: scripts/bench_compare.sh fresh.json [baseline.json]}"
+baseline="${2:-BENCH.json}"
 
 out=$(jq -s -r '
-  def key: "\(.name)@\(.cpus // 1)";
+  def key: "\(.name)@\(.cpus)";
   (.[0] | map({key: key, value: .}) | from_entries) as $fresh
-  | (.[1:] | add | group_by(key) | map(.[-1])) as $base
+  | .[1] as $base
   | ($base | map(. + {f: $fresh[key]})) as $rows
-  | ($rows | map(select(.f == null and (.cpus // 1) == 1 and (.name | test("Swarm") | not))
+  | ($rows | map(select(.f == null and .cpus == 1 and (.name | test("Swarm") | not))
       | "FAIL missing: pinned benchmark \(key) absent from fresh trajectory")) as $missing
-  | ($rows | map(select(.f == null and (.cpus // 1) > 1 and (.name | test("Swarm") | not))
+  | ($rows | map(select(.f == null and .cpus > 1 and (.name | test("Swarm") | not))
       | "WARN missing: pinned benchmark \(key) absent from fresh trajectory (multicore point not run on this host; skipped)")) as $missing_mc
   | ($rows | map(select(.f == null and (.name | test("Swarm")))
       | "WARN missing: Swarm benchmark \(key) absent from fresh trajectory (swarm bench skipped on this host; skipped)")) as $missing_swarm
@@ -70,7 +62,7 @@ out=$(jq -s -r '
       | "FAIL allocs: \(key) \(.allocs_per_op) -> \(.f.allocs_per_op) allocs/op")) as $alloc_fails
   | ($rows | map(select(.f != null and .ns_per_op != null and .f.ns_per_op != null
                         and .ns_per_op >= 50000000
-                        and ((.cpus // 1) == 1)
+                        and .cpus == 1
                         and (.name | test("workers[2-9]") | not)
                         and (.name | test("Swarm") | not))
       | {name: key, r: (.f.ns_per_op / .ns_per_op)})) as $timed
@@ -86,7 +78,7 @@ out=$(jq -s -r '
      + [if ($fails | length) == 0 then "perf gate: PASS"
         else "perf gate: \($fails | length) regression(s)" end])
   | .[]
-' "$fresh" "${baselines[@]}")
+' "$fresh" "$baseline")
 
 echo "$out"
 if grep -q '^FAIL' <<<"$out"; then
