@@ -186,45 +186,77 @@ func (c *Conn) FlushBatch() error {
 // size in bytes. The payload is staged in a buffer reused across calls, not
 // allocated per packet; decoded packets copy what they keep.
 func (c *Conn) ReadPacket() (Packet, int, error) {
-	length, err := ReadVarint(c.br)
+	frame, id, body, err := c.readFrame()
 	if err != nil {
 		return nil, 0, err
 	}
-	if length < 1 || length > MaxFrameSize {
-		return nil, 0, fmt.Errorf("protocol: bad frame length %d", length)
-	}
-	// Stage the payload in the pooled buffer, capped at maxPooledReadBuf:
-	// oversized frames use a transient allocation so they never ratchet the
-	// per-connection buffer up toward MaxFrameSize for good. Decoded packets
-	// copy what they keep, so the transient buffer is garbage immediately.
-	var payload []byte
-	if int(length) > maxPooledReadBuf {
-		payload = make([]byte, length)
-	} else {
-		if cap(c.rbuf) < int(length) {
-			c.rbuf = make([]byte, length)
-		}
-		payload = c.rbuf[:length]
-	}
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return nil, 0, err
-	}
-	id, body, err := readVarintBytes(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	p, err := New(PacketID(id))
+	p, err := New(id)
 	if err != nil {
 		return nil, 0, err
 	}
 	if err := p.UnmarshalBody(body); err != nil {
-		return nil, 0, fmt.Errorf("protocol: decode %#x: %w", id, err)
+		return nil, 0, fmt.Errorf("protocol: decode %#x: %w", int32(id), err)
 	}
-	frame := VarintLen(length) + int(length)
+	c.noteIn(len(frame))
+	return p, len(frame), nil
+}
+
+// ReadFrame reads the next packet without decoding its body — the relay
+// path for a proxy that forwards packets it does not inspect (WriteFrame
+// sends the result on). Framing is checked as in ReadPacket; the body is
+// left for the final receiver to decode. The returned frame aliases the
+// connection's pooled read buffer and is valid only until the next
+// ReadFrame or ReadPacket.
+func (c *Conn) ReadFrame() (Frame, PacketID, error) {
+	frame, id, _, err := c.readFrame()
+	if err != nil {
+		return Frame{}, 0, err
+	}
+	c.noteIn(len(frame))
+	return Frame{data: frame, entity: entityRelatedID(id)}, id, nil
+}
+
+// readFrame reads one frame and returns its complete wire bytes (length
+// prefix included), its packet ID, and its body.
+func (c *Conn) readFrame() (frame []byte, id PacketID, body []byte, err error) {
+	length, err := ReadVarint(c.br)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	if length < 1 || length > MaxFrameSize {
+		return nil, 0, nil, fmt.Errorf("protocol: bad frame length %d", length)
+	}
+	// Stage the frame in the pooled buffer when its payload fits
+	// maxPooledReadBuf: oversized frames use a transient allocation so they
+	// never ratchet the per-connection buffer up toward MaxFrameSize for
+	// good. Decoded packets copy what they keep, so the transient buffer is
+	// garbage immediately.
+	hdr := VarintLen(length)
+	n := hdr + int(length)
+	if int(length) > maxPooledReadBuf {
+		frame = make([]byte, n)
+	} else {
+		if cap(c.rbuf) < n {
+			c.rbuf = make([]byte, n)
+		}
+		frame = c.rbuf[:n]
+	}
+	AppendVarint(frame[:0], length)
+	if _, err := io.ReadFull(c.br, frame[hdr:]); err != nil {
+		return nil, 0, nil, err
+	}
+	raw, body, err := readVarintBytes(frame[hdr:])
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	return frame, PacketID(raw), body, nil
+}
+
+// noteIn records inbound traffic for one frame of the given size.
+func (c *Conn) noteIn(frame int) {
 	c.msgsIn.Add(1)
 	c.bytesIn.Add(int64(frame))
 	c.lastActivity.Store(time.Now().UnixNano())
-	return p, frame, nil
 }
 
 // SetReadDeadline bounds the next ReadPacket when the underlying stream

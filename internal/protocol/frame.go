@@ -6,8 +6,9 @@ package protocol
 // length prefix, ID varint, body — produced exactly once and then written
 // to N connections as a raw byte copy via Conn.WriteFrame.
 
-// Frame is one packet pre-encoded to its full wire form. The zero Frame is
-// empty and must not be written.
+// Frame is one packet in its full wire form: encoded once for broadcast
+// (EncodeFrame), or read undecoded for relay (Conn.ReadFrame). The zero
+// Frame is empty and must not be written.
 type Frame struct {
 	data   []byte
 	entity bool

@@ -146,6 +146,76 @@ func TestReadVarintBytesTruncatedVsOverlong(t *testing.T) {
 	}
 }
 
+// TestReadFrameMatchesWritePacket: for every packet layout, ReadFrame hands
+// back exactly the bytes WritePacket put on the wire, with the packet's ID
+// and entity classification, and counts inbound traffic as ReadPacket does.
+func TestReadFrameMatchesWritePacket(t *testing.T) {
+	var wire bytes.Buffer
+	w := NewConn(rwc{&wire})
+	var frames [][]byte
+	for _, p := range fuzzSeedPackets() {
+		start := wire.Len()
+		if _, err := w.WritePacket(p); err != nil {
+			t.Fatalf("%T: write: %v", p, err)
+		}
+		frames = append(frames, append([]byte(nil), wire.Bytes()[start:]...))
+	}
+
+	byFrame := NewConn(rwc{bytes.NewBuffer(append([]byte(nil), wire.Bytes()...))})
+	byPacket := NewConn(rwc{bytes.NewBuffer(append([]byte(nil), wire.Bytes()...))})
+	for i, p := range fuzzSeedPackets() {
+		f, id, err := byFrame.ReadFrame()
+		if err != nil {
+			t.Fatalf("%T: ReadFrame: %v", p, err)
+		}
+		if id != p.ID() || f.EntityRelated() != EntityRelated(p) {
+			t.Errorf("%T: frame id %#x entity %t, want %#x %t", p, int32(id), f.EntityRelated(), int32(p.ID()), EntityRelated(p))
+		}
+		if !bytes.Equal(f.data, frames[i]) {
+			t.Errorf("%T: ReadFrame %x, WritePacket wrote %x", p, f.data, frames[i])
+		}
+		if _, n, err := byPacket.ReadPacket(); err != nil || n != f.Len() {
+			t.Fatalf("%T: ReadPacket size %d err %v, frame size %d", p, n, err, f.Len())
+		}
+	}
+	if a, b := byFrame.Stats(), byPacket.Stats(); a != b || a.MsgsIn != int64(len(frames)) || a.BytesIn != int64(wire.Len()) {
+		t.Fatalf("ReadFrame stats %+v, ReadPacket stats %+v, wire %d bytes in %d frames", a, b, wire.Len(), len(frames))
+	}
+}
+
+// TestReadFrameOversizedNotRetained: a frame larger than maxPooledReadBuf
+// reads intact through a transient buffer and leaves the pooled one as it
+// was, so one large frame does not pin its size for the connection's life.
+func TestReadFrameOversizedNotRetained(t *testing.T) {
+	big := &WorldStream{Data: bytes.Repeat([]byte{0x5A}, maxPooledReadBuf+1000)}
+	small := &KeepAlive{Nonce: 9}
+	var wire bytes.Buffer
+	w := NewConn(rwc{&wire})
+	for _, p := range []Packet{small, big, small} {
+		if _, err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewConn(rwc{&wire})
+	if _, _, err := c.ReadFrame(); err != nil {
+		t.Fatal(err)
+	}
+	pooled := cap(c.rbuf)
+	f, id, err := c.ReadFrame()
+	if err != nil || id != IDWorldStream {
+		t.Fatalf("oversized frame: id %#x err %v", int32(id), err)
+	}
+	if !bytes.Equal(f.data, AppendFrame(nil, big)) {
+		t.Fatal("oversized frame corrupted")
+	}
+	if cap(c.rbuf) != pooled {
+		t.Fatalf("pooled buffer grew from %d to %d bytes for an oversized frame", pooled, cap(c.rbuf))
+	}
+	if f, _, err := c.ReadFrame(); err != nil || !bytes.Equal(f.data, AppendFrame(nil, small)) {
+		t.Fatalf("frame after the oversized one: %x, %v", f.data, err)
+	}
+}
+
 // TestReadPacketReusesBuffer: decoded packets must own their data — nothing
 // may alias the connection's pooled read buffer across packets.
 func TestReadPacketReusesBuffer(t *testing.T) {

@@ -81,6 +81,12 @@ func fuzzSeedPackets() []Packet {
 		&Disconnect{Reason: "bad handshake"},
 		&EntityMoveRel{EntityID: 7, DX: -128, DY: 127, DZ: 1},
 		&WorldStream{Data: bytes.Repeat([]byte{0xAB}, 64)},
+		&ShardHello{Shard: 1, Shards: 2, Tick: 1 << 35},
+		&ChunkMirror{ChunkX: 16, ChunkZ: -3, Data: []byte{0, 1, 1, 0, 0xFF, 0xFF, 0, 0}},
+		&EntityHandoff{Kind: 3, X: 255.5, Y: 11, Z: -8.25, VX: 0.4, VY: -0.08, VZ: 0,
+			OnGround: true, Age: 1200, ItemType: 4, Fuse: 40, SeedKey: 0xDEADBEEFCAFE, WanderCooldown: 17},
+		&ShardBarrier{Tick: 1 << 20, Handoffs: 3},
+		&EntityMirrors{Ghosts: []EntityMirror{{Kind: 1, X: 256.5, Y: 20, Z: 0.5}, {Kind: 3, X: -1, Y: 64, Z: 1e6}}},
 	}
 }
 
@@ -93,6 +99,7 @@ func FuzzPacketDecode(f *testing.F) {
 	}
 	f.Add(int32(IDChat), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // oversized string length
 	f.Add(int32(IDChunkData), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x7F})
+	f.Add(int32(IDEntityMirrors), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x07, 1, 2, 3}) // count 2^31-1 over 3 bytes
 	f.Fuzz(func(t *testing.T, id int32, body []byte) {
 		p1, err := New(PacketID(id))
 		if err != nil {

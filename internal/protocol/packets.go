@@ -47,8 +47,10 @@ type Packet interface {
 // EntityRelated reports whether a packet carries entity state — the
 // classification behind Table 8 ("percentage of network messages that are
 // related to entities").
-func EntityRelated(p Packet) bool {
-	switch p.ID() {
+func EntityRelated(p Packet) bool { return entityRelatedID(p.ID()) }
+
+func entityRelatedID(id PacketID) bool {
+	switch id {
 	case IDSpawnEntity, IDEntityMove, IDEntityMoveRel, IDDestroyEntity:
 		return true
 	default:
@@ -571,8 +573,8 @@ func New(id PacketID) (Packet, error) {
 		return &EntityHandoff{}, nil
 	case IDShardBarrier:
 		return &ShardBarrier{}, nil
-	case IDEntityMirror:
-		return &EntityMirror{}, nil
+	case IDEntityMirrors:
+		return &EntityMirrors{}, nil
 	default:
 		return nil, fmt.Errorf("protocol: unknown packet id %#x", int32(id))
 	}

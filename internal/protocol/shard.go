@@ -9,15 +9,18 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// Inter-shard packet IDs.
+// Inter-shard packet IDs. 0x15 once carried a single ghost per packet; it
+// is retired, not reused, so a peer still sending it faults the session
+// with an unknown packet ID instead of being misread.
 const (
 	IDShardHello    PacketID = 0x11 // shard → shard: session handshake
 	IDChunkMirror   PacketID = 0x12 // owner → neighbour: halo chunk image
 	IDEntityHandoff PacketID = 0x13 // owner → new owner: migrating entity
 	IDShardBarrier  PacketID = 0x14 // shard → shard: end-of-tick marker
-	IDEntityMirror  PacketID = 0x15 // owner → neighbour: halo entity ghost
+	IDEntityMirrors PacketID = 0x16 // owner → neighbour: one tick's halo entity ghosts
 )
 
 // ShardHello opens an inter-shard session: each side announces its shard
@@ -157,26 +160,55 @@ type EntityMirror struct {
 	X, Y, Z float64
 }
 
-func (*EntityMirror) ID() PacketID { return IDEntityMirror }
-func (p *EntityMirror) MarshalBody(dst []byte) []byte {
-	dst = append(dst, p.Kind)
-	dst = appendF64(dst, p.X)
-	dst = appendF64(dst, p.Y)
-	return appendF64(dst, p.Z)
+// entityMirrorSize is one ghost's body size: kind byte plus three float64s.
+const entityMirrorSize = 1 + 3*8
+
+// MaxEntityMirrors caps the ghosts one EntityMirrors packet carries. 2048
+// ghosts are about 51 kB, so the frame stays inside a connection's pooled
+// read buffer (maxPooledReadBuf) and the receiver never takes the
+// transient-allocation path; senders split larger sets across packets.
+const MaxEntityMirrors = 2048
+
+// EntityMirrors carries one tick's halo entity ghosts from an owner to a
+// neighbouring shard in one packet: a varint count, then 25 bytes per
+// ghost. Ghosts currently have no consumer outside tests; the receiving
+// shard keeps them as a display-only set (Endpoint.Ghosts).
+type EntityMirrors struct {
+	Ghosts []EntityMirror
 }
-func (p *EntityMirror) UnmarshalBody(src []byte) error {
-	var err error
-	if p.Kind, src, err = readU8(src); err != nil {
+
+func (*EntityMirrors) ID() PacketID { return IDEntityMirrors }
+func (p *EntityMirrors) MarshalBody(dst []byte) []byte {
+	dst = AppendVarint(dst, int32(len(p.Ghosts)))
+	for _, g := range p.Ghosts {
+		dst = append(dst, g.Kind)
+		dst = appendF64(dst, g.X)
+		dst = appendF64(dst, g.Y)
+		dst = appendF64(dst, g.Z)
+	}
+	return dst
+}
+func (p *EntityMirrors) UnmarshalBody(src []byte) error {
+	n, src, err := readVarintBytes(src)
+	if err != nil {
 		return err
 	}
-	if p.X, src, err = readF64(src); err != nil {
-		return err
+	// Bound the count by the bytes actually present before allocating, so a
+	// hostile count cannot reserve memory the body does not back.
+	if n < 0 || int(n) > len(src)/entityMirrorSize {
+		return fmt.Errorf("protocol: %d entity mirrors exceed buffer of %d bytes", n, len(src))
 	}
-	if p.Y, src, err = readF64(src); err != nil {
-		return err
+	p.Ghosts = make([]EntityMirror, n)
+	for i := range p.Ghosts {
+		b := src[i*entityMirrorSize:]
+		p.Ghosts[i] = EntityMirror{
+			Kind: b[0],
+			X:    math.Float64frombits(binary.BigEndian.Uint64(b[1:])),
+			Y:    math.Float64frombits(binary.BigEndian.Uint64(b[9:])),
+			Z:    math.Float64frombits(binary.BigEndian.Uint64(b[17:])),
+		}
 	}
-	p.Z, _, err = readF64(src)
-	return err
+	return nil
 }
 
 // ShardBarrier marks the end of a shard's outbound traffic for one tick:

@@ -24,6 +24,7 @@ type Cluster struct {
 	dead   []bool
 	tick   int64
 	err    error
+	recs   []server.TickRecord // Tick's per-shard records, reused across ticks
 }
 
 // ClusterConfig assembles a cluster.
@@ -123,12 +124,13 @@ func (c *Cluster) setErr(err error) {
 // merged record: counters summed across shards (the quantities a
 // single-server run must match), durations the per-shard maximum.
 func (c *Cluster) Tick() server.TickRecord {
-	var recs []server.TickRecord
+	recs := c.recs[:0]
 	for i, s := range c.shards {
 		if !c.dead[i] {
 			recs = append(recs, s.Tick())
 		}
 	}
+	c.recs = recs
 	if len(recs) == 0 {
 		return server.TickRecord{}
 	}

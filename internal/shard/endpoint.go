@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mlg/entity"
@@ -18,68 +19,85 @@ import (
 // after-tick hook of a wall-clock shard) can fan all sends out before any
 // shard blocks on a barrier — sends are async, so the two-phase shape is
 // deadlock-free whatever the shard order.
+//
+// The per-tick cost tracks what changed, not what exists: an unchanged
+// boundary chunk costs a revision compare, and each peer's ghosts travel as
+// one batch. The outbound slices are reused across ticks, which is safe
+// because Session.Send encodes synchronously.
 type Endpoint struct {
 	S     *server.Server
 	Map   Map
 	Index int
 
-	sessions map[int]*Session
-	// lastMirror remembers, per peer, the content fingerprint of each
-	// boundary chunk as last mirrored; unchanged chunks are not resent.
-	lastMirror map[int]map[world.ChunkPos]uint64
-	// ghosts holds the halo entity mirrors most recently received from
-	// each peer — display-only state, never simulated.
-	ghosts  map[int][]protocol.EntityMirror
+	links map[int]*peerLink
+	// order lists the attached peers ascending — the exchange order, kept
+	// sorted by SetSession and DropSession.
+	order []int
+
+	halo    []int // AppendHaloPeers scratch
 	scratch []byte
 }
+
+// peerLink is an endpoint's state for one attached peer.
+type peerLink struct {
+	sess *Session
+	// mirrored remembers, per boundary chunk, the revision and content sum
+	// last mirrored over this link.
+	mirrored map[world.ChunkPos]mirrorMark
+	// ghosts holds the halo entity mirrors most recently received from the
+	// peer — display-only state, never simulated.
+	ghosts []protocol.EntityMirror
+
+	out      []protocol.Packet       // this tick's outbound packets
+	ghostOut []protocol.EntityMirror // this tick's outbound ghosts
+}
+
+// mirrorMark is what a peer last received of one boundary chunk.
+type mirrorMark struct{ rev, sum uint64 }
 
 // NewEndpoint wraps a shard server for inter-shard exchange. Sessions are
 // attached afterwards with SetSession as links come up.
 func NewEndpoint(s *server.Server, m Map, index int) *Endpoint {
-	return &Endpoint{
-		S:          s,
-		Map:        m,
-		Index:      index,
-		sessions:   make(map[int]*Session),
-		lastMirror: make(map[int]map[world.ChunkPos]uint64),
-		ghosts:     make(map[int][]protocol.EntityMirror),
-	}
+	return &Endpoint{S: s, Map: m, Index: index, links: make(map[int]*peerLink)}
 }
 
 // SetSession attaches (or replaces) the link to a peer shard and forgets
 // what was mirrored over the previous link, so a restored peer receives a
 // full boundary resync on the next tick.
 func (ep *Endpoint) SetSession(peer int, sess *Session) {
-	ep.sessions[peer] = sess
-	ep.lastMirror[peer] = nil
+	l := ep.links[peer]
+	if l == nil {
+		l = &peerLink{mirrored: make(map[world.ChunkPos]mirrorMark)}
+		ep.links[peer] = l
+		ep.order = slices.Insert(ep.order, sort.SearchInts(ep.order, peer), peer)
+	}
+	l.sess = sess
+	clear(l.mirrored)
 }
 
 // DropSession detaches a dead peer: the exchange skips it until failover
 // hands back a replacement via SetSession.
 func (ep *Endpoint) DropSession(peer int) {
-	if sess := ep.sessions[peer]; sess != nil {
-		sess.Close()
+	l := ep.links[peer]
+	if l == nil {
+		return
 	}
-	delete(ep.sessions, peer)
-	delete(ep.ghosts, peer)
+	l.sess.Close()
+	delete(ep.links, peer)
+	i := sort.SearchInts(ep.order, peer)
+	ep.order = slices.Delete(ep.order, i, i+1)
 }
 
-// Peers returns the attached peer indices in ascending order.
-func (ep *Endpoint) Peers() []int {
-	peers := make([]int, 0, len(ep.sessions))
-	for p := range ep.sessions {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	return peers
-}
+// Peers returns the attached peer indices in ascending order, as a copy
+// the caller may hold across DropSession calls.
+func (ep *Endpoint) Peers() []int { return slices.Clone(ep.order) }
 
 // Ghosts returns the halo entity mirrors last received from peer shards —
 // entities standing just across a boundary, for client visibility only.
 func (ep *Endpoint) Ghosts() []protocol.EntityMirror {
 	var out []protocol.EntityMirror
-	for _, p := range ep.Peers() {
-		out = append(out, ep.ghosts[p]...)
+	for _, p := range ep.order {
+		out = append(out, ep.links[p].ghosts...)
 	}
 	return out
 }
@@ -89,16 +107,20 @@ func (ep *Endpoint) Ghosts() []protocol.EntityMirror {
 // whose destination link is down are re-inserted locally rather than lost —
 // the entity freezes at the boundary until failover restores the peer.
 func (ep *Endpoint) SendTick(tick int64) error {
-	ents := ep.S.EntityWorld()
-	outbound := make(map[int][]protocol.Packet)
+	for _, p := range ep.order {
+		l := ep.links[p]
+		l.out, l.ghostOut = l.out[:0], l.ghostOut[:0]
+	}
 
+	ents := ep.S.EntityWorld()
 	for _, h := range ents.DrainDepartures(ep.Map.Owns(ep.Index)) {
 		dest := ep.Map.ShardOfBlock(h.Pos.BlockPos())
-		if dest == ep.Index || ep.sessions[dest] == nil {
+		l := ep.links[dest]
+		if dest == ep.Index || l == nil {
 			ents.Arrive(h)
 			continue
 		}
-		outbound[dest] = append(outbound[dest], &protocol.EntityHandoff{
+		l.out = append(l.out, &protocol.EntityHandoff{
 			Kind: uint8(h.Kind),
 			X:    h.Pos.X, Y: h.Pos.Y, Z: h.Pos.Z,
 			VX: h.Vel.X, VY: h.Vel.Y, VZ: h.Vel.Z,
@@ -111,60 +133,77 @@ func (ep *Endpoint) SendTick(tick int64) error {
 		})
 	}
 
-	w := ep.S.World()
-	for _, cp := range w.LoadedChunks() {
+	ep.queueMirrors()
+
+	ents.Entities(func(e *entity.Entity) {
+		ep.halo = ep.Map.AppendHaloPeers(ep.halo[:0], ep.Index, world.ChunkPosAt(e.Pos.BlockPos()))
+		for _, peer := range ep.halo {
+			if l := ep.links[peer]; l != nil {
+				l.ghostOut = append(l.ghostOut, protocol.EntityMirror{
+					Kind: uint8(e.Kind), X: e.Pos.X, Y: e.Pos.Y, Z: e.Pos.Z,
+				})
+			}
+		}
+	})
+
+	for _, peer := range ep.order {
+		l := ep.links[peer]
+		// Ghosts go last, one packet per MaxEntityMirrors; none when empty.
+		for g := l.ghostOut; len(g) > 0; {
+			n := min(len(g), protocol.MaxEntityMirrors)
+			l.out = append(l.out, &protocol.EntityMirrors{Ghosts: g[:n]})
+			g = g[n:]
+		}
+		err := l.sess.Send(tick, l.out)
+		clear(l.out) // release this tick's handoffs and chunk images
+		if err != nil {
+			return fmt.Errorf("shard %d → %d: %w", ep.Index, peer, err)
+		}
+	}
+	return nil
+}
+
+// queueMirrors queues a ChunkMirror for every owned boundary chunk whose
+// content differs from what the peer last received. A chunk whose revision
+// has not moved is skipped without hashing — world.Chunk's contract is that
+// content never changes without the revision advancing. A chunk whose
+// revision moved is hashed and sent only if its content sum changed: a
+// rolled-back parallel drain advances the revision but restores the
+// content, and such a chunk is not resent.
+func (ep *Endpoint) queueMirrors() {
+	for _, c := range ep.S.World().LoadedChunkRefs() {
+		cp := c.Pos
 		if ep.Map.ShardOf(cp) != ep.Index {
 			continue
 		}
-		peers := ep.Map.HaloPeers(ep.Index, cp)
-		if len(peers) == 0 {
-			continue
-		}
-		c := w.ChunkIfLoaded(cp)
-		if c == nil {
-			continue
-		}
+		ep.halo = ep.Map.AppendHaloPeers(ep.halo[:0], ep.Index, cp)
+		rev := c.Revision()
 		var sum uint64
-		sum, ep.scratch = c.StateSum(ep.scratch)
 		var rle []byte
-		for _, peer := range peers {
-			if ep.sessions[peer] == nil {
+		hashed := false
+		for _, peer := range ep.halo {
+			l := ep.links[peer]
+			if l == nil {
 				continue
 			}
-			if ep.lastMirror[peer] == nil {
-				ep.lastMirror[peer] = make(map[world.ChunkPos]uint64)
+			last, seen := l.mirrored[cp]
+			if seen && last.rev == rev {
+				continue
 			}
-			if ep.lastMirror[peer][cp] == sum {
+			if !hashed {
+				sum, ep.scratch = c.StateSum(ep.scratch)
+				hashed = true
+			}
+			l.mirrored[cp] = mirrorMark{rev: rev, sum: sum}
+			if seen && last.sum == sum {
 				continue
 			}
 			if rle == nil {
 				rle = c.AppendRLE(nil)
 			}
-			ep.lastMirror[peer][cp] = sum
-			outbound[peer] = append(outbound[peer], &protocol.ChunkMirror{
-				ChunkX: cp.X, ChunkZ: cp.Z, Data: rle,
-			})
+			l.out = append(l.out, &protocol.ChunkMirror{ChunkX: cp.X, ChunkZ: cp.Z, Data: rle})
 		}
 	}
-
-	ents.Entities(func(e *entity.Entity) {
-		cp := world.ChunkPosAt(e.Pos.BlockPos())
-		for _, peer := range ep.Map.HaloPeers(ep.Index, cp) {
-			if ep.sessions[peer] == nil {
-				continue
-			}
-			outbound[peer] = append(outbound[peer], &protocol.EntityMirror{
-				Kind: uint8(e.Kind), X: e.Pos.X, Y: e.Pos.Y, Z: e.Pos.Z,
-			})
-		}
-	})
-
-	for _, peer := range ep.Peers() {
-		if err := ep.sessions[peer].Send(tick, outbound[peer]); err != nil {
-			return fmt.Errorf("shard %d → %d: %w", ep.Index, peer, err)
-		}
-	}
-	return nil
 }
 
 // ApplyTick blocks until every attached peer has delivered its barrier for
@@ -174,12 +213,13 @@ func (ep *Endpoint) SendTick(tick int64) error {
 func (ep *Endpoint) ApplyTick(tick int64) error {
 	ents := ep.S.EntityWorld()
 	w := ep.S.World()
-	for _, peer := range ep.Peers() {
-		pkts, err := ep.sessions[peer].WaitBarrier(tick)
+	for _, peer := range ep.order {
+		l := ep.links[peer]
+		pkts, err := l.sess.WaitBarrier(tick)
 		if err != nil {
 			return fmt.Errorf("shard %d ← %d: %w", ep.Index, peer, err)
 		}
-		var ghosts []protocol.EntityMirror
+		l.ghosts = l.ghosts[:0]
 		for _, p := range pkts {
 			switch p := p.(type) {
 			case *protocol.ChunkMirror:
@@ -202,13 +242,12 @@ func (ep *Endpoint) ApplyTick(tick int64) error {
 					SeedKey:        p.SeedKey,
 					WanderCooldown: int(p.WanderCooldown),
 				})
-			case *protocol.EntityMirror:
-				ghosts = append(ghosts, *p)
+			case *protocol.EntityMirrors:
+				l.ghosts = append(l.ghosts, p.Ghosts...)
 			default:
 				return fmt.Errorf("shard %d ← %d: unexpected packet %#x", ep.Index, peer, int32(p.ID()))
 			}
 		}
-		ep.ghosts[peer] = ghosts
 	}
 	return nil
 }

@@ -210,17 +210,18 @@ func (g *Gateway) handle(raw net.Conn) {
 	var clientWrites sync.Mutex
 	var upMu sync.Mutex // guards up swaps during re-route
 
-	// Downstream pump: decode whole frames off the upstream leg, re-emit
-	// them to the client. Returns when its leg dies (re-route or shard
-	// death).
+	// Downstream pump: forward whole frames off the upstream leg to the
+	// client as raw bytes — nothing downstream is routed on, so nothing is
+	// decoded. WriteFrame copies the frame before the next read reuses its
+	// buffer. Returns when its leg dies (re-route or shard death).
 	pump := func(u *upstream) {
 		for {
-			pkt, _, err := u.conn.ReadPacket()
+			f, _, err := u.conn.ReadFrame()
 			if err != nil {
 				return
 			}
 			clientWrites.Lock()
-			_, err = client.WritePacket(pkt)
+			_, err = client.WriteFrame(f)
 			clientWrites.Unlock()
 			if err != nil {
 				return

@@ -66,18 +66,19 @@ func (m Map) Owns(i int) func(world.ChunkPos) bool {
 	return func(cp world.ChunkPos) bool { return m.ShardOf(cp) == i }
 }
 
-// HaloPeers returns, for an owned chunk column, the neighbouring shard
-// indices that need a mirror of it: shards whose range starts within
-// HaloWidth of the column. A column deep inside a shard returns nothing.
-func (m Map) HaloPeers(owner int, cp world.ChunkPos) []int {
-	var peers []int
+// AppendHaloPeers appends to dst, for an owned chunk column, the
+// neighbouring shard indices that need a mirror of it: shards whose range
+// starts within HaloWidth of the column. A column deep inside a shard
+// appends nothing. The per-tick exchange passes a reused buffer, so the
+// lookup allocates nothing.
+func (m Map) AppendHaloPeers(dst []int, owner int, cp world.ChunkPos) []int {
 	// Boundary below: shard owner-1 ends at Splits[owner-1].
 	if owner > 0 && cp.X < m.Splits[owner-1]+HaloWidth {
-		peers = append(peers, owner-1)
+		dst = append(dst, owner-1)
 	}
 	// Boundary above: shard owner+1 begins at Splits[owner].
 	if owner < len(m.Splits) && cp.X >= m.Splits[owner]-HaloWidth {
-		peers = append(peers, owner+1)
+		dst = append(dst, owner+1)
 	}
-	return peers
+	return dst
 }

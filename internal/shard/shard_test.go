@@ -120,14 +120,20 @@ func TestMapRouting(t *testing.T) {
 	}
 	// Halo membership: shard 1 owns chunks 0..9; chunk 0 borders shard 0,
 	// chunk 9 borders shard 2, chunk 5 borders nobody.
-	if got := m.HaloPeers(1, world.ChunkPos{X: 0}); len(got) != 1 || got[0] != 0 {
-		t.Errorf("HaloPeers(1, chunk 0) = %v, want [0]", got)
+	if got := m.AppendHaloPeers(nil, 1, world.ChunkPos{X: 0}); len(got) != 1 || got[0] != 0 {
+		t.Errorf("AppendHaloPeers(1, chunk 0) = %v, want [0]", got)
 	}
-	if got := m.HaloPeers(1, world.ChunkPos{X: 9}); len(got) != 1 || got[0] != 2 {
-		t.Errorf("HaloPeers(1, chunk 9) = %v, want [2]", got)
+	if got := m.AppendHaloPeers(nil, 1, world.ChunkPos{X: 9}); len(got) != 1 || got[0] != 2 {
+		t.Errorf("AppendHaloPeers(1, chunk 9) = %v, want [2]", got)
 	}
-	if got := m.HaloPeers(1, world.ChunkPos{X: 5}); len(got) != 0 {
-		t.Errorf("HaloPeers(1, chunk 5) = %v, want none", got)
+	if got := m.AppendHaloPeers(nil, 1, world.ChunkPos{X: 5}); len(got) != 0 {
+		t.Errorf("AppendHaloPeers(1, chunk 5) = %v, want none", got)
+	}
+	// A one-chunk-wide shard borders both neighbours; the buffer is
+	// appended to, not replaced.
+	narrow := shard.Map{Splits: []int32{0, 1}}
+	if got := narrow.AppendHaloPeers([]int{7}, 1, world.ChunkPos{X: 0}); len(got) != 3 || got[0] != 7 || got[1] != 0 || got[2] != 2 {
+		t.Errorf("AppendHaloPeers([7], 1, chunk 0) = %v, want [7 0 2]", got)
 	}
 	if err := (shard.Map{Splits: []int32{5, 5}}).Validate(); err == nil {
 		t.Error("Validate accepted non-ascending splits")
@@ -143,7 +149,7 @@ func TestSessionBarrier(t *testing.T) {
 
 	out := []protocol.Packet{
 		&protocol.EntityHandoff{Kind: 2, X: 1, SeedKey: 42},
-		&protocol.EntityMirror{Kind: 1, X: 3, Y: 4, Z: 5},
+		&protocol.EntityMirrors{Ghosts: []protocol.EntityMirror{{Kind: 1, X: 3, Y: 4, Z: 5}}},
 	}
 	if err := sa.Send(7, out); err != nil {
 		t.Fatal(err)
