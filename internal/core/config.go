@@ -65,13 +65,10 @@ type Config struct {
 	Scale int
 	// Environment selects the deployment-environment profile by name.
 	Environment string
-	// SimWorkers is the per-tick simulation parallelism of the servers under
-	// test — both world-exclusive phases, the terrain drain and the entity
-	// tick, share the knob and the worker pool: 0 = GOMAXPROCS, 1 = legacy
-	// serial paths. Output is worker-count independent: mob decisions draw
-	// from per-region streams that are pure functions of simulation state,
-	// so every value produces identical results (see internal/mlg/sim and
-	// internal/mlg/entity).
+	// SimWorkers is the terrain-drain parallelism of the servers under test:
+	// 0 = GOMAXPROCS, 1 = the serial drain. Output is worker-count
+	// independent — the region-parallel drain replays the serial pop order —
+	// so every value produces identical results (see internal/mlg/sim).
 	SimWorkers int
 }
 

@@ -27,12 +27,11 @@ type RunSpec struct {
 	// WorldSeed overrides the terrain seed (default the paper's Control
 	// seed).
 	WorldSeed int64
-	// SimWorkers sets the per-tick simulation parallelism of the server
-	// under test — the terrain drains and the parallel entity tick
-	// both run on it (0 = GOMAXPROCS, 1 = legacy serial). Simulation output
-	// is bit-identical at any value — the golden checksum suite and the
-	// serial-vs-parallel equivalence matrices enforce it — so this knob
-	// trades wall-clock time only.
+	// SimWorkers sets the terrain-drain parallelism of the server under
+	// test (0 = GOMAXPROCS, 1 = serial). Simulation output is bit-identical
+	// at any value — the golden checksum suite and the serial-vs-parallel
+	// equivalence matrices enforce it — so this knob trades wall-clock time
+	// only.
 	SimWorkers int
 }
 

@@ -12,94 +12,54 @@ import (
 // whenever a chunk they cross changes — the compute-intensive dynamic
 // pathfinding of §2.2.3.
 //
-// The whole mob tick — staleness checks, decisions, path following, physics
-// — runs on a tick context shared by the serial loop and the parallel
-// workers. Decision randomness (choosePath's wander goal, the cooldown rolls
-// on path failure and completion) comes from per-region decision streams
-// (see rng.go): each draw is a pure function of (world seed, chunk, entity,
-// tick), so pool workers draw in place and the serial loop produces the
-// identical values — mob decisions no longer couple entities through a
-// shared RNG stream. The one thing a pool worker cannot do is GENERATE
-// terrain (choosePath's surfaceAt over an unloaded column): that escapes the
-// entity to the serial re-tick pass (see parallel.go).
-
-// tickItem integrates item physics only.
-func (c *tickCtx) tickItem(e *Entity) {
-	c.stepPhysics(e)
-}
+// Decision randomness (choosePath's wander goal, the cooldown rolls on path
+// failure and completion) comes from per-region decision streams (see
+// rng.go): each draw is a pure function of (world seed, chunk, entity,
+// tick), so an entity decides the same way whichever shard simulates it.
 
 // tickMob runs one AI + physics step for a mob.
-func (c *tickCtx) tickMob(e *Entity) {
+func (ew *World) tickMob(e *Entity) {
 	// Invalidate the path if terrain changed beneath it.
-	if e.HasPath() && c.pathStale(e) {
+	if e.HasPath() && ew.pathStale(e) {
 		e.path = nil
-		c.counters.Repaths++
+		ew.counters.Repaths++
 	}
 
-	d := c.ew.decisionStreamFor(e)
+	d := ew.decisionStreamFor(e)
 	if !e.HasPath() {
 		if e.wanderCooldown > 0 {
 			e.wanderCooldown--
 		} else {
-			c.choosePath(e, &d)
-			if u := c.unit; u != nil && u.escaped {
-				// The goal column is unloaded: generation is serial-only.
-				// The entity is rolled back and re-ticked on the root context.
-				return
-			}
+			ew.choosePath(e, &d)
 		}
 	}
 
 	if e.HasPath() {
-		c.followPath(e, &d)
+		ew.followPath(e, &d)
 	}
-	c.stepPhysics(e)
+	ew.stepPhysics(e)
 }
 
 // pathStale reports whether any chunk the path crosses mutated since the
-// path was computed. chunkVersion only changes on terrain mutation, which
-// never happens during the entity phase, so concurrent pool workers read
-// a frozen map.
-func (c *tickCtx) pathStale(e *Entity) bool {
+// path was computed.
+func (ew *World) pathStale(e *Entity) bool {
 	for cp, v := range e.pathVersions {
-		if c.ew.chunkVersion[cp] != v {
+		if ew.chunkVersion[cp] != v {
 			return true
 		}
 	}
 	return false
 }
 
-// mayChoosePath mirrors tickMob's control flow on pre-tick state, without
-// mutating anything: it reports whether the mob's tick will reach choosePath
-// — the only operation in the entity phase that can generate terrain. The
-// scheduler uses it to compute the tick's generation horizon (the smallest
-// such mob's ID; see parallel.go): a worker read that misses an unloaded
-// chunk is serial-equivalent only for entities ordered at or before that
-// horizon. The predicate is exact, not merely conservative — every input
-// (the age throttle via the pre-stamped activation marks, path staleness via
-// the frozen chunk versions, the cooldown) is fixed before workers start.
-func (ew *World) mayChoosePath(e *Entity) bool {
-	if e.Kind != Mob || ew.throttledAt(e, e.Age+1) {
-		return false
-	}
-	if e.HasPath() && !ew.root.pathStale(e) {
-		return false
-	}
-	return e.wanderCooldown == 0
-}
-
 // choosePath picks a goal (a player within 16 blocks, else a random point
 // within 8) and runs A* toward it. Target finding queries the tick's player
 // grid: only buckets around the mob are visited, and the lowest-index match
-// is chosen — the same player a first-match linear scan would pick. Runs on
-// any context: random draws come from the mob's decision stream and terrain
-// reads resolve through the context's cache. On a unit context a goal over
-// an unloaded column escapes (generation must happen serially) and leaves
-// early; the serial re-tick then generates it.
-func (c *tickCtx) choosePath(e *Entity, d *decisionStream) {
+// is chosen — the same player a first-match linear scan would pick. Random
+// draws come from the mob's decision stream.
+func (ew *World) choosePath(e *Entity, d *decisionStream) {
 	start := e.Pos.BlockPos()
 	var goal world.Pos
-	target, found := c.ew.grid.firstWithin(e.Pos, 16)
+	target, found := ew.grid.firstWithin(e.Pos, 16)
 	if found {
 		goal = target.BlockPos()
 	} else {
@@ -108,15 +68,11 @@ func (c *tickCtx) choosePath(e *Entity, d *decisionStream) {
 			Y: start.Y,
 			Z: start.Z + d.Intn(17) - 8,
 		}
-		y, ok := c.surfaceAt(goal)
-		if !ok {
-			return
-		}
-		goal.Y = y
+		goal.Y = ew.surfaceAt(goal)
 	}
 
-	path, nodes := c.findPath(start, goal, c.ew.cfg.PathNodeBudget)
-	c.counters.PathNodes += nodes
+	path, nodes := ew.FindPath(start, goal, ew.cfg.PathNodeBudget)
+	ew.counters.PathNodes += nodes
 	if path == nil {
 		e.wanderCooldown = 20 + d.Intn(20)
 		return
@@ -127,13 +83,13 @@ func (c *tickCtx) choosePath(e *Entity, d *decisionStream) {
 	e.pathVersions = make(map[world.ChunkPos]uint64, 4)
 	for _, p := range path {
 		cp := world.ChunkPosAt(p)
-		e.pathVersions[cp] = c.ew.chunkVersion[cp]
+		e.pathVersions[cp] = ew.chunkVersion[cp]
 	}
 }
 
 // followPath steers the mob toward its next waypoint; completing the path
 // rolls the next wander cooldown from the mob's decision stream.
-func (c *tickCtx) followPath(e *Entity, d *decisionStream) {
+func (ew *World) followPath(e *Entity, d *decisionStream) {
 	wp := e.path[e.pathIdx]
 	target := Center(wp)
 	delta := target.Sub(e.Pos)
@@ -158,28 +114,13 @@ func (c *tickCtx) followPath(e *Entity, d *decisionStream) {
 }
 
 // surfaceAt returns one above the highest solid Y of the column (the query
-// height for empty columns) — a dynamic spawn/goal height query. The root
-// context generates the column on demand (§2.2.2 lazy generation); a unit
-// context cannot (generation mutates the chunk index the workers share
-// frozen), so an unloaded column escapes the current entity to the serial
-// re-tick pass and returns ok=false.
-func (c *tickCtx) surfaceAt(p world.Pos) (int, bool) {
-	if u := c.unit; u != nil {
-		ch := c.wc.Chunk(world.ChunkPosAt(p))
-		if ch == nil {
-			u.escaped = true
-			return 0, false
-		}
-		lx, lz := world.ChunkLocal(p)
-		if y := ch.HighestSolidY(lx, lz); y >= 0 {
-			return y + 1, true
-		}
-		return p.Y, true
+// height for empty columns) — a dynamic spawn/goal height query that
+// generates the column on demand (§2.2.2 lazy generation).
+func (ew *World) surfaceAt(p world.Pos) int {
+	if y := ew.w.HighestSolidY(p.X, p.Z); y >= 0 {
+		return y + 1
 	}
-	if y := c.ew.w.HighestSolidY(p.X, p.Z); y >= 0 {
-		return y + 1, true
-	}
-	return p.Y, true
+	return p.Y
 }
 
 // pathNode is an A* open-set element.
@@ -203,18 +144,11 @@ func (h *nodeHeap) Pop() interface{} {
 	return n
 }
 
-// FindPath runs A* on the store's root context (the serial read path). Tests
-// and external callers use it; tick-time pathing goes through tickCtx.findPath
-// so pool workers resolve terrain from their frozen caches.
-func (ew *World) FindPath(start, goal world.Pos, nodeBudget int) ([]world.Pos, int) {
-	return ew.root.findPath(start, goal, nodeBudget)
-}
-
-// findPath runs A* from start to goal over walkable voxels, expanding at
+// FindPath runs A* from start to goal over walkable voxels, expanding at
 // most nodeBudget nodes. It returns the path (excluding start) and the
 // number of nodes expanded, or (nil, expanded) if no path was found within
 // budget. Walkable means: solid below, two non-solid blocks of clearance.
-func (c *tickCtx) findPath(start, goal world.Pos, nodeBudget int) ([]world.Pos, int) {
+func (ew *World) FindPath(start, goal world.Pos, nodeBudget int) ([]world.Pos, int) {
 	if nodeBudget <= 0 {
 		nodeBudget = 250
 	}
@@ -242,7 +176,7 @@ func (c *tickCtx) findPath(start, goal world.Pos, nodeBudget int) ([]world.Pos, 
 		if h < bestH {
 			bestH, best = h, cur
 		}
-		for _, next := range c.walkableNeighbors(cur.pos) {
+		for _, next := range ew.walkableNeighbors(cur.pos) {
 			g := cur.g + 1
 			if prev, ok := visited[next]; ok && prev <= g {
 				continue
@@ -272,10 +206,7 @@ func reconstruct(n *pathNode) []world.Pos {
 
 // walkableNeighbors returns the standable positions reachable in one step:
 // flat moves, single-block step-ups, and drops of up to three blocks.
-// Terrain reads go through the context, so A* expansions on a pool worker
-// resolve from the frozen chunk index (and unloaded misses trip the
-// generation-horizon guard in blockIfLoaded).
-func (c *tickCtx) walkableNeighbors(p world.Pos) []world.Pos {
+func (ew *World) walkableNeighbors(p world.Pos) []world.Pos {
 	out := make([]world.Pos, 0, 4)
 	for _, hn := range p.NeighborsHorizontal() {
 		for dy := 1; dy >= -3; dy-- {
@@ -283,12 +214,12 @@ func (c *tickCtx) walkableNeighbors(p world.Pos) []world.Pos {
 			if q.Y < 1 || q.Y >= world.Height-1 {
 				continue
 			}
-			if c.standable(q) {
+			if ew.standable(q) {
 				out = append(out, q)
 				break
 			}
 			// Cannot pass through a solid at this level going down.
-			if b, ok := c.blockIfLoaded(q); ok && b.IsSolid() {
+			if b, ok := ew.wc.BlockIfLoaded(q); ok && b.IsSolid() {
 				break
 			}
 		}
@@ -298,21 +229,20 @@ func (c *tickCtx) walkableNeighbors(p world.Pos) []world.Pos {
 
 // standable reports whether a mob can occupy p: solid floor below, feet and
 // head clear.
-func (c *tickCtx) standable(p world.Pos) bool {
-	below, ok := c.blockIfLoaded(p.Down())
+func (ew *World) standable(p world.Pos) bool {
+	below, ok := ew.wc.BlockIfLoaded(p.Down())
 	if !ok || !below.IsSolid() {
 		return false
 	}
-	feet, _ := c.blockIfLoaded(p)
-	head, _ := c.blockIfLoaded(p.Up())
+	feet, _ := ew.wc.BlockIfLoaded(p)
+	head, _ := ew.wc.BlockIfLoaded(p.Up())
 	return !feet.IsSolid() && !head.IsSolid()
 }
 
 // naturalSpawns attempts ambient mob spawns near players, computing spawn
 // points dynamically (§2.2.3: terrain modification may obstruct spawn
-// points, so MLGs compute them on the fly). Runs in the serial phase after
-// the per-entity loop, on the store RNG: placement draws stay on the shared
-// stream, whose consumption order here is global and deterministic.
+// points, so MLGs compute them on the fly). Runs after the per-entity loop,
+// on the store RNG.
 func (ew *World) naturalSpawns(players []Vec3) {
 	for i := 0; i < ew.cfg.SpawnAttemptsPerTick; i++ {
 		ew.counters.SpawnAttempts++
@@ -324,11 +254,11 @@ func (ew *World) naturalSpawns(players []Vec3) {
 		dz := float64(ew.rng.Intn(49) - 24)
 		candidate := anchor.Add(Vec3{X: dx, Z: dz})
 		bp := candidate.BlockPos()
-		bp.Y, _ = ew.root.surfaceAt(bp)
+		bp.Y = ew.surfaceAt(bp)
 		if bp.Y <= 1 || bp.Y >= world.Height-2 {
 			continue
 		}
-		if !ew.root.standable(bp) {
+		if !ew.standable(bp) {
 			continue
 		}
 		// Too close to a player: skip (Minecraft enforces 24 blocks). The

@@ -1,12 +1,58 @@
 package entity
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/mlg/world"
 )
+
+// clusterOrigins lays out n cluster anchors 256 blocks apart on the X axis
+// (16 chunks), so the clusters never interact.
+func clusterOrigins(n int) []world.Pos {
+	out := make([]world.Pos, n)
+	for i := range out {
+		out[i] = world.Pos{X: 32 + i*256, Y: 12, Z: 32}
+	}
+	return out
+}
+
+// buildClusterWorld creates an entity world over flat terrain covering the
+// clusters and populates each cluster with items, mobs and slow-fuse TNT via
+// the public spawn API.
+func buildClusterWorld(tb testing.TB, clusters int) *World {
+	tb.Helper()
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	cfg := DefaultConfig()
+	cfg.ActivationRange = 32 // exercise the throttling path too
+	ew := NewWorld(w, cfg, 424242)
+	for _, o := range clusterOrigins(clusters) {
+		w.EnsureArea(o, 4)
+		for i := 0; i < 30; i++ {
+			ew.SpawnItem(world.Pos{X: o.X + i%6*2, Y: 14, Z: o.Z + i/6*2}, world.Gravel)
+		}
+		for i := 0; i < 6; i++ {
+			ew.SpawnMob(world.Pos{X: o.X + 3 + i, Y: 11, Z: o.Z + 10})
+		}
+		for i := 0; i < 4; i++ {
+			// Staggered fuses so detonations drain across several ticks.
+			ew.SpawnPrimedTNT(world.Pos{X: o.X + 8, Y: 12, Z: o.Z + 4 + i}, 25+7*i)
+		}
+	}
+	return ew
+}
+
+// clusterPlayers puts one player at each cluster so mobs acquire AI targets
+// and activation marking has work to do.
+func clusterPlayers(clusters int) []Vec3 {
+	out := make([]Vec3, 0, clusters)
+	for _, o := range clusterOrigins(clusters) {
+		out = append(out, Vec3{X: float64(o.X) + 5.5, Y: 11, Z: float64(o.Z) + 5.5})
+	}
+	return out
+}
 
 func newTestWorld(t *testing.T) (*world.World, *World) {
 	t.Helper()
@@ -94,6 +140,45 @@ func TestTNTFuseAndExplosionQueue(t *testing.T) {
 	}
 	if ew.Count() != 0 {
 		t.Fatal("exploded TNT not removed")
+	}
+}
+
+// TestDetonationsDrainInIDOrder spawns TNT that detonates on one tick, in a
+// spawn order unrelated to position: the drained batch must follow entity-ID
+// order, the order the terrain engine and the impulse pass consume it in.
+func TestDetonationsDrainInIDOrder(t *testing.T) {
+	_, ew := newTestWorld(t)
+	spawned := []world.Pos{{X: 9, Y: 11, Z: 3}, {X: -7, Y: 11, Z: 0}, {X: 4, Y: 11, Z: -8}, {X: 0, Y: 11, Z: 12}}
+	for _, p := range spawned {
+		ew.SpawnPrimedTNT(p, 5)
+	}
+	for i := 0; i < 5; i++ {
+		ew.Tick(nil)
+	}
+	if got := ew.DrainExplosions(); fmt.Sprint(got) != fmt.Sprint(spawned) {
+		t.Fatalf("detonations drained as %v, want ID order %v", got, spawned)
+	}
+}
+
+// TestEntityTickAllocs pins the allocations of one warmed store tick over
+// four clusters of items, pathing mobs and TNT (the BenchmarkEntityTick
+// population), with the server's per-tick drains.
+func TestEntityTickAllocs(t *testing.T) {
+	const clusters = 4
+	ew := buildClusterWorld(t, clusters)
+	players := clusterPlayers(clusters)
+	for i := 0; i < 5; i++ {
+		ew.Tick(players)
+		ew.DrainChunkUpdates()
+	}
+	got := testing.AllocsPerRun(40, func() {
+		ew.Tick(players)
+		ew.DrainChunkUpdates()
+		ew.DrainExplosions()
+	})
+	const pinned = 89
+	if got > pinned {
+		t.Fatalf("entity tick allocates %.0f times, pinned at %d", got, pinned)
 	}
 }
 
@@ -401,7 +486,7 @@ func TestPhysicsNoTunnelingProperty(t *testing.T) {
 		e := &Entity{Kind: Item, Pos: Vec3{X: 0.5, Y: float64(12 + h%30), Z: 0.5},
 			Vel: Vec3{X: float64(vx) / 50, Z: float64(vz) / 50}}
 		for i := 0; i < 120; i++ {
-			ew.root.stepPhysics(e)
+			ew.stepPhysics(e)
 			bp := e.Pos.BlockPos()
 			if b, ok := ew.w.BlockIfLoaded(bp); ok && b.IsSolid() {
 				return false

@@ -18,11 +18,19 @@ import (
 // Alongside the entities: tick number, ID allocator, RNG state, the
 // carried-over counters (explosion-impulse collisions are attributed to
 // the *next* tick, so they are live at the snapshot boundary), terrain
-// versions, item-merge cells, and scheduling attribution. Not captured
-// because it is empty or rederivable at the tick boundary: chunkUpdates
-// (drained every tick), explosionsDue/exBuf (drained/flushed), the player
-// grid (rebuilt each tick), each entity's activeTick (stale values behave as
-// unset) and spatial-index bucket (a function of Pos).
+// versions and item-merge cells. Not captured because it is empty or
+// rederivable at the tick boundary: chunkUpdates (drained every tick),
+// explosionsDue (drained), the player grid (rebuilt each tick), each
+// entity's activeTick (stale values behave as unset) and spatial-index
+// bucket (a function of Pos).
+//
+// The section ends with retiredTail zero bytes: the v2 layout's slot for the
+// retired parallel-schedule attribution (unit count, parallel flag, parallel
+// and fallback tick counts, serial-hold counter). Readers skip whatever is
+// there.
+
+// retiredTail is the byte size of the retired attribution slot.
+const retiredTail = 4 + 1 + 8 + 8 + 8
 
 func appendEntityPersist(dst []byte, e *Entity) []byte {
 	dst = AppendSnapshot(dst, e)
@@ -116,16 +124,7 @@ func (ew *World) AppendPersist(dst []byte) []byte {
 		dst = persist.AppendI64(dst, ew.itemCells[cell])
 	}
 
-	dst = persist.AppendU32(dst, uint32(ew.lastRegions))
-	lp := byte(0)
-	if ew.lastParallel {
-		lp = 1
-	}
-	dst = persist.AppendU8(dst, lp)
-	dst = persist.AppendI64(dst, ew.parallelTicks)
-	dst = persist.AppendI64(dst, ew.fallbackTicks)
-	dst = persist.AppendI64(dst, 0) // v2 layout: the retired serial-hold counter
-	return dst
+	return append(dst, make([]byte, retiredTail)...)
 }
 
 // RestorePersist replaces the store's mutable state with a decoded section.
@@ -198,11 +197,7 @@ func (ew *World) RestorePersist(data []byte) error {
 		itemCells[cell] = d.I64()
 	}
 
-	lastRegions := int(d.U32())
-	lastParallel := d.U8() != 0
-	parallelTicks := d.I64()
-	fallbackTicks := d.I64()
-	d.I64() // v2 layout: the retired serial-hold counter
+	d.Raw(retiredTail)
 
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("entity section: %w", err)
@@ -247,11 +242,6 @@ func (ew *World) RestorePersist(data []byte) error {
 	ew.itemCells = itemCells
 	ew.chunkUpdates = make(map[world.ChunkPos]ChunkUpdates)
 	ew.explosionsDue = nil
-	ew.exBuf = nil
-	ew.lastRegions = lastRegions
-	ew.lastParallel = lastParallel
-	ew.parallelTicks = parallelTicks
-	ew.fallbackTicks = fallbackTicks
 	// Restored chunks are new objects; drop any cached pointers.
 	ew.wc = world.NewChunkCache(ew.w)
 	return nil

@@ -14,20 +14,18 @@ const (
 
 // stepPhysics integrates one tick of motion with terrain collision: gravity,
 // drag, axis-separated movement against solid blocks, and fluid push — the
-// entity-collision workload the TNT world stresses (§3.3.1). It runs on a
-// tick context so the serial loop and the pool workers share one
-// implementation: terrain reads go through the context's chunk cache and
-// collision counts through the context's counters.
-func (c *tickCtx) stepPhysics(e *Entity) {
+// entity-collision workload the TNT world stresses (§3.3.1). Terrain reads
+// go through the store's chunk cache.
+func (ew *World) stepPhysics(e *Entity) {
 	// Fluid interaction: buoyancy plus the stream push farms use to carry
 	// item drops toward hoppers.
 	feet := e.Pos.BlockPos()
-	if b, ok := c.blockIfLoaded(feet); ok && b.IsFluid() {
+	if b, ok := ew.wc.BlockIfLoaded(feet); ok && b.IsFluid() {
 		e.Vel.Y += buoyancy
 		if e.Vel.Y > 0.1 {
 			e.Vel.Y = 0.1
 		}
-		flow := c.flowDirection(feet, b)
+		flow := ew.flowDirection(feet, b)
 		e.Vel = e.Vel.Add(flow.Scale(fluidPush))
 	} else {
 		e.Vel.Y -= gravity
@@ -38,9 +36,9 @@ func (c *tickCtx) stepPhysics(e *Entity) {
 
 	// Axis-separated movement with collision.
 	e.OnGround = false
-	e.Pos.X = c.moveAxis(e, e.Pos.X, e.Vel.X, axisX)
-	e.Pos.Z = c.moveAxis(e, e.Pos.Z, e.Vel.Z, axisZ)
-	e.Pos.Y = c.moveAxis(e, e.Pos.Y, e.Vel.Y, axisY)
+	e.Pos.X = ew.moveAxis(e, e.Pos.X, e.Vel.X, axisX)
+	e.Pos.Z = ew.moveAxis(e, e.Pos.Z, e.Vel.Z, axisZ)
+	e.Pos.Y = ew.moveAxis(e, e.Pos.Y, e.Vel.Y, axisY)
 
 	// Drag and ground friction.
 	e.Vel.X *= drag
@@ -62,7 +60,7 @@ const (
 
 // moveAxis advances one coordinate by delta, stopping at the first solid
 // block. Entities are modelled as a 1×2 column (feet plus head).
-func (c *tickCtx) moveAxis(e *Entity, cur, delta float64, ax axis) float64 {
+func (ew *World) moveAxis(e *Entity, cur, delta float64, ax axis) float64 {
 	if delta == 0 {
 		return cur
 	}
@@ -76,8 +74,8 @@ func (c *tickCtx) moveAxis(e *Entity, cur, delta float64, ax axis) float64 {
 	case axisZ:
 		probe.Z = next
 	}
-	c.counters.Collisions++
-	if c.collides(probe) {
+	ew.counters.Collisions++
+	if ew.collides(probe) {
 		switch ax {
 		case axisY:
 			if delta < 0 {
@@ -96,13 +94,13 @@ func (c *tickCtx) moveAxis(e *Entity, cur, delta float64, ax axis) float64 {
 }
 
 // collides reports whether an entity column at pos intersects solid terrain.
-func (c *tickCtx) collides(pos Vec3) bool {
+func (ew *World) collides(pos Vec3) bool {
 	feet := pos.BlockPos()
 	head := feet.Up()
-	if b, ok := c.blockIfLoaded(feet); ok && b.IsSolid() {
+	if b, ok := ew.wc.BlockIfLoaded(feet); ok && b.IsSolid() {
 		return true
 	}
-	if b, ok := c.blockIfLoaded(head); ok && b.IsSolid() {
+	if b, ok := ew.wc.BlockIfLoaded(head); ok && b.IsSolid() {
 		return true
 	}
 	return false
@@ -111,12 +109,12 @@ func (c *tickCtx) collides(pos Vec3) bool {
 // flowDirection returns the horizontal direction fluid at p flows: toward
 // the adjacent fluid cell with the highest level number (thinner = further
 // downstream), or toward an adjacent drop.
-func (c *tickCtx) flowDirection(p world.Pos, b world.Block) Vec3 {
+func (ew *World) flowDirection(p world.Pos, b world.Block) Vec3 {
 	level := int(b.Meta)
 	var dir Vec3
 	best := level
 	for _, n := range p.NeighborsHorizontal() {
-		nb, ok := c.blockIfLoaded(n)
+		nb, ok := ew.wc.BlockIfLoaded(n)
 		if !ok {
 			continue
 		}
@@ -125,7 +123,7 @@ func (c *tickCtx) flowDirection(p world.Pos, b world.Block) Vec3 {
 			best = int(nb.Meta)
 			dir = Vec3{X: float64(n.X - p.X), Z: float64(n.Z - p.Z)}
 		} else if nb.IsAir() {
-			if below, ok2 := c.blockIfLoaded(n.Down()); ok2 && (below.IsAir() || below.IsFluid()) {
+			if below, ok2 := ew.wc.BlockIfLoaded(n.Down()); ok2 && (below.IsAir() || below.IsFluid()) {
 				dir = Vec3{X: float64(n.X - p.X), Z: float64(n.Z - p.Z)}
 				best = 99
 			}

@@ -2,44 +2,33 @@ package entity
 
 import "repro/internal/mlg/world"
 
-// Per-region decision RNG streams — the entity half of the determinism
-// contract.
+// Per-region decision RNG streams: what makes entity behaviour independent
+// of the shard layout.
 //
 // Mob decisions (choosePath's wander goal and cooldown rolls, followPath's
-// completion roll) used to consume the store's shared RNG, whose draw order
-// was part of a bit-equality contract with the serial loop: the parallel
-// schedule had to route every possibly-drawing mob through a serial replay
-// pass in global ID order, which serialized exactly the workloads (farms
-// full of pathing mobs) the parallel schedule exists to speed up.
-//
-// The contract is now "deterministic per-region streams" instead of "the
-// serial stream": every decision draw comes from a stateless counter-based
-// stream keyed by
+// completion roll) do not draw from a shared store RNG, whose sequence would
+// depend on which other entities the local store happens to hold. Every
+// decision draw comes from a stateless counter-based stream keyed by
 //
 //	world.RegionSeed(world seed, mob's chunk column) ⊕ spawn identity ⊕ tick
 //
-// and advanced by draw index within the mob's tick. A draw is a pure
-// function of simulation state, so its value does not depend on worker
-// count, scheduling, or whether the tick ran on the serial loop or a pool
-// worker — pool workers draw in place, and the serial replay pass is
-// gone. The chunk key makes the streams per-region in the spatial sense
-// (the chunk column is the finest region unit; RegionSeed is the same
-// derivation the terrain engine's region contexts use), so neighbouring
-// mobs' streams stay uncorrelated and a mob's stream changes deterministically
-// as it crosses chunk borders.
+// and advanced by draw index within the mob's tick. The chunk key makes the
+// streams per-region in the spatial sense (RegionSeed is the same derivation
+// the terrain engine's region contexts use), so neighbouring mobs' streams
+// stay uncorrelated and a mob's stream changes deterministically as it
+// crosses chunk borders.
 //
-// The spawn-identity component (Entity.seedKey) extends the contract to
-// shard-layout independence: it is derived from the spawn position and tick
-// — not the store-local ID, which depends on how many entities the local
-// store allocated before this one — so a shard simulating a subset of the
-// world draws the same values the single-shard run draws for the same
-// entity, and a handed-off entity keeps its stream across the boundary.
+// The spawn-identity component (Entity.seedKey) is derived from the spawn
+// position and tick — not the store-local ID, which depends on how many
+// entities the local store allocated before this one — so a shard
+// simulating a subset of the world draws the same values the single-shard
+// run draws for the same entity, and a handed-off entity keeps its stream
+// across the boundary.
 //
-// The store RNG still exists — natural-spawn placement stays on it, consumed
-// only in the serial phases around the per-entity loop (and disabled in
-// shard mode); its state still round-trips through snapshots, so the save
-// format is unchanged. Item spawn velocities moved to a position/tick-keyed
-// stream for the same shard-independence reason.
+// The store RNG still exists — natural-spawn placement stays on it (and is
+// disabled in shard mode); its state round-trips through snapshots. Item
+// spawn velocities draw from a position/tick-keyed stream for the same
+// shard-independence reason.
 
 // decisionStream is one mob-tick's decision stream. It is seeded lazily on
 // the first draw (most mob ticks — path following, cooldown waits — draw
@@ -56,8 +45,7 @@ type decisionStream struct {
 
 // decisionStreamFor returns the stream for one mob tick. The key uses
 // e.chunk — the spatial-index bucket at tick start — which is stable for
-// the whole tick on both schedules: the serial loop rebuckets only after
-// the kind switch, and pool workers buffer rebuckets for the merge.
+// the whole mob tick: tickEntity rebuckets only after the kind switch.
 func (ew *World) decisionStreamFor(e *Entity) decisionStream {
 	return decisionStream{ew: ew, e: e}
 }

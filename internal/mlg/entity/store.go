@@ -2,7 +2,6 @@ package entity
 
 import (
 	"math/rand"
-	"runtime"
 
 	"repro/internal/mlg/mrand"
 	"repro/internal/mlg/world"
@@ -37,16 +36,6 @@ type Config struct {
 	// item-merge optimization that keeps TNT storms from flooding the
 	// entity list.
 	ItemMergeCells int
-	// Workers is the number of goroutines ticking contiguous ranges of the
-	// entity list per tick (the same pool discipline and knob as
-	// sim.Config.SimWorkers; the server wires both from one setting). 0 means
-	// GOMAXPROCS; 1 keeps the legacy serial loop. Whatever the value, output
-	// is identical: mob decisions draw from RNG streams that are pure
-	// functions of simulation state (see rng.go), and the few entity ticks a
-	// worker cannot complete — ones needing mid-loop terrain generation — are
-	// rolled back and re-ticked serially in ID order (see parallel.go), so
-	// every worker count produces the same world.
-	Workers int
 }
 
 // DefaultConfig returns vanilla-like entity settings.
@@ -88,6 +77,34 @@ type Counters struct {
 	Moved int
 }
 
+// Add returns the component-wise sum of c and o.
+func (c Counters) Add(o Counters) Counters {
+	return Counters{
+		MobTicks:      c.MobTicks + o.MobTicks,
+		ItemTicks:     c.ItemTicks + o.ItemTicks,
+		TNTTicks:      c.TNTTicks + o.TNTTicks,
+		InactiveSkips: c.InactiveSkips + o.InactiveSkips,
+		PathNodes:     c.PathNodes + o.PathNodes,
+		Repaths:       c.Repaths + o.Repaths,
+		Collisions:    c.Collisions + o.Collisions,
+		SpawnAttempts: c.SpawnAttempts + o.SpawnAttempts,
+		Spawns:        c.Spawns + o.Spawns,
+		Despawns:      c.Despawns + o.Despawns,
+		Moved:         c.Moved + o.Moved,
+	}
+}
+
+// ParallelStats is the retired scheduling attribution of the entity tick.
+// Both counters are always 0 since the entity tick is serial; they remain
+// only because benchmark/ reads them.
+type ParallelStats struct {
+	ParallelTicks int64
+	FallbackTicks int64
+}
+
+// ParallelStats returns the zero attribution; see the type.
+func (ew *World) ParallelStats() ParallelStats { return ParallelStats{} }
+
 // World is the entity store and simulator for one game world. It implements
 // sim.EntityOps so terrain rules can spawn and consume entities.
 type World struct {
@@ -105,8 +122,7 @@ type World struct {
 	cfg Config
 	// seed is the world seed the per-region decision streams derive from
 	// (world.RegionSeed; see rng.go). The store rng above is seeded from the
-	// same value but serves only the serial phases (spawn velocities,
-	// natural-spawn placement).
+	// same value but serves only natural-spawn placement.
 	seed int64
 
 	list   []*Entity
@@ -135,35 +151,11 @@ type World struct {
 	itemCells  map[world.Pos]int64
 	cellsStale bool
 
-	// explosionsDue collects TNT detonations for the server to route to the
-	// terrain engine after the entity phase. exBuf is the tick's ID-keyed
-	// staging buffer: every schedule (serial loop, unit merge, re-tick
-	// pass) appends there, and flushExplosions emits to explosionsDue in
-	// entity-ID order at the end of the tick.
+	// explosionsDue collects TNT detonations, in entity-ID order, for the
+	// server to route to the terrain engine after the entity phase.
 	explosionsDue []world.Pos
-	exBuf         []entExplosion
 
 	counters Counters
-
-	// root is the store's own tick-execution context: the serial loop, the
-	// escaped-entity re-tick pass and the impulse fallback all run through
-	// it, reading the fields above exactly as the pre-region-split store did.
-	root tickCtx
-	// workers is the resolved Workers value (0 → GOMAXPROCS at creation).
-	workers int
-
-	// Parallel-schedule scratch, reused across ticks (see parallel.go).
-	units           []*entUnit
-	retickScratch   []*Entity
-	impulseScratch  map[world.ChunkPos]int32
-	impulseCenters  [][]world.Pos
-	impulseCounters []Counters
-
-	// Parallel-schedule attribution (see ParallelStats).
-	lastRegions   int
-	lastParallel  bool
-	parallelTicks int64
-	fallbackTicks int64
 }
 
 // NewWorld creates an entity world bound to the terrain, seeded
@@ -184,11 +176,6 @@ func NewWorld(w *world.World, cfg Config, seed int64) *World {
 		chunkVersion: make(map[world.ChunkPos]uint64),
 		itemCells:    make(map[world.Pos]int64),
 	}
-	ew.workers = cfg.Workers
-	if ew.workers <= 0 {
-		ew.workers = runtime.GOMAXPROCS(0)
-	}
-	ew.root = tickCtx{ew: ew, wc: &ew.wc, counters: &ew.counters}
 	w.OnChange(func(p world.Pos, old, new world.Block) {
 		ew.chunkVersion[world.ChunkPosAt(p)]++
 	})
@@ -324,15 +311,7 @@ func (ew *World) DrainExplosions() []world.Pos {
 // ApplyExplosionImpulse applies blast effects to entities around a
 // detonation: items near the centre are destroyed, everything else in range
 // is knocked away. This is the entity-collision side of the TNT workload.
-// For a tick's whole detonation batch, ApplyExplosionImpulses runs these
-// scans in parallel groups.
 func (ew *World) ApplyExplosionImpulse(center world.Pos, radius float64) {
-	ew.applyImpulse(center, radius, &ew.counters)
-}
-
-// applyImpulse is the shared impulse scan, writing collision counts to the
-// given counters so regioned batches can account per group and merge.
-func (ew *World) applyImpulse(center world.Pos, radius float64, counters *Counters) {
 	c := Center(center)
 	ew.forEachNear(c, radius, func(e *Entity) {
 		if e.Dead {
@@ -342,7 +321,7 @@ func (ew *World) applyImpulse(center world.Pos, radius float64, counters *Counte
 		if d > radius {
 			return
 		}
-		counters.Collisions++
+		ew.counters.Collisions++
 		if e.Kind == Item && d < radius/2 {
 			e.Dead = true
 			return
@@ -356,19 +335,22 @@ func (ew *World) applyImpulse(center world.Pos, radius float64, counters *Counte
 	})
 }
 
+// ApplyExplosionImpulses applies blast impulses for a whole detonation
+// batch, center by center in batch order: two blasts in reach of one entity
+// hit it in that order.
+func (ew *World) ApplyExplosionImpulses(centers []world.Pos, radius float64) {
+	for _, c := range centers {
+		ew.ApplyExplosionImpulse(c, radius)
+	}
+}
+
 // Tick advances every entity one game tick. players gives current player
 // positions (for activation ranges, AI targets, and natural spawning). The
 // returned counters describe the tick's entity work.
 //
-// The per-entity loop — AI, physics, collision, the tick's hot path — runs
-// on the SimWorkers pool over contiguous ranges of the entity list when the
-// population is large enough to pay for the handoff (see parallel.go);
-// otherwise it runs the legacy serial loop. The output is identical under
-// every worker count: mob decisions draw from streams that do not depend on
-// schedule, and the rare entity tick a worker cannot complete is re-ticked
-// serially in ID order. The phases around the loop (activation
-// marking, natural spawning, compaction) consume the store RNG in global
-// order and stay serial.
+// Entities tick one after another in ID order, so the entity loop needs no
+// determinism contract of its own: detonations, index rebuckets and lazy
+// terrain generation happen in the one order every run repeats.
 func (ew *World) Tick(players []Vec3) Counters {
 	// Counters are NOT reset here: spawns requested by the terrain phase
 	// (which runs before the entity phase within a server tick) must be
@@ -378,12 +360,9 @@ func (ew *World) Tick(players []Vec3) Counters {
 	ew.grid = newPlayerGrid(players)
 	ew.markActive(players)
 
-	if !ew.tryParallelTick() {
-		for _, e := range ew.list {
-			ew.root.tickEntity(e)
-		}
+	for _, e := range ew.list {
+		ew.tickEntity(e)
 	}
-	ew.flushExplosions()
 
 	if ew.cfg.NaturalSpawning && len(players) > 0 {
 		ew.naturalSpawns(players)
@@ -394,70 +373,41 @@ func (ew *World) Tick(players []Vec3) Counters {
 	return out
 }
 
-// tickEntity advances one entity through its game tick on the given context:
-// ageing, activation throttling, the kind switch, and movement bookkeeping.
-// This is the one copy of the per-entity tick body; the serial loop runs it
-// on the root context and pool workers on unit contexts, so the two paths
-// cannot drift apart.
-func (c *tickCtx) tickEntity(e *Entity) {
+// tickEntity advances one entity through its game tick: ageing, activation
+// throttling, the kind switch, and movement bookkeeping.
+func (ew *World) tickEntity(e *Entity) {
 	if e.Dead {
 		return
 	}
 	e.Age++
-	if c.ew.throttled(e) {
-		c.counters.InactiveSkips++
+	if ew.throttled(e) {
+		ew.counters.InactiveSkips++
 		return
 	}
 	before := e.Pos.BlockPos()
 	switch e.Kind {
 	case Mob:
-		c.counters.MobTicks++
-		c.tickMob(e)
+		ew.counters.MobTicks++
+		ew.tickMob(e)
 	case Item:
-		c.counters.ItemTicks++
-		c.tickItem(e)
+		ew.counters.ItemTicks++
+		ew.stepPhysics(e)
 	case PrimedTNT:
-		c.counters.TNTTicks++
+		ew.counters.TNTTicks++
 		e.Fuse--
-		c.stepPhysics(e)
-		if u := c.unit; u != nil && u.escaped {
-			// Escaped mid-physics: leave the fuse decision to the re-tick
-			// so the detonation buffers exactly once.
-			return
-		}
+		ew.stepPhysics(e)
 		if e.Fuse <= 0 {
 			e.Dead = true
-			// Buffered with the entity ID on every schedule; flushExplosions
-			// emits the tick's batch in serial (ID) order.
-			if u := c.unit; u != nil {
-				u.explosions = append(u.explosions, entExplosion{id: e.ID, pos: e.Pos.BlockPos()})
-			} else {
-				c.ew.exBuf = append(c.ew.exBuf, entExplosion{id: e.ID, pos: e.Pos.BlockPos()})
-			}
+			ew.explosionsDue = append(ew.explosionsDue, e.Pos.BlockPos())
 		}
-	}
-	if u := c.unit; u != nil && u.escaped {
-		return
 	}
 	if !e.Dead {
 		if after := e.Pos.BlockPos(); after != before {
-			c.counters.Moved++
-			nc := world.ChunkPosAt(after)
-			if u := c.unit; u != nil {
-				// Rebuckets are buffered and applied at the serial merge:
-				// bucket contents stay frozen for the whole worker phase, and
-				// bucket insertion is ID-sorted, so application order is
-				// immaterial.
-				if nc != e.chunk {
-					u.moves = append(u.moves, entMove{e: e, to: nc})
-				}
-				u.chunkMoved[nc]++
-			} else {
-				if nc != e.chunk {
-					c.ew.index.move(e, nc)
-				}
-				c.ew.noteMoved(e.chunk)
+			ew.counters.Moved++
+			if nc := world.ChunkPosAt(after); nc != e.chunk {
+				ew.index.move(e, nc)
 			}
+			ew.noteMoved(e.chunk)
 		}
 	}
 }
@@ -484,11 +434,8 @@ func (ew *World) markActive(players []Vec3) {
 
 // throttled implements the PaperMC activation-range optimization: entities
 // far from every player tick once in four. It reads the entity's
-// already-incremented Age; throttledAt is the shared predicate, also used by
-// the parallel scheduler to pre-classify entities without mutating them.
-func (ew *World) throttled(e *Entity) bool { return ew.throttledAt(e, e.Age) }
-
-func (ew *World) throttledAt(e *Entity, age int) bool {
+// already-incremented Age.
+func (ew *World) throttled(e *Entity) bool {
 	if ew.cfg.ActivationRange <= 0 || e.Kind == PrimedTNT {
 		return false
 	}
@@ -498,7 +445,7 @@ func (ew *World) throttledAt(e *Entity, age int) bool {
 	// The 1-in-4 schedule is phase-shifted per entity so throttled mobs do
 	// not bunch onto the same tick. The phase keys on the spawn identity,
 	// not the store-local ID, so it survives shard handoffs.
-	return (age+int(e.seedKey&3))%4 != 0
+	return (e.Age+int(e.seedKey&3))%4 != 0
 }
 
 // compact removes dead and expired entities. Mobs that die drop loot (the

@@ -121,7 +121,24 @@ func TestRestoreReplayMatrix(t *testing.T) {
 				// Snapshots written up to PR 13 carry the state of an engine RNG
 				// no rule drew from where this codec writes a zero word.
 				t.Run("full-nonzero-rng-word", func(t *testing.T) {
-					old := withSimRNGWord(full, 0x9e3779b97f4a7c15)
+					old := withSection(full, persist.SectionSim, func(p []byte) {
+						binary.BigEndian.PutUint64(p[8:], 0x9e3779b97f4a7c15)
+					})
+					replayFrom(t, tc.k, workers, &persist.Resolved{Tick: old.Tick, Full: old},
+						recs, tc.total, &refFinal, false)
+				})
+				// Snapshots written before the entity tick became serial carry
+				// its schedule attribution (unit count, parallel flag, parallel
+				// and fallback tick counts) in the entity section's last 29
+				// bytes, where this codec writes zeros.
+				t.Run("full-nonzero-entity-schedule-words", func(t *testing.T) {
+					old := withSection(full, persist.SectionEntities, func(p []byte) {
+						tail := p[len(p)-29:]
+						binary.BigEndian.PutUint32(tail, 8)
+						tail[4] = 1
+						binary.BigEndian.PutUint64(tail[5:], 77)
+						binary.BigEndian.PutUint64(tail[13:], 3)
+					})
 					replayFrom(t, tc.k, workers, &persist.Resolved{Tick: old.Tick, Full: old},
 						recs, tc.total, &refFinal, false)
 				})
@@ -135,15 +152,15 @@ func TestRestoreReplayMatrix(t *testing.T) {
 	}
 }
 
-// withSimRNGWord returns a copy of snap whose sim section holds v in the word
-// after the tick number.
-func withSimRNGWord(snap *persist.Snapshot, v uint64) *persist.Snapshot {
+// withSection returns a copy of snap whose section id payload has been
+// rewritten in place by patch.
+func withSection(snap *persist.Snapshot, id uint32, patch func(payload []byte)) *persist.Snapshot {
 	cp := *snap
 	cp.Sections = append([]persist.Section(nil), snap.Sections...)
 	for i := range cp.Sections {
-		if cp.Sections[i].ID == persist.SectionSim {
+		if cp.Sections[i].ID == id {
 			payload := append([]byte(nil), cp.Sections[i].Payload...)
-			binary.BigEndian.PutUint64(payload[8:], v)
+			patch(payload)
 			cp.Sections[i].Payload = payload
 		}
 	}

@@ -103,14 +103,13 @@ func TestParallelTickConcurrentAccessRace(t *testing.T) {
 	}
 }
 
-// TestParallelEntityTickConcurrentJoinRace is the entity-phase counterpart:
-// while a SimWorkers=4 server runs a two-cluster TNT storm — region-parallel
-// entity ticks inside the world-exclusive phase — other goroutines join and
-// leave (world generation, spawn probes, player-map mutation), read terrain
-// into the crater area, and poll server stats. Under -race this guards the
-// entity workers' lock-free terrain reads off the frozen chunk index and the
-// store's buffered side-effect merge.
-func TestParallelEntityTickConcurrentJoinRace(t *testing.T) {
+// TestTNTStormConcurrentJoinRace is the explosion-cascade counterpart:
+// while a SimWorkers=4 server runs a two-cluster TNT storm — storm-sized
+// entity ticks and blast merges — other goroutines join and leave (world
+// generation, spawn probes, player-map mutation), read terrain into the
+// crater area, and poll server stats. Under -race this guards the entity
+// store's cached terrain reads against concurrent chunk generation.
+func TestTNTStormConcurrentJoinRace(t *testing.T) {
 	w := workload.NewWorld(workload.TNT, world.PaperControlSeed)
 	cfg := server.DefaultConfig(server.Vanilla)
 	cfg.Sim.Seed = 7
@@ -118,7 +117,7 @@ func TestParallelEntityTickConcurrentJoinRace(t *testing.T) {
 	m := env.NewMachine(env.DAS5SixteenCore, 1)
 	s := server.New(w, cfg, m, env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)))
 	spec := workload.TNT.DefaultSpec()
-	spec.Scale = 2 // two cuboids: two storms of entities for the work units to split
+	spec.Scale = 2 // two cuboids: two storms of entities
 	spec.IgniteAfterTicks = 2
 	if err := workload.Install(s, spec); err != nil {
 		t.Fatal(err)
@@ -167,16 +166,12 @@ func TestParallelEntityTickConcurrentJoinRace(t *testing.T) {
 		}
 	}()
 
-	entParallelSeen := false
 	for i := 0; i < 15; i++ {
-		if rec := s.Tick(); rec.EntParallel {
-			entParallelSeen = true
-		}
+		s.Tick()
 	}
 	close(stop)
 	wg.Wait()
-	if !entParallelSeen {
-		t.Fatalf("stress run never ticked entities in parallel: %+v",
-			s.EntityWorld().ParallelStats())
+	if n := s.EntityWorld().Count(); n < 400 {
+		t.Fatalf("stress run ended with %d entities, want a storm of >= 400", n)
 	}
 }

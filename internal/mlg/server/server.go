@@ -69,13 +69,11 @@ func DefaultNetConfig() NetConfig {
 type SimConfig struct {
 	// Seed seeds the simulation RNGs.
 	Seed int64
-	// Workers is the per-tick simulation parallelism of both
-	// world-exclusive phases — the terrain drain (sim.Config.SimWorkers) and
-	// the entity tick (entity.Config.Workers) share the knob and the worker
-	// pool: 0 means GOMAXPROCS, 1 forces the legacy serial paths (the
-	// differential-testing baseline). Simulation output is worker-count
-	// independent — any value produces identical results (per-region
-	// decision streams; see internal/mlg/entity).
+	// Workers is the parallelism of the terrain drain
+	// (sim.Config.SimWorkers): 0 means GOMAXPROCS, 1 forces the serial drain
+	// (the differential-testing baseline). Simulation output is worker-count
+	// independent — any value produces identical results. The entity tick is
+	// always serial.
 	Workers int
 	// Costs is the operation cost model used for virtual-time accounting.
 	Costs CostModel
@@ -240,12 +238,11 @@ type TickRecord struct {
 	// SimRegions and SimParallel attribute the tick's terrain-drain
 	// schedule: how many independent regions the update queues partitioned
 	// into, and whether the drains actually ran on the worker pool (false =
-	// serial path or rolled-back parallel attempt). EntRegions and
-	// EntParallel attribute the entity phase: how many work units
-	// (contiguous ID ranges) the entity list was cut into, and whether the
-	// loop ran on the pool.
+	// serial path or rolled-back parallel attempt).
 	SimRegions  int
 	SimParallel bool
+	// EntRegions and EntParallel are always 0 since the entity tick is
+	// serial; read only by benchmark/.
 	EntRegions  int
 	EntParallel bool
 	// NetDrops, NetKeyframes and NetQueuedBytes instrument the async
@@ -420,7 +417,6 @@ func New(w *world.World, cfg Config, machine *env.Machine, clock env.Clock) *Ser
 		deliverHook:   cfg.Hooks.EntityDelivery,
 	}
 	entCfg := cfg.Flavor.EntityConfig()
-	entCfg.Workers = cfg.Sim.Workers
 	simCfg := cfg.Flavor.SimConfig()
 	simCfg.SimWorkers = cfg.Sim.Workers
 	if cfg.Shard.Sharded() {
@@ -690,11 +686,9 @@ func (s *Server) Tick() TickRecord {
 	counts.ent = s.ents.Tick(positions)
 
 	// Phase 3b: route TNT detonations back into the terrain engine and
-	// apply blast impulses to nearby entities. The impulse scans run on the
-	// same regioned schedule as the entity tick when the batch partitions
-	// (their collision counts accumulate into the store's counters and are
-	// attributed to the next tick, exactly as the serial per-center loop
-	// always did).
+	// apply blast impulses to nearby entities, center by center in batch
+	// order. Their collision counts accumulate into the store's counters and
+	// are attributed to the next tick.
 	if centers := s.ents.DrainExplosions(); len(centers) > 0 {
 		_, delta := s.engine.MergedExplosions(centers, sim.ExplosionRadius)
 		counts.sim = counts.sim.Add(delta)
@@ -720,14 +714,12 @@ func (s *Server) Tick() TickRecord {
 	}
 	waitBefore := dur/100 + 100*time.Microsecond
 
-	// Advance past the busy time; then wait out the remainder of the tick
-	// budget, if any.
-	s.clock.Sleep(waitBefore + dur)
-	var waitAfter time.Duration
-	if busy := waitBefore + dur; busy < TickBudget {
-		waitAfter = TickBudget - busy
-		s.clock.Sleep(waitAfter)
-	}
+	// One sleep to the next tick start: the busy time, or the whole budget
+	// if the tick finished early. Measured from start on the server's
+	// clock, so a wall clock does not sleep the work it already spent.
+	period := max(waitBefore+dur, TickBudget)
+	waitAfter := period - (waitBefore + dur)
+	s.clock.Sleep(start.Add(period).Sub(s.clock.Now()))
 
 	// Chat round trips processed on the tick path become visible when the
 	// tick's output flush happens.
@@ -768,7 +760,6 @@ func (s *Server) Tick() TickRecord {
 	s.fig11.WaitAfterUS += float64(waitAfter) / float64(time.Microsecond)
 
 	ps := s.engine.ParallelStats()
-	es := s.ents.ParallelStats()
 	rec := TickRecord{
 		Tick:        s.tick,
 		Start:       start,
@@ -784,8 +775,6 @@ func (s *Server) Tick() TickRecord {
 		Ent:         counts.ent,
 		SimRegions:  ps.LastRegions,
 		SimParallel: ps.LastParallel,
-		EntRegions:  es.LastRegions,
-		EntParallel: es.LastParallel,
 
 		NetDrops:       counts.netDrops,
 		NetKeyframes:   counts.netKeyframes,

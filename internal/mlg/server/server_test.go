@@ -361,6 +361,38 @@ func TestWallClockModeMeasuresRealTime(t *testing.T) {
 	}
 }
 
+// TestWallClockOverloadedTickPeriod holds each tick for 80 ms inside the
+// tick (a delivery hook fired by a fresh item spawn). An overloaded tick
+// must start the next one right away: a period of about 80 ms, not the
+// work slept a second time (about 160 ms).
+func TestWallClockOverloadedTickPeriod(t *testing.T) {
+	const work = 80 * time.Millisecond
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	cfg := DefaultConfig(Vanilla)
+	hold := false
+	cfg.Hooks.EntityDelivery = func(int64, world.ChunkPos) {
+		if hold {
+			hold = false
+			time.Sleep(work)
+		}
+	}
+	s := New(w, cfg, nil, env.RealClock{})
+	s.Connect("alice")
+	const ticks = 3
+	start := time.Now()
+	for i := 0; i < ticks; i++ {
+		s.EntityWorld().SpawnItem(world.Pos{X: 8, Y: 30, Z: 8}, world.Gravel)
+		hold = true
+		s.Tick()
+		if hold {
+			t.Fatal("the delivery hook did not run inside the tick")
+		}
+	}
+	if period := time.Since(start) / ticks; period < work || period > work*3/2 {
+		t.Fatalf("overloaded tick period %v, want about %v", period, work)
+	}
+}
+
 func TestRealTCPSession(t *testing.T) {
 	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
 	cfg := DefaultConfig(Vanilla)

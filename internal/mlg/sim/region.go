@@ -90,7 +90,7 @@ func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit,
 		}
 	}
 
-	// Connected components over the dirty set (the shared flood fill).
+	// Connected components over the dirty set.
 	// Component ids follow map iteration order, but components are
 	// canonical, and the final region order is fixed by the key sort below.
 	comps := ps.comps[:0]

@@ -3,12 +3,10 @@ package world
 // LabelComponents labels the connected components of a chunk-position set:
 // two keys connect when their Chebyshev distance is at most link. Every
 // value of set must be unassigned (-1) on entry; on return each key holds
-// its component id, visit (optional) has been called once per key in
-// discovery order, and the component count is returned.
+// its component id, visit has been called once per key in discovery order,
+// and the component count is returned.
 //
-// This is the one flood fill behind the region-parallel schedulers: the
-// terrain engine's dirty-chunk partition and the entity store's
-// blast-impulse grouping both label their sets here, with their own
+// The terrain engine's dirty-chunk partition labels its set here, with its
 // per-component bookkeeping in visit. Component ids depend on map
 // iteration order and are not canonical — callers needing a deterministic
 // order sort by a canonical key (e.g. the minimal member) afterwards.
@@ -27,9 +25,7 @@ func LabelComponents(set map[ChunkPos]int32, link int32, visit func(comp int32, 
 		for len(stack) > 0 {
 			c := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			if visit != nil {
-				visit(comp, c)
-			}
+			visit(comp, c)
 			for dz := -link; dz <= link; dz++ {
 				for dx := -link; dx <= link; dx++ {
 					if dx == 0 && dz == 0 {

@@ -6,11 +6,9 @@ import (
 )
 
 // Parallel runs fn(i) for every i in [0, n) across at most workers
-// goroutines, returning when all calls complete. It is the shared pool of
-// the parallel schedulers: the terrain engine hands it the tick's packed
-// region units and the entity store its ID-range units and blast-impulse
-// groups, so the phases share one worker discipline (atomic work-stealing
-// over a fixed index range) and one configuration knob (SimWorkers).
+// goroutines, returning when all calls complete. The terrain engine hands it
+// the tick's packed region units (atomic work-stealing over a fixed index
+// range, sized by SimWorkers).
 //
 // workers <= 1 or n <= 1 degrades to a plain serial loop on the calling
 // goroutine — no goroutines, no synchronization.

@@ -286,8 +286,8 @@ func Run(sc *Scenario, opts Options) *Result {
 
 // diffRecords compares two tick records for schedule-independent fields and
 // returns "" when equivalent. Start (wall position) and the
-// SimRegions/SimParallel/EntRegions/EntParallel schedule attribution
-// legitimately differ across worker counts and are excluded.
+// SimRegions/SimParallel schedule attribution legitimately differ across
+// worker counts and are excluded.
 func diffRecords(a, b *server.TickRecord) string {
 	switch {
 	case a.Tick != b.Tick:

@@ -72,7 +72,7 @@ type Scenario struct {
 	// Expect, when set, runs after the last step with the full twin set and
 	// returns "" or a failure description — curated scenarios use it to
 	// assert they actually exercised the schedule they target (e.g. that the
-	// parallel twin took the parallel entity path on a churn tick).
+	// parallel twin drained terrain in parallel).
 	Expect func(twins []*Twin) string
 }
 

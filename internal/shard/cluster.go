@@ -172,9 +172,7 @@ func mergeRecords(recs []server.TickRecord) server.TickRecord {
 		m.Sim = m.Sim.Add(r.Sim)
 		m.Ent = m.Ent.Add(r.Ent)
 		m.SimRegions += r.SimRegions
-		m.EntRegions += r.EntRegions
 		m.SimParallel = m.SimParallel || r.SimParallel
-		m.EntParallel = m.EntParallel || r.EntParallel
 		m.NetDrops += r.NetDrops
 		m.NetKeyframes += r.NetKeyframes
 		m.NetQueuedBytes += r.NetQueuedBytes

@@ -4,11 +4,12 @@
 # benchmark with name, ns/op, allocs/op and cpus. Three passes:
 #
 #   1. the full pinned set at -cpu 1 (GOMAXPROCS=1) — the serial per-
-#      workload baselines the time gate protects, plus the workers sweeps
-#      (BenchmarkTickParallel, BenchmarkEntityTickParallel) pinned single-
-#      core so their alloc trajectories stay machine-independent;
-#   2. the two region-parallel sweeps again at -cpu 2,4,8 — the multicore
-#      scaling record for the worker schedulers;
+#      workload baselines the time gate protects, the serial entity tick
+#      (BenchmarkEntityTick), plus the terrain-drain workers sweep
+#      (BenchmarkTickParallel) pinned single-core so its alloc trajectory
+#      stays machine-independent;
+#   2. the region-parallel sweep again at -cpu 2,4,8 — the multicore
+#      scaling record for the drain scheduler;
 #   3. BenchmarkSwarmTail at the host's full parallelism, always one
 #      iteration — a real-TCP swarm run with an injected stalled reader.
 #      Its ns/op is just the fixed wall budget of one run; the interesting
@@ -45,8 +46,8 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-1s}"
 
-full='BenchmarkTick$|BenchmarkTickParallel$|BenchmarkEntityTickParallel$|BenchmarkSendReal$|BenchmarkSerializeChunk$|BenchmarkSnapshotSave$|BenchmarkRestore$'
-sweep='BenchmarkTickParallel$|BenchmarkEntityTickParallel$'
+full='BenchmarkTick$|BenchmarkTickParallel$|BenchmarkEntityTick$|BenchmarkSendReal$|BenchmarkSerializeChunk$|BenchmarkSnapshotSave$|BenchmarkRestore$'
+sweep='BenchmarkTickParallel$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -57,7 +58,7 @@ go test -run '^$' -bench "$full" \
 
 go test -run '^$' -bench "$sweep" \
   -benchmem -benchtime "$benchtime" -cpu 2,4,8 \
-  ./internal/mlg/server ./internal/mlg/entity | tee -a "$raw"
+  ./internal/mlg/server | tee -a "$raw"
 
 # Shard handoff benchmark: the inter-shard entity migration path (departure
 # sweep, packet codec round trip, arrival insert) — the hot cost a sharded
