@@ -45,7 +45,7 @@ func main() {
 	flag.StringVar(&cfg.OutputDir, "out", cfg.OutputDir, "output directory for per-run CSVs")
 	parallel := flag.Int("parallel", 0, "run scheduler workers (0 = GOMAXPROCS, 1 = serial)")
 	flag.IntVar(&cfg.SimWorkers, "simworkers", cfg.SimWorkers,
-		"simulation workers per server, shared by the terrain drains and the entity tick (0 = GOMAXPROCS, 1 = legacy serial; output is identical at any value)")
+		"terrain-drain workers per server (0 = GOMAXPROCS, 1 = serial drain; output is identical at any value)")
 	listEnvs := flag.Bool("list-envs", false, "list environment profiles and exit")
 	flag.Parse()
 

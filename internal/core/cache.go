@@ -1,6 +1,10 @@
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/mlg/world"
+)
 
 // RunCache memoizes benchmark runs keyed on the full RunSpec. Several paper
 // artifacts (Figures 7, 9, 11, Table 8) are different views of the same
@@ -46,7 +50,7 @@ func (c *RunCache) Get(spec RunSpec) RunResult {
 // results in spec order. Duplicate specs in the list execute once.
 func (c *RunCache) GetAll(specs []RunSpec, workers int) []RunResult {
 	out := make([]RunResult, len(specs))
-	forEachIndex(len(specs), Workers(workers), func(i int) {
+	world.Parallel(Workers(workers), len(specs), func(i int) {
 		out[i] = c.Get(specs[i])
 	})
 	return out

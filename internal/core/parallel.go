@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
+
+	"repro/internal/mlg/world"
 )
 
 // runFn executes one run; indirected so tests can exercise the scheduler's
@@ -37,36 +38,6 @@ func Workers(n int) int {
 	return n
 }
 
-// forEachIndex runs fn(0..n-1) across a pool of workers and returns when all
-// calls have completed. With one worker it degenerates to a plain loop.
-func forEachIndex(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // RunParallel executes every spec across a pool of workers and returns the
 // results in spec order, regardless of completion order. Each run is
 // hermetic (own virtual clock, own seeded RNGs), so results are bit-identical
@@ -74,7 +45,7 @@ func forEachIndex(n, workers int, fn func(int)) {
 // panicking run yields a Crashed result rather than killing the process.
 func RunParallel(specs []RunSpec, workers int) []RunResult {
 	out := make([]RunResult, len(specs))
-	forEachIndex(len(specs), Workers(workers), func(i int) {
+	world.Parallel(Workers(workers), len(specs), func(i int) {
 		out[i] = runSafe(specs[i])
 	})
 	return out

@@ -1,6 +1,11 @@
 package entity
 
-import "repro/internal/mlg/world"
+import (
+	"math/bits"
+
+	"repro/internal/mlg/mrand"
+	"repro/internal/mlg/world"
+)
 
 // Per-region decision RNG streams: what makes entity behaviour independent
 // of the shard layout.
@@ -25,10 +30,11 @@ import "repro/internal/mlg/world"
 // run draws for the same entity, and a handed-off entity keeps its stream
 // across the boundary.
 //
-// The store RNG still exists — natural-spawn placement stays on it (and is
-// disabled in shard mode); its state round-trips through snapshots. Item
-// spawn velocities draw from a position/tick-keyed stream for the same
-// shard-independence reason.
+// Every stream here is an mrand.Source, the engine's one splitmix64
+// generator. Item spawn velocities draw from a position/tick-keyed source
+// for the same shard-independence reason. Natural-spawn placement is the one
+// sequential use: it draws from the store's own source, whose state
+// round-trips through snapshots (and which shard mode keeps off).
 
 // decisionStream is one mob-tick's decision stream. It is seeded lazily on
 // the first draw (most mob ticks — path following, cooldown waits — draw
@@ -39,7 +45,7 @@ import "repro/internal/mlg/world"
 type decisionStream struct {
 	ew     *World
 	e      *Entity
-	state  uint64
+	src    mrand.Source
 	seeded bool
 }
 
@@ -50,21 +56,14 @@ func (ew *World) decisionStreamFor(e *Entity) decisionStream {
 	return decisionStream{ew: ew, e: e}
 }
 
-// next advances the stream one draw: splitmix64 over the lazily mixed seed.
-func (d *decisionStream) next() uint64 {
+// Intn returns a draw in [0, n), seeding the stream on the first draw.
+func (d *decisionStream) Intn(n int) int {
 	if !d.seeded {
 		base := uint64(world.RegionSeed(d.ew.seed, d.e.chunk))
-		d.state = mix64(base ^ mix64(d.e.seedKey^rotl(uint64(d.ew.tickNum), 32)))
+		d.src = mrand.New(mrand.Mix(base ^ mrand.Mix(d.e.seedKey^bits.RotateLeft64(uint64(d.ew.tickNum), 32))))
 		d.seeded = true
 	}
-	d.state += 0x9E3779B97F4A7C15
-	return mix64(d.state)
-}
-
-// Intn returns a draw in [0, n). Modulo bias at these tiny ranges (n <= 49)
-// is ~2^-59 — irrelevant for wander goals and cooldowns.
-func (d *decisionStream) Intn(n int) int {
-	return int(d.next() % uint64(n))
+	return d.src.Intn(n)
 }
 
 // spawnSeedKey derives an entity's spawn identity from the world seed and
@@ -73,38 +72,9 @@ func (d *decisionStream) Intn(n int) int {
 // spawns are spawner- or placement-throttled), and items draw no decisions,
 // so a shared key only aligns their throttle phases. Never returns zero.
 func spawnSeedKey(seed int64, p world.Pos, tick int64) uint64 {
-	h := uint64(int64(p.X))*0x9E3779B97F4A7C15 ^
-		rotl(uint64(int64(p.Y)), 21)*0xBF58476D1CE4E5B9 ^
-		rotl(uint64(int64(p.Z)), 42)*0x94D049BB133111EB
-	k := mix64(uint64(seed) ^ h ^ rotl(uint64(tick), 17))
+	k := mrand.Mix(uint64(seed) ^ mrand.PosHash(p.X, p.Y, p.Z) ^ bits.RotateLeft64(uint64(tick), 17))
 	if k == 0 {
 		k = 1
 	}
 	return k
 }
-
-// spawnStream is the position/tick-keyed stream item spawn velocities draw
-// from: one stream per (spawn block, tick), advanced per draw, so spawn
-// velocities are pure functions of simulation state too.
-type spawnStream struct{ state uint64 }
-
-func newSpawnStream(seed int64, p world.Pos, tick int64) spawnStream {
-	return spawnStream{state: spawnSeedKey(seed, p, tick)}
-}
-
-func (s *spawnStream) next() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	return mix64(s.state)
-}
-
-// Float64 returns a draw in [0, 1) with 53 bits of precision.
-func (s *spawnStream) Float64() float64 { return float64(s.next()>>11) / (1 << 53) }
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche over 64 bits.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func rotl(v uint64, k uint) uint64 { return v<<k | v>>(64-k) }

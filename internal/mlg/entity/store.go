@@ -251,7 +251,7 @@ func (ew *World) SpawnPrimedTNT(p world.Pos, fuseTicks int) {
 // spawn block's per-tick stream (rng.go), not the store RNG, so they are
 // identical across shard layouts.
 func (ew *World) SpawnItem(p world.Pos, item world.BlockID) {
-	st := newSpawnStream(ew.seed, p, ew.tickNum)
+	st := mrand.New(spawnSeedKey(ew.seed, p, ew.tickNum))
 	vel := Vec3{X: (st.Float64() - 0.5) * 0.2, Y: 0.2, Z: (st.Float64() - 0.5) * 0.2}
 	if cs := ew.cfg.ItemMergeCells; cs > 0 {
 		cell := world.Pos{X: floorDivInt(p.X, cs), Y: floorDivInt(p.Y, cs), Z: floorDivInt(p.Z, cs)}

@@ -146,11 +146,11 @@ func setupScaledWorkload(b *testing.B, k workload.Kind, scale, simWorkers, playe
 }
 
 // BenchmarkTickParallel is the SimWorkers sweep over the scale>=2 construct
-// workloads — the serial-vs-parallel tick benchmark recorded in
-// BENCH.json. The workers=1 runs are the legacy serial drain; speedup at
-// workers=N requires >= N available cores and >= N construct clusters
-// (regions), so interpret the sweep together with the host's GOMAXPROCS
-// (the -cpu suffix in the raw output).
+// workloads — the serial-vs-parallel tick benchmark. BENCH.json records it
+// at -cpu 1 as an allocation trajectory. The workers=1 runs are the serial
+// drain; speedup at workers=N requires >= N available cores and >= N
+// construct clusters (regions), so interpret a timing sweep together with
+// the host's GOMAXPROCS (the -cpu suffix in the raw output).
 func BenchmarkTickParallel(b *testing.B) {
 	scenarios := []struct {
 		name  string

@@ -197,13 +197,10 @@ type Engine struct {
 	root exec
 
 	// Parallel-schedule scratch, reused across ticks: the partitioner's and
-	// the merge replay's working memory, pooled region shells, and the
-	// cost/unit buffers of the size-aware work packer.
-	part        partitionScratch
-	plan        mergePlan
-	regionPool  []*regionRun
-	costScratch []int
-	unitScratch [][2]int
+	// the merge replay's working memory, and pooled region shells.
+	part       partitionScratch
+	plan       mergePlan
+	regionPool []*regionRun
 
 	// Parallel-schedule attribution (see ParallelStats).
 	lastRegions   int

@@ -263,21 +263,16 @@ func (e *Engine) tryParallelDrains(budget int) bool {
 		return false
 	}
 
-	// Size the fan-out by the work available: regions pack into contiguous
-	// cost-balanced units (cost = the queue entries a region will actually
-	// drain this tick), so many small regions share a few worker handoffs
-	// and a light tick spawns only the goroutines its units need.
-	costs := e.costScratch[:0]
+	// Size the fan-out by the work available: one worker per minUnitUpdates
+	// queue entries the regions will actually drain this tick, so a light
+	// tick starts only the goroutines its work needs.
+	total := 0
 	for _, r := range regions {
-		cost := len(r.pendingQ) + 1
+		total += len(r.pendingQ) + 1
 		if evenTick {
-			cost += len(r.redstoneQ)
+			total += len(r.redstoneQ)
 		}
-		costs = append(costs, cost)
 	}
-	e.costScratch = costs
-	units := world.PackUnits(e.unitScratch[:0], costs, e.workers*unitsPerWorker, minUnitUpdates)
-	e.unitScratch = units
 
 	// Exclusive phase: the world lock is held across the drains, standing
 	// in for the serial drain's per-SetBlock lock acquisitions. External
@@ -285,26 +280,24 @@ func (e *Engine) tryParallelDrains(budget int) bool {
 	// workers never touch the lock (their caches resolve from the frozen
 	// chunk index) and never touch each other's chunks.
 	index := e.w.BeginExclusive()
-	world.Parallel(e.workers, len(units), func(u int) {
-		for idx := units[u][0]; idx < units[u][1]; idx++ {
-			r := regions[idx]
-			r.cache = world.NewFixedChunkCache(index)
-			x := &exec{
-				e:        e,
-				wc:       &r.cache,
-				counters: &r.counters,
-				pending:  &r.pendingQ,
-				redstone: &r.redstoneQ,
-				region:   r,
-			}
-			if e.cfg.RedstoneBatch {
-				if r.wireSeen == nil {
-					r.wireSeen = make(map[world.Pos]int64)
-				}
-				x.wireSeen = r.wireSeen
-			}
-			r.run(x, evenTick)
+	world.Parallel(min(e.workers, max(1, total/minUnitUpdates)), len(regions), func(i int) {
+		r := regions[i]
+		r.cache = world.NewFixedChunkCache(index)
+		x := &exec{
+			e:        e,
+			wc:       &r.cache,
+			counters: &r.counters,
+			pending:  &r.pendingQ,
+			redstone: &r.redstoneQ,
+			region:   r,
 		}
+		if e.cfg.RedstoneBatch {
+			if r.wireSeen == nil {
+				r.wireSeen = make(map[world.Pos]int64)
+			}
+			x.wireSeen = r.wireSeen
+		}
+		r.run(x, evenTick)
 	})
 
 	abort := false

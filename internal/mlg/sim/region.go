@@ -36,15 +36,9 @@ const regionLinkChunks = 3
 // worth the partition + worker handoff cost and the tick drains serially.
 const minParallelUpdates = 32
 
-// minUnitUpdates is the target drained-update count per packed work unit:
-// regions merge into contiguous units until each carries at least this much
-// estimated work, so the parallel fan-out follows the queue volume rather
-// than the region count.
+// minUnitUpdates is the drained-update count that earns one drain worker:
+// the parallel fan-out follows the queue volume rather than the region count.
 const minUnitUpdates = 16
-
-// unitsPerWorker bounds the packed unit count to a few units per worker —
-// slack for the pool's work stealing without per-region handoff overhead.
-const unitsPerWorker = 4
 
 // partitionScratch is the partitioner's working memory, owned by the engine
 // and cleared per use so a steady parallel workload partitions without

@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/mlg/world"
+import (
+	"repro/internal/mlg/mrand"
+	"repro/internal/mlg/world"
+)
 
 // apply dispatches one queued update to the rule for the block currently at
 // the position. This is the "Process Actions / simulation rules applicable"
@@ -202,7 +205,7 @@ func (x *exec) applyFluid(p world.Pos, b world.Block) {
 // "plants and trees change over time, reshaping the nearby terrain"). st is
 // the sampling chunk's per-tick stream; growth rolls draw from it so their
 // values are pure functions of (seed, chunk, tick, draw index).
-func (x *exec) applyGrowth(p world.Pos, b world.Block, st *posStream) {
+func (x *exec) applyGrowth(p world.Pos, b world.Block, st *mrand.Source) {
 	switch b.ID {
 	case world.Wheat:
 		if b.Meta < 7 {

@@ -72,92 +72,6 @@ func TestParallelSerialDegrade(t *testing.T) {
 	}
 }
 
-// TestPackUnitsProperties checks the invariants the schedulers rely on:
-// exact cover of [0, n) in order, non-empty units, the unit count bounded by
-// maxUnits and by n, and sized by total cost / minUnitCost.
-func TestPackUnitsProperties(t *testing.T) {
-	cases := []struct {
-		name                  string
-		costs                 []int
-		maxUnits, minUnitCost int
-		wantUnits             int // 0 = don't pin, check bounds only
-	}{
-		{"empty", nil, 8, 16, 0},
-		{"one small region", []int{3}, 8, 16, 1},
-		{"all tiny pack into one", []int{1, 2, 1, 3, 2, 1}, 8, 16, 1},
-		{"two units worth", []int{10, 10, 10, 5}, 8, 16, 2},
-		{"capped by maxUnits", []int{100, 100, 100, 100, 100, 100}, 2, 16, 2},
-		{"capped by item count", []int{100, 100}, 8, 1, 2},
-		{"zero-cost items", []int{0, 0, 0}, 4, 16, 1},
-		{"big and tiny mix", []int{64, 1, 1, 1, 1, 64}, 8, 16, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			units := PackUnits(nil, tc.costs, tc.maxUnits, tc.minUnitCost)
-			n := len(tc.costs)
-			if n == 0 {
-				if len(units) != 0 {
-					t.Fatalf("empty costs produced units %v", units)
-				}
-				return
-			}
-			if len(units) > tc.maxUnits || len(units) > n {
-				t.Fatalf("%d units exceeds maxUnits=%d or n=%d", len(units), tc.maxUnits, n)
-			}
-			if tc.wantUnits != 0 && len(units) != tc.wantUnits {
-				t.Fatalf("got %d units %v, want %d", len(units), units, tc.wantUnits)
-			}
-			next := 0
-			for _, u := range units {
-				if u[0] != next || u[1] <= u[0] {
-					t.Fatalf("units %v do not cover [0,%d) contiguously with non-empty ranges", units, n)
-				}
-				next = u[1]
-			}
-			if next != n {
-				t.Fatalf("units %v stop at %d, want %d", units, next, n)
-			}
-		})
-	}
-}
-
-// TestPackUnitsBalance: with uniform costs and abundant work, units must be
-// within one item of each other — the greedy fair-share must not starve the
-// tail units.
-func TestPackUnitsBalance(t *testing.T) {
-	costs := make([]int, 64)
-	for i := range costs {
-		costs[i] = 10
-	}
-	units := PackUnits(nil, costs, 8, 16)
-	if len(units) != 8 {
-		t.Fatalf("got %d units, want 8 (total 640 / min 16, capped by maxUnits)", len(units))
-	}
-	for _, u := range units {
-		if size := u[1] - u[0]; size < 7 || size > 9 {
-			t.Fatalf("uniform costs packed unevenly: %v", units)
-		}
-	}
-}
-
-// TestPackUnitsReusesDst: the scratch-buffer contract — results are appended
-// to dst[:0], so a scheduler's per-tick call must not allocate once the
-// buffer has grown.
-func TestPackUnitsReusesDst(t *testing.T) {
-	scratch := make([][2]int, 0, 16)
-	costs := []int{20, 20, 20, 20}
-	units := PackUnits(scratch, costs, 4, 16)
-	if &units[0] != &scratch[:1][0] {
-		t.Fatal("PackUnits did not reuse the provided scratch buffer")
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		scratch = PackUnits(scratch, costs, 4, 16)
-	})
-	if allocs != 0 {
-		t.Fatalf("PackUnits allocates %v per call with a warm scratch buffer", allocs)
-	}
-}
-
 // TestRegionSeedStability pins RegionSeed as a pure function: per-region
 // entity decision streams are seeded from it, so its values are part of the
 // simulation's determinism contract — changing them changes every golden

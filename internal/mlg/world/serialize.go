@@ -1,7 +1,6 @@
 package world
 
 import (
-	"bufio"
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
@@ -11,16 +10,15 @@ import (
 
 // Serialization gives worlds an on-disk form, analogous to Minecraft's
 // region files: a gzip-compressed stream of run-length-encoded chunks. Its
-// purpose here is twofold: workload worlds can be saved/loaded, and the
 // compressed size reproduces the world-size column of Table 2.
 
 const saveMagic = uint32(0x4D4C4757) // "MLGW"
 
-// Save writes the world's loaded chunks to wr in the MLGW format.
+// Save writes the world's loaded chunks to wr in the MLGW format: magic,
+// chunk count, then per chunk its X and Z followed by its AppendRLE runs and
+// a zero-count run terminator, all gzip-compressed. DecodeRLE reads a
+// record's runs back.
 func (w *World) Save(wr io.Writer) error {
-	gz := gzip.NewWriter(wr)
-	bw := bufio.NewWriter(gz)
-
 	w.mu.RLock()
 	chunks := make([]*Chunk, 0, len(w.chunks))
 	for _, c := range w.chunks {
@@ -35,127 +33,21 @@ func (w *World) Save(wr io.Writer) error {
 		return chunks[i].Pos.Z < chunks[j].Pos.Z
 	})
 
-	if err := binary.Write(bw, binary.BigEndian, saveMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, uint32(len(chunks))); err != nil {
+	gz := gzip.NewWriter(wr)
+	buf := binary.BigEndian.AppendUint32(nil, saveMagic)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(chunks)))
+	if _, err := gz.Write(buf); err != nil {
 		return err
 	}
 	for _, c := range chunks {
-		if err := writeChunk(bw, c); err != nil {
+		buf = binary.BigEndian.AppendUint32(buf[:0], uint32(c.Pos.X))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(c.Pos.Z))
+		buf = append(c.AppendRLE(buf), 0, 0)
+		if _, err := gz.Write(buf); err != nil {
 			return err
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
 	}
 	return gz.Close()
-}
-
-func writeChunk(bw *bufio.Writer, c *Chunk) error {
-	if err := binary.Write(bw, binary.BigEndian, c.Pos.X); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.BigEndian, c.Pos.Z); err != nil {
-		return err
-	}
-	// Run-length encode the flat block array: (count uint16, id, meta).
-	i := 0
-	for i < len(c.blocks) {
-		j := i + 1
-		for j < len(c.blocks) && c.blocks[j] == c.blocks[i] && j-i < 0xFFFF {
-			j++
-		}
-		if err := binary.Write(bw, binary.BigEndian, uint16(j-i)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(c.blocks[i].ID)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(c.blocks[i].Meta); err != nil {
-			return err
-		}
-		i = j
-	}
-	// Run terminator.
-	return binary.Write(bw, binary.BigEndian, uint16(0))
-}
-
-// Load reads a world saved with Save. The returned world uses the given
-// generator for chunks beyond the saved set.
-func Load(r io.Reader, gen Generator) (*World, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, fmt.Errorf("world load: %w", err)
-	}
-	defer gz.Close()
-	br := bufio.NewReader(gz)
-
-	var magic uint32
-	if err := binary.Read(br, binary.BigEndian, &magic); err != nil {
-		return nil, fmt.Errorf("world load: %w", err)
-	}
-	if magic != saveMagic {
-		return nil, fmt.Errorf("world load: bad magic %#x", magic)
-	}
-	var n uint32
-	if err := binary.Read(br, binary.BigEndian, &n); err != nil {
-		return nil, fmt.Errorf("world load: %w", err)
-	}
-	w := New(gen)
-	for i := uint32(0); i < n; i++ {
-		c, err := readChunk(br)
-		if err != nil {
-			return nil, fmt.Errorf("world load chunk %d: %w", i, err)
-		}
-		w.chunks[c.Pos] = c
-	}
-	return w, nil
-}
-
-func readChunk(br *bufio.Reader) (*Chunk, error) {
-	var cp ChunkPos
-	if err := binary.Read(br, binary.BigEndian, &cp.X); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.BigEndian, &cp.Z); err != nil {
-		return nil, err
-	}
-	c := NewChunk(cp)
-	idx := 0
-	for {
-		var count uint16
-		if err := binary.Read(br, binary.BigEndian, &count); err != nil {
-			return nil, err
-		}
-		if count == 0 {
-			break
-		}
-		id, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		meta, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		b := Block{ID: BlockID(id), Meta: meta}
-		for k := 0; k < int(count); k++ {
-			if idx >= len(c.blocks) {
-				return nil, fmt.Errorf("run overflows chunk")
-			}
-			c.blocks[idx] = b
-			if !b.IsAir() {
-				c.nonAir++
-			}
-			idx++
-		}
-	}
-	if idx != len(c.blocks) {
-		return nil, fmt.Errorf("chunk underfilled: %d of %d", idx, len(c.blocks))
-	}
-	c.RecomputeAllLight()
-	return c, nil
 }
 
 // DecodeRLE decodes a chunk wire payload produced by Chunk.AppendRLE back

@@ -85,8 +85,8 @@ func CrossRegionTNT() *Scenario {
 
 // PackImbalance runs the Farm workload at Scale 3 — three separated
 // construct clusters of very different sizes once a TNT crater removes part
-// of one — so the sized work-unit packer must balance unequal regions
-// across workers without reordering effects.
+// of one — so the region drain must spread unequal regions across workers
+// without reordering effects.
 func PackImbalance() *Scenario {
 	sc := &Scenario{
 		Name:     "pack-imbalance",

@@ -4,29 +4,22 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/mlg/mrand"
 	"repro/internal/mlg/server"
 	"repro/internal/workload"
 )
 
-// rng is a splitmix64 stream: tiny, fast, and fully determined by its seed,
-// so a scenario is reproduced exactly by re-running Generate with the seed
-// printed on failure.
-type rng struct{ s uint64 }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// rng is a scenario's mrand stream: tiny, fast, and fully determined by its
+// seed, so a scenario is reproduced exactly by re-running Generate with the
+// seed printed on failure.
+type rng struct{ mrand.Source }
 
 // intn returns a value in [0, n).
 func (r *rng) intn(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return int(r.next() % uint64(n))
+	return r.Intn(n)
 }
 
 // pick returns a value in [lo, hi].
@@ -38,7 +31,7 @@ func (r *rng) pick(lo, hi int) int { return lo + r.intn(hi-lo+1) }
 // scenarios — the harness's model-checking loop runs Generate over fresh
 // seeds and replays failures from the printed one.
 func Generate(seed uint64) *Scenario {
-	r := rng{s: seed}
+	r := rng{mrand.New(seed)}
 	kinds := []workload.Kind{workload.Control, workload.Farm, workload.Lag}
 	flavors := server.Flavors()
 
@@ -77,15 +70,15 @@ func Generate(seed uint64) *Scenario {
 			case 2:
 				st = Churn(r.pick(1, 2), r.pick(1, 2), ticks)
 			case 3:
-				st = TeleportStorm(r.next(), r.pick(16, 96), ticks)
+				st = TeleportStorm(r.Uint64(), r.pick(16, 96), ticks)
 			case 4:
 				st = Chase(r.intn(4), r.pick(-4, 4), r.pick(-4, 4), ticks)
 			case 5:
 				st = TNTBurst(r.pick(-24, 24), r.pick(-24, 24), r.pick(1, 2), r.pick(1, 4), ticks)
 			case 6:
-				st = DigStorm(r.next(), r.pick(2, 10), r.pick(4, 24), ticks)
+				st = DigStorm(r.Uint64(), r.pick(2, 10), r.pick(4, 24), ticks)
 			case 7:
-				st = MobWave(r.next(), r.pick(1, 6), r.pick(4, 24), ticks)
+				st = MobWave(r.Uint64(), r.pick(1, 6), r.pick(4, 24), ticks)
 			case 8:
 				// A clean restart at another worker count: see case 9.
 				st = Reconfigure(r.pick(1, 2), ticks)

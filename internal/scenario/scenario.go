@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/env"
 	"repro/internal/mlg/entity"
+	"repro/internal/mlg/mrand"
 	"repro/internal/mlg/persist"
 	"repro/internal/mlg/server"
 	"repro/internal/mlg/world"
@@ -234,7 +235,7 @@ func TeleportStorm(seed uint64, radius, ticks int) Step {
 		Name:  fmt.Sprintf("teleport-storm(r=%d)", radius),
 		Ticks: ticks,
 		Before: func(tw *Twin) {
-			r := rng{s: seed}
+			r := rng{mrand.New(seed)}
 			for _, pid := range tw.players {
 				x := float64(r.intn(2*radius)-radius) + 8.5
 				z := float64(r.intn(2*radius)-radius) + 8.5
@@ -300,7 +301,7 @@ func DigStorm(seed uint64, n, radius, ticks int) Step {
 			if len(tw.players) == 0 {
 				return
 			}
-			r := rng{s: seed}
+			r := rng{mrand.New(seed)}
 			a := tw.anchor(0)
 			pid := tw.players[0]
 			for i := 0; i < n; i++ {
@@ -323,7 +324,7 @@ func MobWave(seed uint64, n, radius, ticks int) Step {
 		Name:  fmt.Sprintf("mob-wave(%d)", n),
 		Ticks: ticks,
 		Before: func(tw *Twin) {
-			r := rng{s: seed}
+			r := rng{mrand.New(seed)}
 			a := tw.anchor(0)
 			for i := 0; i < n; i++ {
 				x := int(a.X) + r.intn(2*radius) - radius

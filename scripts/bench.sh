@@ -1,38 +1,33 @@
 #!/usr/bin/env bash
 # bench.sh — run the tick + network benchmarks and record the perf
 # trajectory into a JSON file (default BENCH.json): one entry per
-# benchmark with name, ns/op, allocs/op and cpus. Three passes:
+# benchmark with name, ns/op, allocs/op and cpus. Two passes:
 #
-#   1. the full pinned set at -cpu 1 (GOMAXPROCS=1) — the serial per-
-#      workload baselines the time gate protects, the serial entity tick
-#      (BenchmarkEntityTick), plus the terrain-drain workers sweep
-#      (BenchmarkTickParallel) pinned single-core so its alloc trajectory
-#      stays machine-independent;
-#   2. the region-parallel sweep again at -cpu 2,4,8 — the multicore
-#      scaling record for the drain scheduler;
-#   3. BenchmarkSwarmTail at the host's full parallelism, always one
-#      iteration — a real-TCP swarm run with an injected stalled reader.
-#      Its ns/op is just the fixed wall budget of one run; the interesting
-#      fields are the extra metrics it reports (p99-tick-ns, isr), recorded
-#      as p99_tick_ns / isr in the JSON. Swarm entries are presence-pinned
-#      but exempt from both perf gates (see bench_compare.sh).
+#   1. the full pinned set at -cpu 1 (GOMAXPROCS=1): the serial per-
+#      workload tick windows, the serial entity tick (BenchmarkEntityTick),
+#      the terrain-drain workers sweep (BenchmarkTickParallel) pinned
+#      single-core so its alloc trajectory stays machine-independent, and
+#      the shard handoff;
+#   2. BenchmarkSwarmTail at -cpu 4, always one iteration — a real-TCP
+#      swarm run with an injected stalled reader. Its ns/op is just the
+#      fixed wall budget of one run; the interesting fields are the extra
+#      metrics it reports (p99-tick-ns, isr), recorded as p99_tick_ns / isr
+#      in the JSON. Swarm entries are presence-pinned but exempt from the
+#      gate (see bench_compare.sh).
 #
 # cpus is parsed from go test's -N GOMAXPROCS name suffix (absent at 1), so
 # it records what the measurement actually ran under — NOT the host's
-# physical core count. On a single-core host the 2/4/8 entries are
-# time-sliced (no real scaling, and that is what gets recorded); real
-# speedups only appear on runners with that many cores.
+# physical core count.
 #
-# BENCH.json is the committed baseline the CI perf gate diffs fresh runs
-# against: scripts/bench_compare.sh keys entries on (name, cpus) and fails
-# the build on >25% calibrated ns/op or any allocs/op regression in the
-# pinned set (see its header for the exact rules — cpus>1 entries are
-# alloc-gated only, Swarm entries are presence-only). Re-record the whole
-# file in the same change as any intentional perf shift (git holds the
-# history) — and ALWAYS with BENCHTIME=1x, the mode CI measures in:
-# multi-iteration runs amortize setup allocations (e.g. BenchmarkSendReal
-# reports ~99 allocs/op at 20x vs ~640 at 1x), so a 1s-recorded baseline
-# makes the 1x alloc gate fail spuriously.
+# BENCH.json is the committed baseline the CI allocation gate diffs fresh
+# runs against: scripts/bench_compare.sh keys entries on (name, cpus) and
+# fails the build on a missing pinned entry or an allocs/op regression (see
+# its header for the exact rules). ns/op is recorded for the record only.
+# Re-record the whole file in the same change as any intentional shift
+# (git holds the history) — and ALWAYS with BENCHTIME=1x, the mode CI
+# measures in: multi-iteration runs amortize setup allocations (e.g.
+# BenchmarkSendReal reports ~99 allocs/op at 20x vs ~640 at 1x), so a
+# 1s-recorded baseline makes the 1x alloc gate fail spuriously.
 #
 #   BENCHTIME=1x scripts/bench.sh                # re-record the gate baseline
 #
@@ -47,7 +42,6 @@ out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-1s}"
 
 full='BenchmarkTick$|BenchmarkTickParallel$|BenchmarkEntityTick$|BenchmarkSendReal$|BenchmarkSerializeChunk$|BenchmarkSnapshotSave$|BenchmarkRestore$'
-sweep='BenchmarkTickParallel$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
@@ -55,10 +49,6 @@ trap 'rm -f "$raw"' EXIT
 go test -run '^$' -bench "$full" \
   -benchmem -benchtime "$benchtime" -cpu 1 \
   ./internal/mlg/server ./internal/mlg/entity | tee "$raw"
-
-go test -run '^$' -bench "$sweep" \
-  -benchmem -benchtime "$benchtime" -cpu 2,4,8 \
-  ./internal/mlg/server | tee -a "$raw"
 
 # Shard handoff benchmark: the inter-shard entity migration path (departure
 # sweep, packet codec round trip, arrival insert) — the hot cost a sharded
