@@ -1,6 +1,6 @@
 // Benchmark harness: one testing.B target per table and figure of the
-// paper's evaluation, plus ablation benches for the design choices DESIGN.md
-// calls out. Each benchmark executes the same code path the cmd/experiments
+// paper's evaluation, plus ablation benches for the engine's design choices.
+// Each benchmark executes the same code path the cmd/experiments
 // reproduction uses, at a reduced virtual duration so `go test -bench=.`
 // stays tractable; cmd/experiments regenerates the full artifacts.
 //
@@ -257,7 +257,7 @@ func BenchmarkRunCache(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches ---
 
 // BenchmarkAblationActivation contrasts the Paper entity-activation range
 // against a Paper variant with it disabled, under mob-heavy load.

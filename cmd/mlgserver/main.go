@@ -116,7 +116,9 @@ func main() {
 	}
 	var s *server.Server
 	var ep *shard.Endpoint
+	ex := telemetry.NewExternalizer() // feeds the periodic stats line
 	cfg.Hooks.AfterTick = func(rec server.TickRecord) {
+		ex.Observe(rec)
 		if ep != nil {
 			if err := ep.Exchange(rec.Tick); err != nil {
 				log.Printf("shard exchange: %v", err)
@@ -192,18 +194,17 @@ func main() {
 		s.Run()
 	}()
 
-	// Periodic operational stats via the metric externalizer.
-	ex := telemetry.NewExternalizer(s)
+	// Periodic operational stats via the metric externalizer: the last
+	// telemetry.Window ticks' mean and p95.
 	go func() {
 		for {
 			time.Sleep(10 * time.Second)
-			trace := ex.TickTraceMS()
-			if len(trace) < 200 {
+			if ex.Ticks() < telemetry.Window {
 				continue
 			}
-			sum := metrics.Summarize(trace[len(trace)-200:])
+			sum := metrics.Summarize(ex.RecentMS())
 			log.Printf("players=%d ticks=%d mean=%.1fms p95=%.1fms overloaded=%d",
-				s.PlayerCount(), len(trace), sum.Mean, sum.P95, ex.OverloadedTicks())
+				s.PlayerCount(), ex.Ticks(), sum.Mean, sum.P95, ex.OverloadedTicks())
 		}
 	}()
 

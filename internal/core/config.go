@@ -25,14 +25,8 @@ func FlavorSeed(name string) int64 {
 }
 
 // Config is Meterstick's user-facing configuration: one field per Table 4
-// parameter. Fields that configure real remote deployments (IPs, SSL keys,
-// ports, JMX) are used by the control-plane path; the virtual-time
-// reproduction path needs only the experiment parameters.
+// experiment parameter.
 type Config struct {
-	// IPs lists the nodes used (Table 4 "IPs"; typical value none).
-	IPs []string
-	// SSLKeys is the authentication key path (Table 4 "SSL Keys").
-	SSLKeys string
 	// Servers lists the MLGs under test ("V, F, P" — Vanilla, Forge,
 	// PaperMC).
 	Servers []string
@@ -40,19 +34,6 @@ type Config struct {
 	World string
 	// OutputDir is where results land (Table 4 "File Locations").
 	OutputDir string
-	// Resume continues a previous experiment (Table 4 "Resume").
-	Resume bool
-	// ControlPort and GamePort are the network configuration (Table 4
-	// "Ports"; typical 25555/25565).
-	ControlPort int
-	GamePort    int
-	// JMXURLs and JMXPorts configure metric collection endpoints.
-	JMXURLs  []string
-	JMXPorts []int
-	// RAMGB is the heap limit handed to the MLG (JVM -Xmx analogue).
-	RAMGB int
-	// Affinity is the CPU affinity mask for the MLG process.
-	Affinity uint64
 	// NumberOfBots is the player count (typical 25).
 	NumberOfBots int
 	// Behavior is the player behaviour ("idle" or "bounded random").
@@ -78,10 +59,6 @@ func DefaultConfig() Config {
 		Servers:      []string{"Minecraft", "Forge", "PaperMC"},
 		World:        "Control",
 		OutputDir:    "results",
-		ControlPort:  25555,
-		GamePort:     25565,
-		RAMGB:        4,
-		Affinity:     0xFFFFFFFF,
 		NumberOfBots: 25,
 		Behavior:     "bounded random",
 		Duration:     60 * time.Second,

@@ -123,7 +123,6 @@ func Run(spec RunSpec) RunResult {
 			break
 		}
 	}
-	s.ResetStats()
 
 	// Short runs pull the TNT ignition forward so the chain reaction fits
 	// inside the measured window.
@@ -197,10 +196,13 @@ func Run(spec RunSpec) RunResult {
 		}
 
 		rec := s.Tick()
+		durMS := float64(rec.Dur) / float64(time.Millisecond)
+		res.TickMS = append(res.TickMS, durMS)
 		res.Series = append(res.Series, TickPoint{
 			AtMS:  float64(tickStart.Sub(runStart)) / float64(time.Millisecond),
-			DurMS: float64(rec.Dur) / float64(time.Millisecond),
+			DurMS: durMS,
 		})
+		res.Fig11.Add(rec)
 
 		// Complete chat probes: echo flush time plus downlink.
 		for _, echo := range s.DrainChatEchoes() {
@@ -221,7 +223,6 @@ func Run(spec RunSpec) RunResult {
 		}
 	}
 
-	res.TickMS = metrics.DurationsToMS(s.TickDurations())
 	res.TickSummary = metrics.Summarize(res.TickMS)
 	res.ISR = metrics.ISR(res.TickMS, metrics.TickBudgetMS,
 		metrics.ExpectedTicks(spec.Duration, server.TickBudget))
@@ -233,7 +234,6 @@ func Run(spec RunSpec) RunResult {
 	res.ResponseMS = responses
 	res.ResponseSummary = metrics.Summarize(responses)
 	res.Net = s.NetTotals()
-	res.Fig11 = s.Fig11()
 	res.FinalEntities = s.EntityWorld().Count()
 	res.ItemsCollected = s.Engine().ItemsCollected
 	res.Throttled = machine.Throttled()

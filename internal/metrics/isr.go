@@ -6,7 +6,7 @@
 // evaluation.
 //
 // All metrics operate on tick-duration traces expressed in milliseconds as
-// float64. Helpers convert from time.Duration slices.
+// float64.
 package metrics
 
 import (
@@ -53,12 +53,6 @@ func ISR(ticks []float64, b float64, expected int) float64 {
 	return isr
 }
 
-// ISRTrace computes ISR for a trace of time.Duration tick durations observed
-// over a run of the given wall-clock length, using the standard 50 ms budget.
-func ISRTrace(ticks []time.Duration, runLength time.Duration) float64 {
-	return ISR(DurationsToMS(ticks), TickBudgetMS, ExpectedTicks(runLength, 50*time.Millisecond))
-}
-
 // ExpectedTicks returns Ne: the number of ticks a run of the given length
 // would contain at the intended tick period b.
 func ExpectedTicks(runLength, b time.Duration) int {
@@ -66,15 +60,6 @@ func ExpectedTicks(runLength, b time.Duration) int {
 		return 0
 	}
 	return int(runLength / b)
-}
-
-// DurationsToMS converts a duration slice to float64 milliseconds.
-func DurationsToMS(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = float64(d) / float64(time.Millisecond)
-	}
-	return out
 }
 
 // ISRModel evaluates the closed-form model from §4.2 of the paper: a trace in

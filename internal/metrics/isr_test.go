@@ -143,21 +143,6 @@ func TestISRDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestISRTraceDurationHelper(t *testing.T) {
-	ticks := make([]time.Duration, 1200)
-	for i := range ticks {
-		ticks[i] = 50 * time.Millisecond
-	}
-	if got := ISRTrace(ticks, time.Minute); got != 0 {
-		t.Fatalf("ISRTrace stable minute = %v, want 0", got)
-	}
-	// One huge spike mid-trace must produce a positive ISR.
-	ticks[600] = 2 * time.Second
-	if got := ISRTrace(ticks, time.Minute); got <= 0 {
-		t.Fatalf("ISRTrace with spike = %v, want > 0", got)
-	}
-}
-
 func TestExpectedTicks(t *testing.T) {
 	if got := ExpectedTicks(time.Minute, 50*time.Millisecond); got != 1200 {
 		t.Fatalf("ExpectedTicks(60s, 50ms) = %d, want 1200", got)

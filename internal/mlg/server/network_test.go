@@ -121,6 +121,61 @@ func TestEntityMoveRelDeltaStream(t *testing.T) {
 	}
 }
 
+// TestSocketChatLeavesNoEcho: a socket client sees its chat in the
+// BroadcastChat fan-out, so the tick that handles it must not also queue a
+// ChatEcho that no driver of a TCP server ever drains.
+func TestSocketChatLeavesNoEcho(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	s := New(w, DefaultConfig(Vanilla), nil, env.RealClock{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer func() { s.Stop(); ln.Close() }()
+
+	conn, err := protocol.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.WritePacket(&protocol.Handshake{Version: protocol.ProtocolVersion})
+	conn.WritePacket(&protocol.Login{Name: "chat-bot"})
+	if _, _, err := conn.ReadPacket(); err != nil { // LoginSuccess
+		t.Fatal(err)
+	}
+	echoed := make(chan struct{})
+	go func() {
+		for {
+			pkt, _, err := conn.ReadPacket()
+			if err != nil {
+				return
+			}
+			if _, ok := pkt.(*protocol.Chat); ok {
+				close(echoed)
+				return
+			}
+		}
+	}()
+	conn.WritePacket(&protocol.Chat{Sender: "chat-bot", Text: "probe", SentUnixNano: 1})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.Tick()
+		select {
+		case <-echoed:
+			if got := s.DrainChatEchoes(); len(got) != 0 {
+				t.Fatalf("socket chat left %d echoes nobody drains: %+v", len(got), got)
+			}
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("chat never came back through the broadcast fan-out")
+		}
+	}
+}
+
 // TestStationaryEntitiesSendNothing: an in-view entity that does not move
 // between broadcast rounds must send exactly one full-move baseline and
 // then nothing.

@@ -172,12 +172,10 @@ func (s *Server) restoreServerSection(data []byte, wantTick int64) error {
 	s.order = order
 	s.inbox = inbox
 	s.inboxDue = nil
-	s.records = nil
 	s.chatEchoes = nil
 	s.pendingChat = nil
 	s.crashed = false
 	s.crashReason = ""
-	s.fig11 = Fig11Totals{}
 	s.mu.Unlock()
 	// Restored chunks are new objects with restored (possibly reused)
 	// revision numbers, so the revision-keyed payload cache must drop.

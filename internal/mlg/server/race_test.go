@@ -85,7 +85,7 @@ func TestParallelTickConcurrentAccessRace(t *testing.T) {
 			}
 			s.NetTotals()
 			s.TickNumber()
-			s.Records()
+			s.Outbound()
 			runtime.Gosched()
 		}
 	}()
@@ -161,7 +161,7 @@ func TestTNTStormConcurrentJoinRace(t *testing.T) {
 			w.Block(world.Pos{X: 32 + i%64, Y: 20, Z: 32 + i%64})
 			w.BlockIfLoaded(world.Pos{X: 32 + i%64, Y: 20, Z: 40})
 			s.NetTotals()
-			s.Records()
+			s.Outbound()
 			runtime.Gosched()
 		}
 	}()

@@ -290,6 +290,22 @@ type Fig11Totals struct {
 	WaitAfterUS      float64
 }
 
+// Add folds one tick into the totals. Category microseconds are scaled to
+// the realized busy duration so shares are consistent with the recorded
+// tick times.
+func (f *Fig11Totals) Add(rec TickRecord) {
+	if total := rec.Work.TotalUS(); total > 0 {
+		scale := float64(rec.Dur) / float64(time.Microsecond) / total
+		f.PlayerUS += rec.Work.PlayerUS * scale
+		f.BlockUpdateUS += rec.Work.BlockUpdateUS * scale
+		f.BlockAddRemoveUS += rec.Work.BlockAddRemoveUS * scale
+		f.EntityUS += rec.Work.EntityUS * scale
+		f.OtherUS += rec.Work.OtherUS() * scale
+	}
+	f.WaitBeforeUS += float64(rec.WaitBefore) / float64(time.Microsecond)
+	f.WaitAfterUS += float64(rec.WaitAfter) / float64(time.Microsecond)
+}
+
 // Server is one MLG instance.
 type Server struct {
 	cfg     Config
@@ -342,7 +358,6 @@ type Server struct {
 	realConns atomic.Int32
 
 	tick        int64
-	records     []TickRecord
 	chatEchoes  []ChatEcho
 	pendingChat []ChatEcho // sync-path chats awaiting tick completion
 	crashed     bool
@@ -350,8 +365,7 @@ type Server struct {
 
 	net      NetTotals
 	out      OutboundStats // async outbound peer-fault counters (under mu)
-	fig11    Fig11Totals
-	lastGen  int // world chunks generated at last tick
+	lastGen  int           // world chunks generated at last tick
 	sizes    frameSizes
 	stopOnce sync.Once
 	stopped  chan struct{}
@@ -609,46 +623,6 @@ func (s *Server) noteIdleDisconnect() {
 	s.mu.Unlock()
 }
 
-// Fig11 returns the cumulative per-category busy/wait time split.
-func (s *Server) Fig11() Fig11Totals {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fig11
-}
-
-// ResetStats clears accumulated measurement state (tick records, Figure 11
-// totals, network totals, chat echoes) without touching simulation state.
-// The benchmark runner calls it after world warm-up so settling cascades do
-// not pollute the measured trace.
-func (s *Server) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.records = nil
-	s.chatEchoes = nil
-	s.pendingChat = nil
-	s.net = NetTotals{}
-	s.fig11 = Fig11Totals{}
-	s.out = OutboundStats{}
-}
-
-// Records returns all tick records so far.
-func (s *Server) Records() []TickRecord {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]TickRecord(nil), s.records...)
-}
-
-// TickDurations returns the tick-duration trace.
-func (s *Server) TickDurations() []time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]time.Duration, len(s.records))
-	for i, r := range s.records {
-		out[i] = r.Dur
-	}
-	return out
-}
-
 // TickNumber returns the number of completed ticks.
 func (s *Server) TickNumber() int64 {
 	s.mu.Lock()
@@ -659,7 +633,8 @@ func (s *Server) TickNumber() int64 {
 // Tick runs one full game-loop iteration: drain input queue, player
 // handler, terrain simulation, entities, explosion routing, dissemination,
 // accounting, and the wait for the next scheduled tick start. It returns
-// the tick's record.
+// the tick's record, which Hooks.AfterTick also sees; the server keeps no
+// history of them, so a driver that needs a trace folds the records itself.
 func (s *Server) Tick() TickRecord {
 	start := s.clock.Now()
 	// The increment is fenced by s.mu: concurrent TickNumber readers take
@@ -745,20 +720,6 @@ func (s *Server) Tick() TickRecord {
 		}
 	}
 
-	// Figure 11 accumulation: scale category microseconds to the realized
-	// busy duration so shares are consistent with the recorded tick times.
-	total := work.TotalUS()
-	if total > 0 {
-		scale := float64(dur) / float64(time.Microsecond) / total
-		s.fig11.PlayerUS += work.PlayerUS * scale
-		s.fig11.BlockUpdateUS += work.BlockUpdateUS * scale
-		s.fig11.BlockAddRemoveUS += work.BlockAddRemoveUS * scale
-		s.fig11.EntityUS += work.EntityUS * scale
-		s.fig11.OtherUS += work.OtherUS() * scale
-	}
-	s.fig11.WaitBeforeUS += float64(waitBefore) / float64(time.Microsecond)
-	s.fig11.WaitAfterUS += float64(waitAfter) / float64(time.Microsecond)
-
 	ps := s.engine.ParallelStats()
 	rec := TickRecord{
 		Tick:        s.tick,
@@ -780,7 +741,6 @@ func (s *Server) Tick() TickRecord {
 		NetKeyframes:   counts.netKeyframes,
 		NetQueuedBytes: counts.netQueuedBytes,
 	}
-	s.records = append(s.records, rec)
 	s.mu.Unlock()
 
 	// Tick tail: the after-tick hook and the snapshot cadence point run here
@@ -878,26 +838,27 @@ func (s *Server) handlePacket(in inbound, counts *tickCounts) {
 		}
 	case *protocol.Chat:
 		// Socket-backed players receive the chat fan-out immediately after
-		// handling (the virtual path accounts it without materializing).
+		// handling (the virtual path accounts it without materializing), so
+		// only virtual players get a ChatEcho: nobody drains a socket
+		// player's.
 		defer s.BroadcastChat(pkt)
+		if !s.cfg.Flavor.AsyncChat {
+			counts.chats++
+		}
+		if p.conn != nil {
+			break
+		}
+		echo := ChatEcho{PlayerID: in.playerID, SentUnixNano: pkt.SentUnixNano}
+		s.mu.Lock()
 		if s.cfg.Flavor.AsyncChat {
 			// Paper: chat never touches the game tick; the echo is ready a
 			// fixed async-processing delay after arrival.
-			delay := time.Duration(s.cfg.Sim.Costs.AsyncChatUS) * time.Microsecond
-			s.mu.Lock()
-			s.chatEchoes = append(s.chatEchoes, ChatEcho{
-				PlayerID: in.playerID, SentUnixNano: pkt.SentUnixNano,
-				ReadyAt: in.arrival.Add(delay),
-			})
-			s.mu.Unlock()
+			echo.ReadyAt = in.arrival.Add(time.Duration(s.cfg.Sim.Costs.AsyncChatUS) * time.Microsecond)
+			s.chatEchoes = append(s.chatEchoes, echo)
 		} else {
-			counts.chats++
-			s.mu.Lock()
-			s.pendingChat = append(s.pendingChat, ChatEcho{
-				PlayerID: in.playerID, SentUnixNano: pkt.SentUnixNano,
-			})
-			s.mu.Unlock()
+			s.pendingChat = append(s.pendingChat, echo)
 		}
+		s.mu.Unlock()
 	case *protocol.KeepAlive:
 		// Client keep-alive echo; nothing to do.
 	}

@@ -285,10 +285,10 @@ func TestNoCrashWithoutPlayers(t *testing.T) {
 func TestFig11TotalsAccumulate(t *testing.T) {
 	s, _ := newTestServer(t, Vanilla)
 	s.Connect("alice")
+	var f Fig11Totals
 	for i := 0; i < 50; i++ {
-		s.Tick()
+		f.Add(s.Tick())
 	}
-	f := s.Fig11()
 	if f.OtherUS <= 0 {
 		t.Error("no Other time accumulated")
 	}
@@ -330,19 +330,19 @@ func TestEntityMessagesDominateCount(t *testing.T) {
 
 func TestRecordsAndTrace(t *testing.T) {
 	s, _ := newTestServer(t, Vanilla)
-	for i := 0; i < 10; i++ {
-		s.Tick()
+	var hooked []TickRecord
+	s.afterTick = func(rec TickRecord) { hooked = append(hooked, rec) }
+	for i := 1; i <= 10; i++ {
+		rec := s.Tick()
+		if rec.Tick != int64(i) || rec.Dur <= 0 {
+			t.Fatalf("tick %d: record %+v", i, rec)
+		}
+		if len(hooked) != i || hooked[i-1] != rec {
+			t.Fatalf("tick %d: AfterTick saw %d records, last differs from Tick's", i, len(hooked))
+		}
 	}
 	if s.TickNumber() != 10 {
 		t.Fatalf("tick number = %d", s.TickNumber())
-	}
-	if len(s.Records()) != 10 || len(s.TickDurations()) != 10 {
-		t.Fatal("records/trace length wrong")
-	}
-	for _, d := range s.TickDurations() {
-		if d <= 0 {
-			t.Fatal("non-positive tick duration")
-		}
 	}
 }
 

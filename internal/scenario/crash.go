@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/mlg/persist"
-	"repro/internal/mlg/server"
 )
 
 // Crash-and-restart steps: the persistence layer under the model checker.
@@ -107,7 +106,7 @@ func (tw *Twin) CrashRestart(mode CrashMode, workers int) error {
 		// Arm the store's fault point and take one more snapshot: the write
 		// tears in flight, leaving a truncated newest file.
 		tw.store.Fault = func(_ string, data []byte) []byte { return data[:len(data)/3] }
-		tw.snap.Snapshot()
+		tw.S.Snapshotter().Snapshot()
 		tw.store.Fault = nil
 	}
 
@@ -127,13 +126,13 @@ func (tw *Twin) CrashRestart(mode CrashMode, workers int) error {
 	// tick. These ticks already happened (they are in tw.Records), so they
 	// are not recorded again; they re-run input-free, which only matches the
 	// original run when the gap ticks had no client inputs — the contract
-	// corruption modes impose on scripts.
+	// corruption modes impose on scripts. The rebuilt server snapshots them
+	// on its own cadence, which rewrites any torn file the restore skipped.
 	for t := res.Tick; t < crashTick; t++ {
 		s.Tick()
 	}
 
 	tw.S, tw.Clock, tw.Workers = s, clock, workers
-	tw.snap = server.NewSnapshotter(s, tw.store, tw.snapCfg)
 	// The rebuilt server inherited the twin's delivery hook through its
 	// construction-time config; drop anything the replay ticks recorded.
 	tw.deliveries = tw.deliveries[:0]

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/env"
 	"repro/internal/mlg/persist"
 	"repro/internal/mlg/server"
 	"repro/internal/workload"
@@ -82,30 +83,28 @@ func TestCrashAllCorruptFailsCleanly(t *testing.T) {
 }
 
 // Corrupting the newest snapshot must actually exercise the fallback path:
-// after the run, the crashed twin's store resolves to a snapshot and the
-// scenario still passes (re-convergence) — and a LoadLatest performed at
-// crash time would have reported exactly one rejected file. We re-run the
-// resolution here on the surviving store contents to pin the mechanism, not
-// just the outcome.
+// the scenario still passes (re-convergence), and a LoadLatest performed at
+// crash time — after the corruption, before the restore — rejects the torn
+// file. The check runs as the replacement server is built, because the
+// replayed gap ticks rewrite that tick's snapshot through the rebuilt
+// server's own persistence, healing the store before the step ends.
 func TestCrashCorruptionFallsBackToOlderSnapshot(t *testing.T) {
 	for _, mode := range []CrashMode{CrashTruncateLatest, CrashBitFlipLatest, CrashMidSnapshot} {
 		t.Run(mode.String(), func(t *testing.T) {
 			sc := crashTestScenario(mode)
 			var rejected int
-			// Observe the fallback at the moment of the crash: LoadLatest on
-			// the damaged store must skip the torn newest file.
 			sc.Steps[2].Before = func(tw *Twin) {
-				orig := Crash(mode, 4).Before
-				orig(tw)
-				if tw.Index == 0 || tw.fail != "" {
-					return
+				if tw.Index > 0 && tw.store != nil {
+					rebuild := tw.rebuild
+					defer func() { tw.rebuild = rebuild }()
+					tw.rebuild = func(n int) (*server.Server, env.Clock) {
+						if res, err := tw.store.LoadLatest(); err == nil {
+							rejected += len(res.Skipped)
+						}
+						return rebuild(n)
+					}
 				}
-				res, err := tw.store.LoadLatest()
-				if err != nil {
-					tw.fail = err.Error()
-					return
-				}
-				rejected += len(res.Skipped)
+				Crash(mode, 4).Before(tw)
 			}
 			res := Run(sc, Options{Workers: []int{1, 2}})
 			if res.Failed {

@@ -97,6 +97,11 @@ func Run(sc *Scenario, opts Options) *Result {
 		cfg.Sim.Seed = sc.Seed
 		cfg.Sim.Workers = n
 		cfg.Net.ClientTimeout = sc.ClientTimeout
+		if tw.store != nil {
+			// Sync: snapshots land on the tick boundary they were taken at,
+			// so a Crash step knows exactly which ticks are on disk.
+			cfg.Persist = server.PersistConfig{Store: tw.store, Every: sc.SnapshotEvery, Sync: true}
+		}
 		cfg.Hooks.EntityDelivery = func(pid int64, c world.ChunkPos) {
 			tw.deliveries = append(tw.deliveries, delivery{player: pid, chunk: c})
 		}
@@ -108,8 +113,6 @@ func Run(sc *Scenario, opts Options) *Result {
 	for i, n := range workers {
 		tw := &Twin{Index: i, Workers: n, allWorkers: workers,
 			prevChunks: map[world.ChunkPos]world.ChunkState{}}
-		tw.S, tw.Clock = mkServer(tw, n)
-		tw.rebuild = func(n int) (*server.Server, env.Clock) { return mkServer(tw, n) }
 		// The reference twin never restarts (CrashRestart), so it takes no
 		// snapshots.
 		if sc.SnapshotEvery > 0 && i > 0 {
@@ -127,11 +130,9 @@ func Run(sc *Scenario, opts Options) *Result {
 				return res
 			}
 			tw.store = st
-			// Sync: snapshots land on the tick boundary they were taken at,
-			// so a Crash step knows exactly which ticks are on disk.
-			tw.snapCfg = server.SnapshotterConfig{Every: sc.SnapshotEvery, Sync: true}
-			tw.snap = server.NewSnapshotter(tw.S, st, tw.snapCfg)
 		}
+		tw.S, tw.Clock = mkServer(tw, n)
+		tw.rebuild = func(n int) (*server.Server, env.Clock) { return mkServer(tw, n) }
 
 		spec := sc.Workload.DefaultSpec()
 		if sc.Scale > 0 {
@@ -173,13 +174,10 @@ func Run(sc *Scenario, opts Options) *Result {
 				recs[i] = tw.S.Tick()
 				tw.Records = append(tw.Records, recs[i])
 				tw.StepOfTick = append(tw.StepOfTick, step)
-				if tw.snap != nil {
-					tw.snap.MaybeSnapshot(recs[i].Tick)
-					if err := tw.snap.Err(); err != nil {
-						res.Failed = true
-						res.Detail = fmt.Sprintf("twin[%d] (workers=%d) snapshot write: %v", i, tw.Workers, err)
-						return false
-					}
+				if sn := tw.S.Snapshotter(); sn != nil && sn.Err() != nil {
+					res.Failed = true
+					res.Detail = fmt.Sprintf("twin[%d] (workers=%d) snapshot write: %v", i, tw.Workers, sn.Err())
+					return false
 				}
 			}
 			tick++

@@ -129,12 +129,11 @@ type Twin struct {
 	deliveries []delivery
 	prevChunks map[world.ChunkPos]world.ChunkState
 
-	// Persistence plumbing, wired when Scenario.SnapshotEvery > 0: the
-	// twin's snapshot directory, its snapshotter, and the constructor Crash
-	// steps use to stand up the replacement server after a simulated crash.
+	// Persistence plumbing: the twin's snapshot directory (set when
+	// Scenario.SnapshotEvery > 0; each server built over it snapshots on that
+	// cadence itself), and the constructor Crash steps use to stand up the
+	// replacement server after a simulated crash.
 	store   *persist.Store
-	snap    *server.Snapshotter
-	snapCfg server.SnapshotterConfig
 	rebuild func(workers int) (*server.Server, env.Clock)
 	fail    string // set by a step that failed inside Before (e.g. Crash)
 }

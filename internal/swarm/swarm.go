@@ -11,6 +11,7 @@ package swarm
 import (
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/bot"
@@ -112,10 +113,13 @@ type Result struct {
 	Probes int             // completed chat probes
 	RTTMS  metrics.Summary // probe response time, milliseconds
 
-	Ticks        int
-	TickMS       metrics.Summary // tick busy duration, milliseconds
-	P99TickMS    float64
-	ISR          float64 // inverse success rate over the measured window
+	Ticks     int
+	TickMS    metrics.Summary // tick busy duration, milliseconds
+	P99TickMS float64
+	// ISR is the Instability Ratio (Equation 1) of the measured window's
+	// start-to-start tick periods.
+	ISR float64
+	// Outbound covers the self-hosted server's whole life, ramp included.
 	Outbound     server.OutboundStats
 	FinalPlayers int
 
@@ -129,10 +133,11 @@ func Run(cfg Config) (Result, error) {
 
 	addr := cfg.Addr
 	var srv *server.Server
+	var win window
 	if addr == "" {
 		var ln net.Listener
 		var err error
-		srv, ln, err = selfHost(cfg)
+		srv, ln, err = selfHost(cfg, win.observe)
 		if err != nil {
 			return res, err
 		}
@@ -168,14 +173,12 @@ func Run(cfg Config) (Result, error) {
 		c.SetReadDelay(cfg.ReadDelay)
 	}
 
-	// Measured window: reset server-side stats so the ramp's join bursts
-	// and settling do not pollute the tail percentiles.
+	// Measured window: the ramp's join bursts and settling stay outside it
+	// so they do not pollute the tail percentiles.
 	if cfg.Settle > 0 {
 		time.Sleep(cfg.Settle)
 	}
-	if srv != nil {
-		srv.ResetStats()
-	}
+	win.setOpen(true)
 	var stallTimer *time.Timer
 	if len(stalled) > 0 {
 		stallTimer = time.AfterFunc(cfg.StallAfter, func() {
@@ -195,6 +198,7 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	time.Sleep(cfg.Duration)
+	win.setOpen(false)
 
 	// Quiesce the churner before touching the client slots it owns.
 	close(churnStop)
@@ -218,30 +222,68 @@ func Run(cfg Config) (Result, error) {
 
 	// Collect server-side measurements (self-hosted only).
 	if srv != nil {
-		recs := srv.Records()
-		durs := make([]time.Duration, 0, len(recs))
-		for _, r := range recs {
-			durs = append(durs, r.Dur)
-		}
-		ms := metrics.DurationsToMS(durs)
-		res.Ticks = len(ms)
-		res.TickMS = metrics.Summarize(ms)
-		res.P99TickMS = metrics.Percentile(ms, 99)
-		res.ISR = metrics.ISRTrace(durs, cfg.Duration)
+		res.Ticks = len(win.busyMS)
+		res.TickMS = metrics.Summarize(win.busyMS)
+		res.P99TickMS = metrics.Percentile(win.busyMS, 99)
+		res.ISR = win.isr(cfg.Duration)
 		res.Outbound = srv.Outbound()
 		res.FinalPlayers = srv.PlayerCount()
 	}
 	return res, nil
 }
 
+// window folds the self-hosted server's tick records over the measured
+// window: observe runs on the tick goroutine (AfterTick), and Run reads the
+// fold once the window is closed.
+type window struct {
+	mu     sync.Mutex
+	open   bool
+	busyMS []float64 // busy Dur per tick
+	starts []time.Time
+}
+
+func (w *window) observe(rec server.TickRecord) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.open {
+		w.busyMS = append(w.busyMS, float64(rec.Dur)/float64(time.Millisecond))
+		w.starts = append(w.starts, rec.Start)
+	}
+}
+
+func (w *window) setOpen(open bool) {
+	w.mu.Lock()
+	w.open = open
+	w.mu.Unlock()
+}
+
+// isr is Equation 1 over the window. Each t_i is the period from one tick
+// start to the next, so a tick stretched past the budget counts with its
+// overrun; Ne is the tick count the window would hold at 20 Hz.
+func (w *window) isr(length time.Duration) float64 {
+	periods := make([]float64, 0, len(w.starts))
+	for i := 1; i < len(w.starts); i++ {
+		periods = append(periods, float64(w.starts[i].Sub(w.starts[i-1]))/float64(time.Millisecond))
+	}
+	return metrics.ISR(periods, metrics.TickBudgetMS, metrics.ExpectedTicks(length, server.TickBudget))
+}
+
 // selfHost starts an in-process server on a loopback listener: a flat world
 // (terrain cost is not what this harness measures), wall-clock ticks, and a
-// mob herd inside the swarm's walk area.
-func selfHost(cfg Config) (*server.Server, net.Listener, error) {
+// mob herd inside the swarm's walk area. observe sees every tick record,
+// after any AfterTick hook cfg.Server set.
+func selfHost(cfg Config, observe func(server.TickRecord)) (*server.Server, net.Listener, error) {
 	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
 	scfg := server.DefaultConfig(server.Vanilla)
 	if cfg.Server != nil {
 		scfg = *cfg.Server
+	}
+	prev := scfg.Hooks.AfterTick
+	scfg.Hooks.AfterTick = func(rec server.TickRecord) {
+		if prev != nil {
+			prev(rec)
+		}
+		observe(rec)
 	}
 	s := server.New(w, scfg, nil, env.RealClock{})
 	for i := 0; i < cfg.Mobs; i++ {

@@ -173,3 +173,29 @@ func TestSwarmRampPacing(t *testing.T) {
 		t.Fatalf("run finished in %v; ramp pacing (2x100ms) + duration (300ms) not honoured", elapsed)
 	}
 }
+
+// The window's ISR is Equation 1 over start-to-start periods, not busy time:
+// ticks that each worked 1 ms but started 50, 100 and 50 ms apart are
+// unstable, and only the records inside the open window count.
+func TestWindowISRUsesPeriods(t *testing.T) {
+	var w window
+	t0 := time.Unix(0, 0)
+	tick := func(atMS int) {
+		w.observe(server.TickRecord{Start: t0.Add(time.Duration(atMS) * time.Millisecond), Dur: time.Millisecond})
+	}
+	tick(-50) // before the window opens
+	w.setOpen(true)
+	for _, at := range []int{0, 50, 150, 200} {
+		tick(at)
+	}
+	w.setOpen(false)
+	tick(250)
+
+	if len(w.busyMS) != 4 || w.busyMS[0] != 1 {
+		t.Fatalf("window holds %v, want four 1 ms ticks", w.busyMS)
+	}
+	// Periods 50, 100, 50 ms: Σ|Δ| = 100 over Ne = 200 ms / 50 ms = 4.
+	if got, want := w.isr(200*time.Millisecond), 100.0/(4*2*50); got != want {
+		t.Fatalf("ISR = %v, want %v", got, want)
+	}
+}

@@ -13,9 +13,9 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/mlg/server"
 )
 
@@ -42,42 +42,69 @@ func Table5() []MetricInfo {
 	}
 }
 
+// Window is how many of the most recent tick durations an Externalizer
+// keeps; everything older survives only in its running counts.
+const Window = 200
+
 // Externalizer reads application-level metrics from a running MLG without
-// touching its internals, via the server's instrumented tick records.
+// touching its internals: it folds the tick records the server emits (feed
+// Observe from the server's AfterTick hook). Its memory does not grow with
+// uptime: running counts plus the last Window durations.
 type Externalizer struct {
-	s *server.Server
+	mu         sync.Mutex
+	ticks      int
+	overloaded int
+	fig11      server.Fig11Totals
+	recent     [Window]time.Duration // ring, indexed by tick count mod Window
 }
 
-// NewExternalizer attaches to a server.
-func NewExternalizer(s *server.Server) *Externalizer { return &Externalizer{s: s} }
+// NewExternalizer returns an Externalizer that has observed nothing.
+func NewExternalizer() *Externalizer { return &Externalizer{} }
 
-// TickTrace returns the tick-duration trace so far.
-func (e *Externalizer) TickTrace() []time.Duration { return e.s.TickDurations() }
+// Observe folds one tick record into the metrics.
+func (e *Externalizer) Observe(rec server.TickRecord) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.recent[e.ticks%Window] = rec.Dur
+	e.ticks++
+	if rec.Dur > server.TickBudget {
+		e.overloaded++
+	}
+	e.fig11.Add(rec)
+}
 
-// TickTraceMS returns the trace in milliseconds.
-func (e *Externalizer) TickTraceMS() []float64 {
-	return metrics.DurationsToMS(e.s.TickDurations())
+// Ticks returns how many ticks have been observed.
+func (e *Externalizer) Ticks() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.ticks
+}
+
+// OverloadedTicks counts observed ticks that exceeded the 50 ms budget.
+func (e *Externalizer) OverloadedTicks() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.overloaded
 }
 
 // Distribution returns the cumulative tick-time split by operation
 // category (the Figure 11 data).
-func (e *Externalizer) Distribution() server.Fig11Totals { return e.s.Fig11() }
-
-// OverloadedTicks counts ticks that exceeded the 50 ms budget.
-func (e *Externalizer) OverloadedTicks() int {
-	n := 0
-	for _, d := range e.s.TickDurations() {
-		if d > server.TickBudget {
-			n++
-		}
-	}
-	return n
+func (e *Externalizer) Distribution() server.Fig11Totals {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.fig11
 }
 
-// ISR computes the Instability Ratio of the trace observed so far, for a
-// run of the given wall-clock length.
-func (e *Externalizer) ISR(runLength time.Duration) float64 {
-	return metrics.ISRTrace(e.s.TickDurations(), runLength)
+// RecentMS returns the last min(Ticks, Window) tick durations in
+// milliseconds, oldest first.
+func (e *Externalizer) RecentMS() []float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]float64, 0, Window)
+	for i := max(0, e.ticks-Window); i < e.ticks; i++ {
+		out = append(out, float64(e.recent[i%Window])/float64(time.Millisecond))
+	}
+	return out
 }
 
 // SystemSample is one 2 Hz system-metrics observation (Table 5, S rows).

@@ -30,28 +30,72 @@ func TestExternalizer(t *testing.T) {
 	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
 	clock := env.NewVirtualClock(time.Unix(0, 0))
 	m := env.NewMachine(env.DAS5TwoCore, 7)
-	s := server.New(w, server.DefaultConfig(server.Vanilla), m, clock)
+	ex := NewExternalizer()
+	cfg := server.DefaultConfig(server.Vanilla)
+	cfg.Hooks.AfterTick = ex.Observe
+	s := server.New(w, cfg, m, clock)
 	s.Connect("probe")
-	ex := NewExternalizer(s)
+	var want []float64
 	for i := 0; i < 40; i++ {
-		s.Tick()
+		want = append(want, float64(s.Tick().Dur)/float64(time.Millisecond))
 	}
-	if got := len(ex.TickTrace()); got != 40 {
-		t.Fatalf("trace length = %d", got)
+	if got := ex.Ticks(); got != 40 {
+		t.Fatalf("ticks = %d", got)
 	}
-	msTrace := ex.TickTraceMS()
-	if len(msTrace) != 40 || msTrace[0] <= 0 {
+	got := ex.RecentMS()
+	if len(got) != 40 || got[0] <= 0 {
 		t.Fatal("ms trace wrong")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("recent[%d] = %v, want %v", i, got[i], want[i])
+		}
 	}
 	if ex.OverloadedTicks() < 0 || ex.OverloadedTicks() > 40 {
 		t.Fatal("overloaded count out of range")
 	}
-	if isr := ex.ISR(2 * time.Second); isr < 0 || isr > 1 {
-		t.Fatalf("ISR out of range: %v", isr)
-	}
 	d := ex.Distribution()
 	if d.OtherUS <= 0 {
 		t.Fatal("no distribution data")
+	}
+}
+
+// An externalizer on a long-running server keeps counting every tick but
+// holds only the last Window durations, newest last. Observe runs on its
+// own goroutine while this one reads, as the tick goroutine and
+// mlgserver's stats loop do.
+func TestExternalizerBoundedWindow(t *testing.T) {
+	ex := NewExternalizer()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 10000; i++ {
+			d := time.Duration(i) * time.Millisecond / 100 // i/100 ms; > 50 ms from i = 5001
+			ex.Observe(server.TickRecord{Tick: int64(i), Dur: d})
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if n := len(ex.RecentMS()); n > Window || n > ex.Ticks() {
+			t.Fatalf("holds %d durations mid-run", n)
+		}
+	}
+	if got := ex.Ticks(); got != 10000 {
+		t.Fatalf("ticks = %d, want 10000", got)
+	}
+	if got := ex.OverloadedTicks(); got != 5000 {
+		t.Fatalf("overloaded = %d, want 5000", got)
+	}
+	recent := ex.RecentMS()
+	if len(recent) != Window {
+		t.Fatalf("holds %d durations, want %d", len(recent), Window)
+	}
+	if recent[0] != 98.01 || recent[Window-1] != 100 {
+		t.Fatalf("window spans %v..%v ms, want 98.01..100", recent[0], recent[Window-1])
 	}
 }
 
