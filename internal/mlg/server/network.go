@@ -170,41 +170,20 @@ func (s *Server) handleConn(conn *protocol.Conn) {
 func (s *Server) sendChunkBatch(p *Player, batch []world.ChunkPos) error {
 	p.conn.BeginBatch()
 	for _, cp := range batch {
-		data := s.serializeChunk(cp)
+		// Resolve through the RLock fast path: pending chunks were loaded at
+		// join time, so the write-locking generate path is a cold fallback.
+		c := s.w.ChunkIfLoaded(cp)
+		if c == nil {
+			c = s.w.Chunk(cp)
+		}
 		if _, err := p.conn.WritePacket(&protocol.ChunkData{
-			ChunkX: cp.X, ChunkZ: cp.Z, Data: data,
+			ChunkX: cp.X, ChunkZ: cp.Z, Data: c.Payload(),
 		}); err != nil {
 			p.conn.FlushBatch() // balance the batch window; the write error wins
 			return err
 		}
 	}
 	return p.conn.FlushBatch()
-}
-
-// chunkPayload is one cached serialized chunk column.
-type chunkPayload struct {
-	rev  uint64
-	data []byte
-}
-
-// serializeChunk returns the compact RLE payload of one chunk column,
-// served from the revision-keyed payload cache when the chunk is unchanged
-// since it was last serialized — join bursts and repeat sends reuse bytes
-// instead of re-walking 16×16×Height blocks. Tick-goroutine only.
-func (s *Server) serializeChunk(cp world.ChunkPos) []byte {
-	// Resolve through the RLock fast path: pending chunks were loaded at
-	// join time, so the write-locking generate path is a cold fallback.
-	c := s.w.ChunkIfLoaded(cp)
-	if c == nil {
-		c = s.w.Chunk(cp)
-	}
-	rev := c.Revision()
-	if e, ok := s.chunkPayloads[cp]; ok && e.rev == rev {
-		return e.data
-	}
-	data := c.AppendRLE(nil)
-	s.chunkPayloads[cp] = chunkPayload{rev: rev, data: data}
-	return data
 }
 
 // entSnap is one entity's per-tick broadcast snapshot: position (raw and

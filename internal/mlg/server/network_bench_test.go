@@ -67,39 +67,38 @@ func BenchmarkSendReal(b *testing.B) {
 }
 
 // BenchmarkSerializeChunk measures the RLE chunk-column payload a joining
-// player is sent: the steady case (unchanged chunk, repeat send) and the
-// worst case (a terrain edit between every send).
+// player is sent, resolved through the chunk's encoding memo: the steady
+// case (unchanged chunk, repeat send) and the worst case (a terrain edit
+// between every send).
 func BenchmarkSerializeChunk(b *testing.B) {
-	newChunkServer := func() *Server {
+	newChunk := func() (*world.World, *world.Chunk) {
 		w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
-		clock := env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC))
-		return New(w, DefaultConfig(Vanilla), env.NewMachine(env.DAS5SixteenCore, 1), clock)
+		return w, w.Chunk(world.ChunkPos{X: 0, Z: 0})
 	}
-	cp := world.ChunkPos{X: 0, Z: 0}
 	b.Run("steady", func(b *testing.B) {
-		s := newChunkServer()
-		if len(s.serializeChunk(cp)) == 0 {
+		_, c := newChunk()
+		if len(c.Payload()) == 0 {
 			b.Fatal("empty chunk payload")
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			s.serializeChunk(cp)
+			c.Payload()
 		}
 	})
 	b.Run("invalidated", func(b *testing.B) {
-		s := newChunkServer()
-		s.serializeChunk(cp)
+		w, c := newChunk()
+		c.Payload()
 		pos := world.Pos{X: 3, Y: 30, Z: 3}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if i%2 == 0 {
-				s.w.SetBlock(pos, world.B(world.Stone))
+				w.SetBlock(pos, world.B(world.Stone))
 			} else {
-				s.w.SetBlock(pos, world.B(world.Air))
+				w.SetBlock(pos, world.B(world.Air))
 			}
-			s.serializeChunk(cp)
+			c.Payload()
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -205,70 +204,6 @@ func TestStationaryEntitiesSendNothing(t *testing.T) {
 	if after.MsgsOut <= base.MsgsOut {
 		t.Fatal("broadcast rounds stopped sending entirely (no time updates)")
 	}
-}
-
-// TestSerializeChunkCache: repeat sends of an unchanged chunk must reuse
-// the cached payload; a terrain edit must invalidate it; and the cached
-// payload must stay byte-identical to a fresh At-walk serialization.
-func TestSerializeChunkCache(t *testing.T) {
-	s, _ := newTestServer(t, Vanilla)
-	cp := world.ChunkPos{X: 0, Z: 0}
-
-	d1 := s.serializeChunk(cp)
-	if len(d1) == 0 {
-		t.Fatal("empty payload")
-	}
-	if !bytes.Equal(d1, legacySerializeChunk(s.w.Chunk(cp))) {
-		t.Fatal("payload differs from the reference At-walk serialization")
-	}
-	d2 := s.serializeChunk(cp)
-	if &d1[0] != &d2[0] {
-		t.Fatal("unchanged chunk re-serialized instead of reusing the cached payload")
-	}
-
-	s.w.SetBlock(world.Pos{X: 1, Y: 30, Z: 1}, world.B(world.Stone))
-	d3 := s.serializeChunk(cp)
-	if bytes.Equal(d2, d3) {
-		t.Fatal("terrain edit did not invalidate the cached payload")
-	}
-	if !bytes.Equal(d3, legacySerializeChunk(s.w.Chunk(cp))) {
-		t.Fatal("recomputed payload differs from the reference serialization")
-	}
-	// A no-op set (same block) must not invalidate.
-	s.w.SetBlock(world.Pos{X: 1, Y: 30, Z: 1}, world.B(world.Stone))
-	d4 := s.serializeChunk(cp)
-	if &d3[0] != &d4[0] {
-		t.Fatal("no-op SetBlock invalidated the payload cache")
-	}
-}
-
-// legacySerializeChunk is the pre-cache reference implementation: an RLE
-// walk through Chunk.At in Y-major order.
-func legacySerializeChunk(c *world.Chunk) []byte {
-	var buf bytes.Buffer
-	var last world.Block
-	count := 0
-	flush := func() {
-		if count == 0 {
-			return
-		}
-		buf.Write([]byte{byte(count >> 8), byte(count), byte(last.ID), last.Meta})
-	}
-	for y := 0; y < world.Height; y++ {
-		for z := 0; z < world.ChunkSize; z++ {
-			for x := 0; x < world.ChunkSize; x++ {
-				b := c.At(x, y, z)
-				if b == last && count > 0 && count < 0xFFFF {
-					count++
-					continue
-				}
-				flush()
-				last, count = b, 1
-			}
-		}
-	}
-	flush()
-	return buf.Bytes()
 }
 
 // gateGenerator blocks chunk generation until released, exposing what locks

@@ -177,9 +177,6 @@ func (s *Server) restoreServerSection(data []byte, wantTick int64) error {
 	s.crashed = false
 	s.crashReason = ""
 	s.mu.Unlock()
-	// Restored chunks are new objects with restored (possibly reused)
-	// revision numbers, so the revision-keyed payload cache must drop.
-	s.chunkPayloads = make(map[world.ChunkPos]chunkPayload)
 	s.blockChanges = nil
 	s.blockChangeCount = 0
 	return nil

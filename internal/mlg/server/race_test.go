@@ -7,16 +7,23 @@ package server_test
 // queries. Under -race this is the regression guard for the exclusive
 // drain phase: region workers write chunks without per-write locking, which
 // is only sound while the world write lock shuts readers out.
+//
+// The chunk encoding memo adds a second rule: region workers only advance
+// revisions, and the memo is filled by readers on the tick goroutine
+// between phases — state and MLGP snapshots, socket players' chunk batches.
 
 import (
+	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/env"
 	"repro/internal/mlg/server"
 	"repro/internal/mlg/world"
+	"repro/internal/protocol"
 	"repro/internal/workload"
 )
 
@@ -100,6 +107,96 @@ func TestParallelTickConcurrentAccessRace(t *testing.T) {
 	wg.Wait()
 	if !parallelSeen {
 		t.Fatalf("stress run never drained in parallel: %+v", s.Engine().ParallelStats())
+	}
+}
+
+// TestParallelTickSnapshotChunkBatchRace: the tick goroutine interleaves
+// Snapshot, a full EncodeSnapshot and a socket player's join chunk batch —
+// every reader that fills chunk encoding memos — with the parallel drains
+// of a SimWorkers=4 two-cluster Lag server, while joiners probe terrain.
+func TestParallelTickSnapshotChunkBatchRace(t *testing.T) {
+	w := workload.NewWorld(workload.Lag, world.PaperControlSeed)
+	cfg := server.DefaultConfig(server.Vanilla)
+	cfg.Sim.Seed = 5
+	cfg.Sim.Workers = 4
+	m := env.NewMachine(env.DAS5SixteenCore, 1)
+	s := server.New(w, cfg, m, env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)))
+	spec := workload.Lag.DefaultSpec()
+	spec.Scale = 2
+	if err := workload.Install(s, spec); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+
+	// A socket player: the login owes it its view area, which the tick
+	// goroutine streams as chunk batches of memoized payloads.
+	conn, err := protocol.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.WritePacket(&protocol.Handshake{Version: protocol.ProtocolVersion})
+	conn.WritePacket(&protocol.Login{Name: "batch"})
+	var chunks atomic.Int64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			pkt, _, err := conn.ReadPacket()
+			if err != nil {
+				return // closed at teardown
+			}
+			if _, ok := pkt.(*protocol.ChunkData); ok {
+				chunks.Add(1)
+			}
+		}
+	}()
+
+	// Joiners probing terrain: view-area generation, spawn probes and
+	// block reads into the construct area.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p := s.Connect("prober")
+				w.HighestSolidY(8+g, 8)
+				w.Block(world.Pos{X: -64 + (i % 160), Y: 12, Z: -64 + (i % 100)})
+				s.Disconnect(p.ID)
+				runtime.Gosched()
+			}
+		}(g)
+	}
+
+	parallelSeen := false
+	for i := 0; i < 200 && (i < 12 || !parallelSeen || chunks.Load() == 0); i++ {
+		if rec := s.Tick(); rec.SimParallel {
+			parallelSeen = true
+		}
+		s.Snapshot()
+		s.EncodeSnapshot(nil)
+	}
+	close(stop)
+	s.Stop()
+	ln.Close()
+	conn.Close()
+	wg.Wait()
+	if !parallelSeen {
+		t.Fatalf("stress run never drained in parallel: %+v", s.Engine().ParallelStats())
+	}
+	if chunks.Load() == 0 {
+		t.Fatal("the socket player never received a chunk batch")
 	}
 }
 

@@ -322,12 +322,6 @@ type Server struct {
 	order    []int64 // deterministic player iteration order
 	nextPID  int64
 
-	// chunkPayloads caches serialized RLE chunk payloads keyed on the
-	// chunk's revision, so join bursts and repeat sends reuse bytes instead
-	// of re-walking 16×16×Height blocks. Touched only on the tick goroutine
-	// (disseminate → sendChunkBatch).
-	chunkPayloads map[world.ChunkPos]chunkPayload
-
 	// sendScratch holds sendReal's per-tick buffers, reused across ticks.
 	sendScratch sendBuffers
 
@@ -419,16 +413,15 @@ func New(w *world.World, cfg Config, machine *env.Machine, clock env.Clock) *Ser
 		cfg.Sim.Costs = DefaultCosts()
 	}
 	s := &Server{
-		cfg:           cfg,
-		w:             w,
-		clock:         clock,
-		machine:       machine,
-		players:       make(map[int64]*Player),
-		chunkPayloads: make(map[world.ChunkPos]chunkPayload),
-		sizes:         measuredSizes(),
-		stopped:       make(chan struct{}),
-		afterTick:     cfg.Hooks.AfterTick,
-		deliverHook:   cfg.Hooks.EntityDelivery,
+		cfg:         cfg,
+		w:           w,
+		clock:       clock,
+		machine:     machine,
+		players:     make(map[int64]*Player),
+		sizes:       measuredSizes(),
+		stopped:     make(chan struct{}),
+		afterTick:   cfg.Hooks.AfterTick,
+		deliverHook: cfg.Hooks.EntityDelivery,
 	}
 	entCfg := cfg.Flavor.EntityConfig()
 	simCfg := cfg.Flavor.SimConfig()

@@ -1,5 +1,7 @@
 package world
 
+import "hash/fnv"
+
 // Chunk geometry. MLG worlds are split into columns of ChunkSize×ChunkSize
 // blocks (§2.2.2: "This world is split into areas, which are lazily
 // generated when players come near them"). Height is bounded to keep the
@@ -81,10 +83,21 @@ type Chunk struct {
 	lightHeight [ChunkSize * ChunkSize]uint8
 	// nonAir tracks occupancy for cheap emptiness checks and size reporting.
 	nonAir int
-	// rev counts block mutations (Set calls that changed a block), so
-	// consumers can cache derived data — serialized payloads, meshes —
-	// keyed on (chunk, revision) and reuse it while the chunk is unchanged.
+	// rev counts block mutations (Set calls that changed a block, and
+	// DecodeRLE). It keys memo, so every write to blocks must advance it.
 	rev uint64
+	// memo is the chunk's one encoding, shared by the wire, the snapshot,
+	// the save file, the shard mirrors and the state fingerprint.
+	memo chunkMemo
+}
+
+// chunkMemo is the chunk's AppendRLE payload and its FNV-64a sum at
+// revision rev. rle == nil marks it empty: every payload holds at least one
+// run, while an all-air chunk can sit at revision 0.
+type chunkMemo struct {
+	rev uint64
+	rle []byte
+	sum uint64
 }
 
 // NewChunk returns an empty (all-air) chunk at the given position.
@@ -131,7 +144,8 @@ func (c *Chunk) Revision() uint64 { return c.rev }
 // AppendRLE appends the chunk's run-length-encoded wire payload to dst:
 // (count uint16 big-endian, block ID, meta) runs over the flat Y-major
 // block array, runs capped at 0xFFFF blocks. This is the ChunkData payload
-// format the server streams on join.
+// format the server streams on join. It is the one encoder: readers take
+// its bytes through Payload, which runs it at most once per revision.
 func (c *Chunk) AppendRLE(dst []byte) []byte {
 	i := 0
 	for i < len(c.blocks) {
@@ -144,6 +158,28 @@ func (c *Chunk) AppendRLE(dst []byte) []byte {
 		i = j
 	}
 	return dst
+}
+
+// Payload returns the chunk's RLE wire payload (the AppendRLE bytes),
+// encoded at most once per revision. The bytes are shared and must not be
+// modified; a refill allocates a fresh slice, so bytes handed out earlier
+// stay intact. Payload and Sum fill the memo, so like every whole-chunk
+// read they run on the tick goroutine between phases — never on the region
+// workers of an exclusive drain, which only advance the revision.
+func (c *Chunk) Payload() []byte { return c.fill().rle }
+
+// Sum returns the FNV-64a checksum of Payload: the chunk's content
+// fingerprint.
+func (c *Chunk) Sum() uint64 { return c.fill().sum }
+
+func (c *Chunk) fill() *chunkMemo {
+	if c.memo.rle == nil || c.memo.rev != c.rev {
+		rle := c.AppendRLE(nil)
+		h := fnv.New64a()
+		h.Write(rle)
+		c.memo = chunkMemo{rev: c.rev, rle: rle, sum: h.Sum64()}
+	}
+	return &c.memo
 }
 
 // NonAirCount returns the number of non-air blocks in the chunk.

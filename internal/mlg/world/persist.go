@@ -15,9 +15,10 @@ import (
 //
 // A full snapshot carries every loaded chunk; an incremental carries only
 // chunks whose revision moved past the base snapshot's (plus chunks
-// generated since). Revisions are saved and restored verbatim so revision-
-// keyed caches (server chunk payloads, entity path invalidation) observe
-// the same values a never-restarted server would.
+// generated since). Revisions are saved and restored verbatim so
+// incremental snapshot bases and ChunkState observe the same values a
+// never-restarted server would. Restored chunks are new objects, so their
+// encoding memos start empty and refill from the restored blocks.
 
 // ChunkRevisions captures the revision of every loaded chunk — the base
 // map an incremental snapshot is later computed against.
@@ -61,15 +62,7 @@ func (w *World) AppendPersist(dst []byte, changedSince map[ChunkPos]uint64) []by
 		dst = persist.AppendI32(dst, c.Pos.X)
 		dst = persist.AppendI32(dst, c.Pos.Z)
 		dst = persist.AppendU64(dst, c.rev)
-		// Length-prefix the RLE so the record boundary survives decoding.
-		lenAt := len(dst)
-		dst = persist.AppendU32(dst, 0)
-		dst = c.AppendRLE(dst)
-		rleLen := len(dst) - lenAt - 4
-		dst[lenAt] = byte(rleLen >> 24)
-		dst[lenAt+1] = byte(rleLen >> 16)
-		dst[lenAt+2] = byte(rleLen >> 8)
-		dst[lenAt+3] = byte(rleLen)
+		dst = persist.AppendBytes(dst, c.Payload())
 	}
 	return dst
 }

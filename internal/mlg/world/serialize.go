@@ -15,7 +15,7 @@ import (
 const saveMagic = uint32(0x4D4C4757) // "MLGW"
 
 // Save writes the world's loaded chunks to wr in the MLGW format: magic,
-// chunk count, then per chunk its X and Z followed by its AppendRLE runs and
+// chunk count, then per chunk its X and Z followed by its Payload runs and
 // a zero-count run terminator, all gzip-compressed. DecodeRLE reads a
 // record's runs back.
 func (w *World) Save(wr io.Writer) error {
@@ -42,7 +42,7 @@ func (w *World) Save(wr io.Writer) error {
 	for _, c := range chunks {
 		buf = binary.BigEndian.AppendUint32(buf[:0], uint32(c.Pos.X))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(c.Pos.Z))
-		buf = append(c.AppendRLE(buf), 0, 0)
+		buf = append(append(buf, c.Payload()...), 0, 0)
 		if _, err := gz.Write(buf); err != nil {
 			return err
 		}

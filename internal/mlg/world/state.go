@@ -1,35 +1,24 @@
 package world
 
-import "hash/fnv"
-
 // ChunkState is a compact fingerprint of one loaded chunk column: its
-// position, mutation revision, occupancy, and an FNV-1a checksum of its RLE
-// serialization. The equivalence suites and the scenario harness compare
-// chunk states between servers to prove terrain equality without diffing raw
-// block arrays.
+// position, mutation revision, occupancy, and the memoized FNV-64a sum of
+// its payload (Chunk.Sum). The equivalence suites and the scenario harness
+// compare chunk states between servers to prove terrain equality without
+// diffing raw block arrays.
 //
-// Revision is a monotonic cache key, not simulation state: a rolled-back
+// Revision is a monotonic memo key, not simulation state: a rolled-back
 // parallel drain advances it without changing contents (restored blocks
 // re-encode to identical payloads), so two schedule-equivalent servers may
 // legitimately disagree on Revision while agreeing on Sum. Cross-server
-// comparisons must therefore key on (Pos, NonAir, Sum); Revision exists so a
-// single server's history can be checked for cache-poisoning — content that
-// changes without the revision advancing would serve stale revision-keyed
-// payloads.
+// comparisons must therefore key on (Pos, NonAir, Sum). Because Sum comes
+// from the memo, content written without advancing the revision would keep
+// reporting the stale sum; the scenario harness checks Sum against a fresh
+// AppendRLE to catch exactly that.
 type ChunkState struct {
 	Pos      ChunkPos
 	Revision uint64
 	NonAir   int
 	Sum      uint64
-}
-
-// StateSum returns the FNV-1a checksum of the chunk's RLE serialization —
-// the content fingerprint used by ChunkState.
-func (c *Chunk) StateSum(scratch []byte) (sum uint64, buf []byte) {
-	buf = c.AppendRLE(scratch[:0])
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum64(), buf
 }
 
 // ChunkStates returns the state fingerprint of every loaded chunk in the
@@ -39,15 +28,12 @@ func (c *Chunk) StateSum(scratch []byte) (sum uint64, buf []byte) {
 func (w *World) ChunkStates() []ChunkState {
 	refs := w.LoadedChunkRefs()
 	out := make([]ChunkState, 0, len(refs))
-	var scratch []byte
 	for _, c := range refs {
-		var sum uint64
-		sum, scratch = c.StateSum(scratch)
 		out = append(out, ChunkState{
 			Pos:      c.Pos,
 			Revision: c.Revision(),
 			NonAir:   c.NonAirCount(),
-			Sum:      sum,
+			Sum:      c.Sum(),
 		})
 	}
 	return out

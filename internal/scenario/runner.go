@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"time"
 
@@ -112,7 +113,7 @@ func Run(sc *Scenario, opts Options) *Result {
 	twins := make([]*Twin, len(workers))
 	for i, n := range workers {
 		tw := &Twin{Index: i, Workers: n, allWorkers: workers,
-			prevChunks: map[world.ChunkPos]world.ChunkState{}}
+			prevRevs: map[world.ChunkPos]uint64{}}
 		// The reference twin never restarts (CrashRestart), so it takes no
 		// snapshots.
 		if sc.SnapshotEvery > 0 && i > 0 {
@@ -229,7 +230,7 @@ func Run(sc *Scenario, opts Options) *Result {
 					return false
 				}
 			}
-			if d := tw.checkRevisions(snap.Chunks); d != "" {
+			if d := tw.checkRevisions(tw.S.World(), snap.Chunks); d != "" {
 				res.Failed = true
 				res.Detail = fmt.Sprintf("twin[%d] (workers=%d) revision inconsistency: %s", i, tw.Workers, d)
 				return false
@@ -334,22 +335,24 @@ func (tw *Twin) checkInterest() string {
 	return ""
 }
 
-// checkRevisions enforces per-twin revision consistency against the
-// previous step's chunk fingerprints: revisions never decrease, and a chunk
-// whose content changed must have advanced its revision — a stale revision
-// would poison any revision-keyed cache (e.g. encoded chunk payloads).
-func (tw *Twin) checkRevisions(chunks []world.ChunkState) string {
+// checkRevisions enforces per-twin revision consistency: revisions never
+// decrease across steps, and every loaded chunk's memoized Sum equals the
+// FNV-64a of a fresh AppendRLE. A block write that skipped the revision
+// bump would leave the chunk's encoding memo — and with it wire payloads,
+// snapshots and shard mirrors — serving stale bytes.
+func (tw *Twin) checkRevisions(w *world.World, chunks []world.ChunkState) string {
+	var buf []byte
 	for _, c := range chunks {
-		prev, ok := tw.prevChunks[c.Pos]
-		if ok {
-			if c.Revision < prev.Revision {
-				return fmt.Sprintf("chunk %v revision went backwards: %d -> %d", c.Pos, prev.Revision, c.Revision)
-			}
-			if (c.Sum != prev.Sum || c.NonAir != prev.NonAir) && c.Revision == prev.Revision {
-				return fmt.Sprintf("chunk %v content changed with revision stuck at %d", c.Pos, c.Revision)
-			}
+		if prev, ok := tw.prevRevs[c.Pos]; ok && c.Revision < prev {
+			return fmt.Sprintf("chunk %v revision went backwards: %d -> %d", c.Pos, prev, c.Revision)
 		}
-		tw.prevChunks[c.Pos] = c
+		tw.prevRevs[c.Pos] = c.Revision
+		buf = w.ChunkIfLoaded(c.Pos).AppendRLE(buf[:0])
+		h := fnv.New64a()
+		h.Write(buf)
+		if h.Sum64() != c.Sum {
+			return fmt.Sprintf("chunk %v cache stale at revision %d", c.Pos, c.Revision)
+		}
 	}
 	return ""
 }

@@ -15,8 +15,9 @@
 //     (server.Snapshot is the shared comparison path);
 //   - interest-set correctness: every delivered entity update's chunk lies
 //     within the receiving player's view distance;
-//   - revision consistency: a chunk whose content changed must have advanced
-//     its revision (stale revisions would poison revision-keyed caches);
+//   - revision consistency: revisions never decrease, and every chunk's
+//     memoized content sum matches a fresh encode (content written without
+//     a revision bump would leave the chunk's encoding memo stale);
 //   - tick-duration and end-of-run ISR bounds;
 //   - no crash (Server.Crashed).
 //
@@ -127,7 +128,7 @@ type Twin struct {
 	players    []int64 // scenario-connected player IDs, join order
 	joined     int     // total joins so far (names stay unique)
 	deliveries []delivery
-	prevChunks map[world.ChunkPos]world.ChunkState
+	prevRevs   map[world.ChunkPos]uint64
 
 	// Persistence plumbing: the twin's snapshot directory (set when
 	// Scenario.SnapshotEvery > 0; each server built over it snapshots on that

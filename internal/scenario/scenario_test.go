@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -132,6 +133,38 @@ func TestScenarioMetaBrokenInvariant(t *testing.T) {
 	}
 	if res.Step != -1 {
 		t.Fatalf("violation surfaced at step %d, want the first warmup tick", res.Step)
+	}
+}
+
+// TestCheckRevisionsStaleCache: the revision check compares each chunk's
+// memoized Sum against a fresh encode, so a state whose Sum disagrees with
+// the chunk's blocks — what a write that skipped the revision bump leaves
+// behind — is reported as a stale cache, and a revision that moves
+// backwards is reported as such.
+func TestCheckRevisionsStaleCache(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	w.EnsureArea(world.Pos{X: 8, Z: 8}, 1)
+	tw := &Twin{prevRevs: map[world.ChunkPos]uint64{}}
+	states := w.ChunkStates()
+	if d := tw.checkRevisions(w, states); d != "" {
+		t.Fatalf("consistent state reported: %s", d)
+	}
+
+	stale := append([]world.ChunkState(nil), states...)
+	stale[1].Sum ^= 1
+	want := fmt.Sprintf("chunk %v cache stale at revision %d", stale[1].Pos, stale[1].Revision)
+	if d := tw.checkRevisions(w, stale); d != want {
+		t.Fatalf("stale sum reported as %q, want %q", d, want)
+	}
+
+	w.SetBlock(world.Pos{X: 8, Y: 30, Z: 8}, world.B(world.Stone))
+	tw.checkRevisions(w, w.ChunkStates())
+	back := w.ChunkStates()
+	for i := range back {
+		back[i].Revision = 0
+	}
+	if d := tw.checkRevisions(w, back); !strings.Contains(d, "revision went backwards") {
+		t.Fatalf("decreasing revision reported as %q", d)
 	}
 }
 

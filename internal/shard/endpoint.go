@@ -34,16 +34,15 @@ type Endpoint struct {
 	// sorted by SetSession and DropSession.
 	order []int
 
-	halo    []int // AppendHaloPeers scratch
-	scratch []byte
+	halo []int // AppendHaloPeers scratch
 }
 
 // peerLink is an endpoint's state for one attached peer.
 type peerLink struct {
 	sess *Session
-	// mirrored remembers, per boundary chunk, the revision and content sum
-	// last mirrored over this link.
-	mirrored map[world.ChunkPos]mirrorMark
+	// mirrored remembers, per boundary chunk, the content sum last
+	// mirrored over this link.
+	mirrored map[world.ChunkPos]uint64
 	// ghosts holds the halo entity mirrors most recently received from the
 	// peer — display-only state, never simulated.
 	ghosts []protocol.EntityMirror
@@ -51,9 +50,6 @@ type peerLink struct {
 	out      []protocol.Packet       // this tick's outbound packets
 	ghostOut []protocol.EntityMirror // this tick's outbound ghosts
 }
-
-// mirrorMark is what a peer last received of one boundary chunk.
-type mirrorMark struct{ rev, sum uint64 }
 
 // NewEndpoint wraps a shard server for inter-shard exchange. Sessions are
 // attached afterwards with SetSession as links come up.
@@ -67,7 +63,7 @@ func NewEndpoint(s *server.Server, m Map, index int) *Endpoint {
 func (ep *Endpoint) SetSession(peer int, sess *Session) {
 	l := ep.links[peer]
 	if l == nil {
-		l = &peerLink{mirrored: make(map[world.ChunkPos]mirrorMark)}
+		l = &peerLink{mirrored: make(map[world.ChunkPos]uint64)}
 		ep.links[peer] = l
 		ep.order = slices.Insert(ep.order, sort.SearchInts(ep.order, peer), peer)
 	}
@@ -164,12 +160,10 @@ func (ep *Endpoint) SendTick(tick int64) error {
 }
 
 // queueMirrors queues a ChunkMirror for every owned boundary chunk whose
-// content differs from what the peer last received. A chunk whose revision
-// has not moved is skipped without hashing — world.Chunk's contract is that
-// content never changes without the revision advancing. A chunk whose
-// revision moved is hashed and sent only if its content sum changed: a
-// rolled-back parallel drain advances the revision but restores the
-// content, and such a chunk is not resent.
+// content sum differs from what the peer last received. The sum is the
+// chunk's memo (world.Chunk.Sum), so an unchanged chunk costs a revision
+// compare; a rolled-back parallel drain advances the revision but restores
+// the content, and such a chunk is not resent.
 func (ep *Endpoint) queueMirrors() {
 	for _, c := range ep.S.World().LoadedChunkRefs() {
 		cp := c.Pos
@@ -177,31 +171,17 @@ func (ep *Endpoint) queueMirrors() {
 			continue
 		}
 		ep.halo = ep.Map.AppendHaloPeers(ep.halo[:0], ep.Index, cp)
-		rev := c.Revision()
-		var sum uint64
-		var rle []byte
-		hashed := false
 		for _, peer := range ep.halo {
 			l := ep.links[peer]
 			if l == nil {
 				continue
 			}
-			last, seen := l.mirrored[cp]
-			if seen && last.rev == rev {
+			sum := c.Sum()
+			if last, seen := l.mirrored[cp]; seen && last == sum {
 				continue
 			}
-			if !hashed {
-				sum, ep.scratch = c.StateSum(ep.scratch)
-				hashed = true
-			}
-			l.mirrored[cp] = mirrorMark{rev: rev, sum: sum}
-			if seen && last.sum == sum {
-				continue
-			}
-			if rle == nil {
-				rle = c.AppendRLE(nil)
-			}
-			l.out = append(l.out, &protocol.ChunkMirror{ChunkX: cp.X, ChunkZ: cp.Z, Data: rle})
+			l.mirrored[cp] = sum
+			l.out = append(l.out, &protocol.ChunkMirror{ChunkX: cp.X, ChunkZ: cp.Z, Data: c.Payload()})
 		}
 	}
 }
