@@ -1,7 +1,9 @@
 package entity
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 
 	"repro/internal/mlg/world"
 )
@@ -21,7 +23,7 @@ import (
 func (ew *World) tickMob(e *Entity) {
 	// Invalidate the path if terrain changed beneath it.
 	if e.HasPath() && ew.pathStale(e) {
-		e.path = nil
+		e.path = e.path[:0]
 		ew.counters.Repaths++
 	}
 
@@ -43,8 +45,8 @@ func (ew *World) tickMob(e *Entity) {
 // pathStale reports whether any chunk the path crosses mutated since the
 // path was computed.
 func (ew *World) pathStale(e *Entity) bool {
-	for cp, v := range e.pathVersions {
-		if ew.chunkVersion[cp] != v {
+	for _, m := range e.pathVersions {
+		if ew.chunkVersion[m.cp] != m.version {
 			return true
 		}
 	}
@@ -55,7 +57,8 @@ func (ew *World) pathStale(e *Entity) bool {
 // within 8) and runs A* toward it. Target finding queries the tick's player
 // grid: only buckets around the mob are visited, and the lowest-index match
 // is chosen — the same player a first-match linear scan would pick. Random
-// draws come from the mob's decision stream.
+// draws come from the mob's decision stream. The path and its chunk marks
+// are written into the mob's own slices, so a re-path reuses them.
 func (ew *World) choosePath(e *Entity, d *decisionStream) {
 	start := e.Pos.BlockPos()
 	var goal world.Pos
@@ -71,20 +74,42 @@ func (ew *World) choosePath(e *Entity, d *decisionStream) {
 		goal.Y = ew.surfaceAt(goal)
 	}
 
-	path, nodes := ew.FindPath(start, goal, ew.cfg.PathNodeBudget)
+	path, nodes, found := ew.findPath(e.path[:0], start, goal, ew.cfg.PathNodeBudget)
 	ew.counters.PathNodes += nodes
-	if path == nil {
+	if !found {
 		e.wanderCooldown = 20 + d.Intn(20)
 		return
 	}
 	e.path = path
 	e.pathIdx = 0
-	// Record terrain versions of the chunks the path crosses.
-	e.pathVersions = make(map[world.ChunkPos]uint64, 4)
+	// Record terrain versions of the chunks the path crosses, in (Z, X)
+	// order.
+	marks := e.pathVersions[:0]
 	for _, p := range path {
 		cp := world.ChunkPosAt(p)
-		e.pathVersions[cp] = ew.chunkVersion[cp]
+		i, seen := slices.BinarySearchFunc(marks, cp, comparePathMark)
+		if !seen {
+			marks = append(marks, pathMark{})
+			copy(marks[i+1:], marks[i:])
+			marks[i] = pathMark{cp: cp, version: ew.chunkVersion[cp]}
+		}
 	}
+	e.pathVersions = marks
+}
+
+// pathMark is the terrain version of one chunk a path crosses, recorded
+// when the path was computed.
+type pathMark struct {
+	cp      world.ChunkPos
+	version uint64
+}
+
+// comparePathMark orders marks by chunk position, Z then X.
+func comparePathMark(m pathMark, cp world.ChunkPos) int {
+	if m.cp.Z != cp.Z {
+		return cmp.Compare(m.cp.Z, cp.Z)
+	}
+	return cmp.Compare(m.cp.X, cp.X)
 }
 
 // followPath steers the mob toward its next waypoint; completing the path
@@ -97,7 +122,7 @@ func (ew *World) followPath(e *Entity, d *decisionStream) {
 	if horiz.Len() < 0.4 && delta.Y > -1.5 && delta.Y < 1.5 {
 		e.pathIdx++
 		if e.pathIdx >= len(e.path) {
-			e.path = nil
+			e.path = e.path[:0]
 			e.wanderCooldown = 20 + d.Intn(40)
 		}
 		return
@@ -144,23 +169,82 @@ func (h *nodeHeap) Pop() interface{} {
 	return n
 }
 
+// nodeBlock is the size of one pathScratch node block; pathRetain is the
+// node count above which a search's scratch is dropped instead of kept.
+const (
+	nodeBlock  = 256
+	pathRetain = 1 << 14
+)
+
+// pathScratch is the A* working memory, kept on the World and reused by
+// every search so a steady-state search allocates nothing. Nodes live in
+// fixed-size blocks, so a node's address stays valid while later pushes
+// add blocks; memory follows the nodes searches actually push. A search
+// that pushed more than pathRetain nodes leaves the scratch to the garbage
+// collector, so one outsized budget does not pin its memory for the life
+// of the world.
+type pathScratch struct {
+	blocks  [][]pathNode
+	used    int
+	open    nodeHeap
+	visited map[world.Pos]int
+	nbrs    []world.Pos
+}
+
+// reset empties the scratch for a new search.
+func (s *pathScratch) reset() {
+	if s.used > pathRetain {
+		*s = pathScratch{}
+	}
+	s.used = 0
+	s.open = s.open[:0]
+	if s.visited == nil {
+		s.visited = make(map[world.Pos]int)
+	} else {
+		clear(s.visited)
+	}
+}
+
+// node returns the next free node, set to n.
+func (s *pathScratch) node(n pathNode) *pathNode {
+	b, i := s.used/nodeBlock, s.used%nodeBlock
+	if b == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]pathNode, nodeBlock))
+	}
+	s.used++
+	p := &s.blocks[b][i]
+	*p = n
+	return p
+}
+
 // FindPath runs A* from start to goal over walkable voxels, expanding at
 // most nodeBudget nodes. It returns the path (excluding start) and the
 // number of nodes expanded, or (nil, expanded) if no path was found within
 // budget. Walkable means: solid below, two non-solid blocks of clearance.
+// The returned slice is the caller's own.
 func (ew *World) FindPath(start, goal world.Pos, nodeBudget int) ([]world.Pos, int) {
+	// A zero-capacity dst makes every path a fresh slice and keeps the
+	// start == goal path empty but non-nil.
+	path, expanded, _ := ew.findPath([]world.Pos{}, start, goal, nodeBudget)
+	return path, expanded
+}
+
+// findPath is FindPath on the World's scratch: the path is written into
+// dst's backing array (grown as needed) and found reports whether there is
+// one; a path from start to itself is found and empty.
+func (ew *World) findPath(dst []world.Pos, start, goal world.Pos, nodeBudget int) ([]world.Pos, int, bool) {
 	if nodeBudget <= 0 {
 		nodeBudget = 250
 	}
 	if start == goal {
-		return []world.Pos{}, 0
+		return dst[:0], 0, true
 	}
 
-	open := &nodeHeap{}
-	heap.Init(open)
-	startNode := &pathNode{pos: start, g: 0, f: start.ManhattanDist(goal)}
-	heap.Push(open, startNode)
-	visited := map[world.Pos]int{start: 0}
+	s := &ew.paths
+	s.reset()
+	open := &s.open
+	heap.Push(open, s.node(pathNode{pos: start, g: 0, f: start.ManhattanDist(goal)}))
+	s.visited[start] = 0
 	expanded := 0
 
 	var best *pathNode // closest node to goal seen, as a fallback
@@ -170,44 +254,51 @@ func (ew *World) FindPath(start, goal world.Pos, nodeBudget int) ([]world.Pos, i
 		cur := heap.Pop(open).(*pathNode)
 		expanded++
 		if cur.pos == goal {
-			return reconstruct(cur), expanded
+			return reconstruct(dst, cur), expanded, true
 		}
 		h := cur.pos.ManhattanDist(goal)
 		if h < bestH {
 			bestH, best = h, cur
 		}
-		for _, next := range ew.walkableNeighbors(cur.pos) {
+		s.nbrs = ew.walkableNeighbors(s.nbrs[:0], cur.pos)
+		for _, next := range s.nbrs {
 			g := cur.g + 1
-			if prev, ok := visited[next]; ok && prev <= g {
+			if prev, ok := s.visited[next]; ok && prev <= g {
 				continue
 			}
-			visited[next] = g
-			heap.Push(open, &pathNode{pos: next, g: g, f: g + next.ManhattanDist(goal), parent: cur})
+			s.visited[next] = g
+			heap.Push(open, s.node(pathNode{pos: next, g: g, f: g + next.ManhattanDist(goal), parent: cur}))
 		}
 	}
 	// Partial path toward the goal is still useful for wandering.
 	if best != nil && best.g > 0 {
-		return reconstruct(best), expanded
+		return reconstruct(dst, best), expanded, true
 	}
-	return nil, expanded
+	return nil, expanded, false
 }
 
-func reconstruct(n *pathNode) []world.Pos {
-	var rev []world.Pos
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		rev = append(rev, cur.pos)
+// reconstruct writes the path ending at n (excluding the start node) into
+// dst's backing array, replacing it only when it is too short.
+func reconstruct(dst []world.Pos, n *pathNode) []world.Pos {
+	k := 0
+	for cur := n; cur.parent != nil; cur = cur.parent {
+		k++
 	}
-	out := make([]world.Pos, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	if cap(dst) < k {
+		dst = make([]world.Pos, k)
 	}
-	return out
+	dst = dst[:k]
+	for cur := n; cur.parent != nil; cur = cur.parent {
+		k--
+		dst[k] = cur.pos
+	}
+	return dst
 }
 
-// walkableNeighbors returns the standable positions reachable in one step:
-// flat moves, single-block step-ups, and drops of up to three blocks.
-func (ew *World) walkableNeighbors(p world.Pos) []world.Pos {
-	out := make([]world.Pos, 0, 4)
+// walkableNeighbors appends to dst the standable positions reachable in
+// one step from p: flat moves, single-block step-ups, and drops of up to
+// three blocks.
+func (ew *World) walkableNeighbors(dst []world.Pos, p world.Pos) []world.Pos {
 	for _, hn := range p.NeighborsHorizontal() {
 		for dy := 1; dy >= -3; dy-- {
 			q := hn.Add(0, dy, 0)
@@ -215,7 +306,7 @@ func (ew *World) walkableNeighbors(p world.Pos) []world.Pos {
 				continue
 			}
 			if ew.standable(q) {
-				out = append(out, q)
+				dst = append(dst, q)
 				break
 			}
 			// Cannot pass through a solid at this level going down.
@@ -224,7 +315,7 @@ func (ew *World) walkableNeighbors(p world.Pos) []world.Pos {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // standable reports whether a mob can occupy p: solid floor below, feet and

@@ -100,9 +100,9 @@ type Entity struct {
 	path    []world.Pos
 	pathIdx int
 	// pathVersions records the terrain version of each chunk the path
-	// crosses at computation time; a mismatch forces a repath — the
-	// dynamic pathfinding-graph recomputation of §2.2.3.
-	pathVersions map[world.ChunkPos]uint64
+	// crosses at computation time, in (Z, X) order; a mismatch forces a
+	// repath — the dynamic pathfinding-graph recomputation of §2.2.3.
+	pathVersions []pathMark
 	// wanderCooldown ticks down between AI decisions.
 	wanderCooldown int
 

@@ -176,7 +176,7 @@ func TestEntityTickAllocs(t *testing.T) {
 		ew.DrainChunkUpdates()
 		ew.DrainExplosions()
 	})
-	const pinned = 89
+	const pinned = 4
 	if got > pinned {
 		t.Fatalf("entity tick allocates %.0f times, pinned at %d", got, pinned)
 	}

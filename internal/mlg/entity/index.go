@@ -1,7 +1,9 @@
 package entity
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/mlg/world"
@@ -88,24 +90,38 @@ func (ew *World) forEachNear(center Vec3, radius float64, fn func(*Entity)) {
 
 // playerGrid buckets one tick's player-position snapshot by chunk so
 // per-entity "any player nearby?" checks iterate player-near buckets instead
-// of scanning every player. Rebuilt each Tick; indices preserve the
+// of scanning every player. Reset each Tick; indices preserve the
 // snapshot's deterministic player order.
 type playerGrid struct {
 	players []Vec3
 	cells   map[world.ChunkPos][]int
 }
 
-func newPlayerGrid(players []Vec3) playerGrid {
-	g := playerGrid{players: players}
-	if len(players) == 0 {
-		return g
+// reset rebuckets the grid for a new tick's snapshot, keeping the cells'
+// backing arrays: a cell still occupied last tick is truncated, one empty
+// since then is deleted, so the map holds at most two ticks' worth of
+// cells. Players are appended in index order, so every query visits them
+// in snapshot order. The grid is read only inside Tick, so the caller may
+// refill players between ticks.
+func (g *playerGrid) reset(players []Vec3) {
+	g.players = players
+	for cp, c := range g.cells {
+		if len(c) == 0 {
+			delete(g.cells, cp)
+		} else {
+			g.cells[cp] = c[:0]
+		}
 	}
-	g.cells = make(map[world.ChunkPos][]int, len(players))
+	if len(players) == 0 {
+		return
+	}
+	if g.cells == nil {
+		g.cells = make(map[world.ChunkPos][]int, len(players))
+	}
 	for i, p := range players {
 		cp := world.ChunkPos{X: chunkCoord(p.X), Z: chunkCoord(p.Z)}
 		g.cells[cp] = append(g.cells[cp], i)
 	}
-	return g
 }
 
 // anyStrictlyWithin reports whether any player lies strictly closer than r
@@ -139,7 +155,7 @@ func (g playerGrid) firstWithin(pos Vec3, r float64) (Vec3, bool) {
 // forEachNear calls fn with the index of every player whose cell intersects
 // the bounding square of r around pos, in deterministic order.
 func (g playerGrid) forEachNear(pos Vec3, r float64, fn func(i int)) {
-	if len(g.cells) == 0 {
+	if len(g.players) == 0 {
 		return
 	}
 	cx0, cx1 := chunkCoord(pos.X-r), chunkCoord(pos.X+r)
@@ -164,23 +180,25 @@ type ChunkUpdates struct {
 
 // DrainChunkUpdates returns and clears the per-chunk entity update counts
 // accumulated since the last drain, sorted by (Z, X) for deterministic
-// consumption.
+// consumption, or nil if there are none. The result lives in a buffer the
+// World reuses: it is valid until the next drain.
 func (ew *World) DrainChunkUpdates() []ChunkUpdates {
 	if len(ew.chunkUpdates) == 0 {
 		return nil
 	}
-	out := make([]ChunkUpdates, 0, len(ew.chunkUpdates))
+	out := ew.drained[:0]
 	for cp, u := range ew.chunkUpdates {
 		u.Pos = cp
 		out = append(out, u)
-		delete(ew.chunkUpdates, cp)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Z != out[j].Pos.Z {
-			return out[i].Pos.Z < out[j].Pos.Z
+	clear(ew.chunkUpdates)
+	slices.SortFunc(out, func(a, b ChunkUpdates) int {
+		if a.Pos.Z != b.Pos.Z {
+			return cmp.Compare(a.Pos.Z, b.Pos.Z)
 		}
-		return out[i].Pos.X < out[j].Pos.X
+		return cmp.Compare(a.Pos.X, b.Pos.X)
 	})
+	ew.drained = out
 	return out
 }
 

@@ -20,7 +20,7 @@ import (
 // the *next* tick, so they are live at the snapshot boundary), terrain
 // versions and item-merge cells. Not captured because it is empty or
 // rederivable at the tick boundary: chunkUpdates (drained every tick),
-// explosionsDue (drained), the player grid (rebuilt each tick), each
+// explosionsDue (drained), the player grid (reset each tick), each
 // entity's activeTick (stale values behave as unset) and spatial-index
 // bucket (a function of Pos).
 //
@@ -43,21 +43,11 @@ func appendEntityPersist(dst []byte, e *Entity) []byte {
 			dst = persist.AppendI32(dst, int32(p.Z))
 		}
 		dst = persist.AppendU32(dst, uint32(e.pathIdx))
-		cps := make([]world.ChunkPos, 0, len(e.pathVersions))
-		for cp := range e.pathVersions {
-			cps = append(cps, cp)
-		}
-		sort.Slice(cps, func(i, j int) bool {
-			if cps[i].Z != cps[j].Z {
-				return cps[i].Z < cps[j].Z
-			}
-			return cps[i].X < cps[j].X
-		})
-		dst = persist.AppendU32(dst, uint32(len(cps)))
-		for _, cp := range cps {
-			dst = persist.AppendI32(dst, cp.X)
-			dst = persist.AppendI32(dst, cp.Z)
-			dst = persist.AppendU64(dst, e.pathVersions[cp])
+		dst = persist.AppendU32(dst, uint32(len(e.pathVersions)))
+		for _, m := range e.pathVersions {
+			dst = persist.AppendI32(dst, m.cp.X)
+			dst = persist.AppendI32(dst, m.cp.Z)
+			dst = persist.AppendU64(dst, m.version)
 		}
 	} else {
 		dst = persist.AppendU8(dst, 0)
@@ -166,10 +156,13 @@ func (ew *World) RestorePersist(data []byte) error {
 			}
 			e.pathIdx = int(d.U32())
 			nv := d.Count(4 + 4 + 8)
-			e.pathVersions = make(map[world.ChunkPos]uint64, nv)
+			e.pathVersions = make([]pathMark, 0, nv)
 			for j := 0; j < nv; j++ {
-				cp := world.ChunkPos{X: d.I32(), Z: d.I32()}
-				e.pathVersions[cp] = d.U64()
+				m := pathMark{cp: world.ChunkPos{X: d.I32(), Z: d.I32()}, version: d.U64()}
+				if j > 0 && d.Err() == nil && comparePathMark(e.pathVersions[j-1], m.cp) >= 0 {
+					return fmt.Errorf("%w: entity %d: path marks not in (Z, X) order at %d", persist.ErrCorrupt, i, j)
+				}
+				e.pathVersions = append(e.pathVersions, m)
 			}
 			if d.Err() == nil && (len(e.path) == 0 || e.pathIdx >= len(e.path)) {
 				return fmt.Errorf("%w: entity %d: path index %d out of range", persist.ErrCorrupt, i, e.pathIdx)

@@ -138,8 +138,10 @@ type World struct {
 	grid    playerGrid
 
 	// chunkUpdates accumulates per-chunk entity state-update counts for the
-	// server's interest-managed dissemination (drained every tick).
+	// server's interest-managed dissemination (drained every tick); drained
+	// is the buffer DrainChunkUpdates returns them in.
 	chunkUpdates map[world.ChunkPos]ChunkUpdates
+	drained      []ChunkUpdates
 
 	// chunkVersion tracks terrain mutations per chunk for path invalidation.
 	chunkVersion map[world.ChunkPos]uint64
@@ -156,6 +158,10 @@ type World struct {
 	explosionsDue []world.Pos
 
 	counters Counters
+
+	// paths is FindPath's working memory (ai.go), owned by this World
+	// alone.
+	paths pathScratch
 }
 
 // NewWorld creates an entity world bound to the terrain, seeded
@@ -345,8 +351,9 @@ func (ew *World) ApplyExplosionImpulses(centers []world.Pos, radius float64) {
 }
 
 // Tick advances every entity one game tick. players gives current player
-// positions (for activation ranges, AI targets, and natural spawning). The
-// returned counters describe the tick's entity work.
+// positions (for activation ranges, AI targets, and natural spawning); the
+// store reads them only during the call, so the caller may reuse the slice.
+// The returned counters describe the tick's entity work.
 //
 // Entities tick one after another in ID order, so the entity loop needs no
 // determinism contract of its own: detonations, index rebuckets and lazy
@@ -357,7 +364,7 @@ func (ew *World) Tick(players []Vec3) Counters {
 	// attributed to this tick. They are taken and reset at the end.
 
 	ew.tickNum++
-	ew.grid = newPlayerGrid(players)
+	ew.grid.reset(players)
 	ew.markActive(players)
 
 	for _, e := range ew.list {

@@ -325,6 +325,9 @@ type Server struct {
 	// sendScratch holds sendReal's per-tick buffers, reused across ticks.
 	sendScratch sendBuffers
 
+	// positions holds playerPositions' snapshot, reused across ticks.
+	positions []entity.Vec3
+
 	// deliverHook, when non-nil, observes per-player entity-update delivery
 	// decisions (Hooks.EntityDelivery). Tick goroutine only.
 	deliverHook func(playerID int64, chunk world.ChunkPos)
@@ -764,14 +767,17 @@ func chunkWithinView(c, pc world.ChunkPos, vd int32) bool {
 	return dx <= vd && dz <= vd
 }
 
-// playerPositions snapshots player positions for the entity phase.
+// playerPositions snapshots player positions for the entity phase into a
+// slice the server reuses each tick (the entity store reads it only during
+// its Tick).
 func (s *Server) playerPositions() []entity.Vec3 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]entity.Vec3, 0, len(s.order))
+	out := s.positions[:0]
 	for _, pid := range s.order {
 		out = append(out, s.players[pid].Pos)
 	}
+	s.positions = out
 	return out
 }
 
