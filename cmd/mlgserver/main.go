@@ -218,11 +218,12 @@ func main() {
 	s.Stop()
 	<-runDone
 	if sn := s.Snapshotter(); sn != nil {
-		sn.Snapshot()
+		// Let any autosave in flight land, then write the final snapshot
+		// here: an async Snapshot is skipped while the writer is busy.
 		sn.Close()
-		if err := sn.Err(); err != nil {
+		if p, err := s.Save(st); err != nil {
 			log.Printf("final snapshot: %v", err)
-		} else if p := st.LatestPath(); p != "" {
+		} else {
 			log.Printf("final snapshot written: %s", p)
 		}
 	}

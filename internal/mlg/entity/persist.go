@@ -1,8 +1,9 @@
 package entity
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mlg/persist"
 	"repro/internal/mlg/world"
@@ -75,16 +76,17 @@ func (ew *World) AppendPersist(dst []byte) []byte {
 		dst = appendEntityPersist(dst, e)
 	}
 
-	cps := make([]world.ChunkPos, 0, len(ew.chunkVersion))
+	cps := ew.persistCPs[:0]
 	for cp := range ew.chunkVersion {
 		cps = append(cps, cp)
 	}
-	sort.Slice(cps, func(i, j int) bool {
-		if cps[i].Z != cps[j].Z {
-			return cps[i].Z < cps[j].Z
+	slices.SortFunc(cps, func(a, b world.ChunkPos) int {
+		if a.Z != b.Z {
+			return cmp.Compare(a.Z, b.Z)
 		}
-		return cps[i].X < cps[j].X
+		return cmp.Compare(a.X, b.X)
 	})
+	ew.persistCPs = cps
 	dst = persist.AppendU32(dst, uint32(len(cps)))
 	for _, cp := range cps {
 		dst = persist.AppendI32(dst, cp.X)
@@ -92,20 +94,20 @@ func (ew *World) AppendPersist(dst []byte) []byte {
 		dst = persist.AppendU64(dst, ew.chunkVersion[cp])
 	}
 
-	cells := make([]world.Pos, 0, len(ew.itemCells))
+	cells := ew.persistCells[:0]
 	for cell := range ew.itemCells {
 		cells = append(cells, cell)
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i], cells[j]
+	slices.SortFunc(cells, func(a, b world.Pos) int {
 		if a.Y != b.Y {
-			return a.Y < b.Y
+			return cmp.Compare(a.Y, b.Y)
 		}
 		if a.Z != b.Z {
-			return a.Z < b.Z
+			return cmp.Compare(a.Z, b.Z)
 		}
-		return a.X < b.X
+		return cmp.Compare(a.X, b.X)
 	})
+	ew.persistCells = cells
 	dst = persist.AppendU32(dst, uint32(len(cells)))
 	for _, cell := range cells {
 		dst = persist.AppendI32(dst, int32(cell.X))

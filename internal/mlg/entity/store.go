@@ -162,6 +162,9 @@ type World struct {
 	// paths is FindPath's working memory (ai.go), owned by this World
 	// alone.
 	paths pathScratch
+	// persistCPs and persistCells are AppendPersist's sort scratch.
+	persistCPs   []world.ChunkPos
+	persistCells []world.Pos
 }
 
 // NewWorld creates an entity world bound to the terrain, seeded

@@ -7,6 +7,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -89,7 +90,10 @@ func checksum(b []byte) uint64 {
 // headerSize is magic + version + kind + tick + baseTick + nSections.
 const headerSize = 4 + 4 + 1 + 8 + 8 + 4
 
-// Encode serialises the snapshot:
+// sectionOverhead is a section's framing: id + length + checksum.
+const sectionOverhead = 4 + 8 + 8
+
+// The MLGP layout:
 //
 //	u32 magic "MLGP" | u32 version | u8 kind | i64 tick | i64 baseTick |
 //	u32 nSections | u64 fnv1a(header bytes above)
@@ -98,26 +102,69 @@ const headerSize = 4 + 4 + 1 + 8 + 8 + 4
 // The header checksum catches torn or bit-flipped prefixes before any
 // section length is trusted; each section carries its own checksum so a
 // flip anywhere in the file is detected.
+//
+// A writer frames a snapshot in place: AppendHeader, then for each section
+// BeginSection, the payload appended by the section's codec, and
+// EndSection; Seal then fills in every checksum. Encode is that sequence
+// over a decoded Snapshot.
+
+// AppendHeader appends the snapshot header for nSections sections, with
+// its checksum left for Seal to fill in.
+func AppendHeader(dst []byte, kind Kind, tick, baseTick int64, nSections int) []byte {
+	dst = AppendU32(dst, Magic)
+	dst = AppendU32(dst, FormatVersion)
+	dst = AppendU8(dst, byte(kind))
+	dst = AppendI64(dst, tick)
+	dst = AppendI64(dst, baseTick)
+	dst = AppendU32(dst, uint32(nSections))
+	return AppendU64(dst, 0)
+}
+
+// BeginSection appends a section's ID and a length placeholder. The caller
+// appends the payload and passes at, the payload's start offset, to
+// EndSection.
+func BeginSection(dst []byte, id uint32) (out []byte, at int) {
+	dst = AppendU32(dst, id)
+	dst = AppendU64(dst, 0)
+	return dst, len(dst)
+}
+
+// EndSection fills in the length of the payload that began at at and
+// appends the section's checksum placeholder.
+func EndSection(dst []byte, at int) []byte {
+	binary.BigEndian.PutUint64(dst[at-8:at], uint64(len(dst)-at))
+	return AppendU64(dst, 0)
+}
+
+// Seal fills in the header checksum and every section checksum of a
+// snapshot framed with AppendHeader, BeginSection and EndSection. It works
+// in place and is idempotent. b must be complete framing: Seal panics on
+// bytes that are not.
+func Seal(b []byte) {
+	binary.BigEndian.PutUint64(b[headerSize:], checksum(b[:headerSize]))
+	nSec := int(binary.BigEndian.Uint32(b[headerSize-4:]))
+	off := headerSize + 8
+	for i := 0; i < nSec; i++ {
+		start := off + 4 + 8
+		end := start + int(binary.BigEndian.Uint64(b[start-8:start]))
+		binary.BigEndian.PutUint64(b[end:end+8], checksum(b[start:end]))
+		off = end + 8
+	}
+}
+
+// Encode serialises the snapshot in the MLGP layout.
 func Encode(s *Snapshot) []byte {
 	n := headerSize + 8
 	for i := range s.Sections {
-		n += 4 + 8 + len(s.Sections[i].Payload) + 8
+		n += sectionOverhead + len(s.Sections[i].Payload)
 	}
-	dst := make([]byte, 0, n)
-	dst = AppendU32(dst, Magic)
-	dst = AppendU32(dst, FormatVersion)
-	dst = AppendU8(dst, byte(s.Kind))
-	dst = AppendI64(dst, s.Tick)
-	dst = AppendI64(dst, s.BaseTick)
-	dst = AppendU32(dst, uint32(len(s.Sections)))
-	dst = AppendU64(dst, checksum(dst[:headerSize]))
+	dst := AppendHeader(make([]byte, 0, n), s.Kind, s.Tick, s.BaseTick, len(s.Sections))
 	for i := range s.Sections {
-		sec := &s.Sections[i]
-		dst = AppendU32(dst, sec.ID)
-		dst = AppendU64(dst, uint64(len(sec.Payload)))
-		dst = append(dst, sec.Payload...)
-		dst = AppendU64(dst, checksum(sec.Payload))
+		var at int
+		dst, at = BeginSection(dst, s.Sections[i].ID)
+		dst = EndSection(append(dst, s.Sections[i].Payload...), at)
 	}
+	Seal(dst)
 	return dst
 }
 

@@ -45,6 +45,90 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// referenceEncode is Encode as it was before framing moved into
+// AppendHeader/BeginSection/EndSection/Seal: the MLGP bytes it produced
+// are the format, so the in-place framing must reproduce them exactly.
+func referenceEncode(s *Snapshot) []byte {
+	var dst []byte
+	dst = AppendU32(dst, Magic)
+	dst = AppendU32(dst, FormatVersion)
+	dst = AppendU8(dst, byte(s.Kind))
+	dst = AppendI64(dst, s.Tick)
+	dst = AppendI64(dst, s.BaseTick)
+	dst = AppendU32(dst, uint32(len(s.Sections)))
+	dst = AppendU64(dst, checksum(dst[:headerSize]))
+	for i := range s.Sections {
+		sec := &s.Sections[i]
+		dst = AppendU32(dst, sec.ID)
+		dst = AppendU64(dst, uint64(len(sec.Payload)))
+		dst = append(dst, sec.Payload...)
+		dst = AppendU64(dst, checksum(sec.Payload))
+	}
+	return dst
+}
+
+// TestEncodeFraming: Encode, and the same framing built in place by a
+// section writer and sealed, give the reference bytes that Decode accepts;
+// sealing again changes nothing.
+func TestEncodeFraming(t *testing.T) {
+	incr := testSnap(42)
+	incr.Kind, incr.BaseTick = KindIncremental, 40
+	for _, s := range []*Snapshot{testSnap(7), incr, {Kind: KindFull, Tick: 3}} {
+		want := referenceEncode(s)
+		data := Encode(s)
+		if !bytes.Equal(data, want) {
+			t.Fatalf("tick %d: Encode differs from the reference at byte %d", s.Tick, firstDiff(data, want))
+		}
+		if _, err := Decode(data); err != nil {
+			t.Fatalf("tick %d: Decode rejects Encode's bytes: %v", s.Tick, err)
+		}
+
+		// In place, into a reused buffer holding stale bytes.
+		buf := bytes.Repeat([]byte{0xEE}, len(want)+64)
+		framed := AppendHeader(buf[:0], s.Kind, s.Tick, s.BaseTick, len(s.Sections))
+		for _, sec := range s.Sections {
+			var at int
+			framed, at = BeginSection(framed, sec.ID)
+			framed = EndSection(append(framed, sec.Payload...), at)
+		}
+		Seal(framed)
+		if !bytes.Equal(framed, want) {
+			t.Fatalf("tick %d: in-place framing differs from the reference at byte %d", s.Tick, firstDiff(framed, want))
+		}
+		Seal(framed)
+		if !bytes.Equal(framed, want) {
+			t.Fatalf("tick %d: a second Seal changed the bytes", s.Tick)
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	return len(a)
+}
+
+// TestStoreWriteEncoded: sealed bytes land under the tick and kind their
+// header names; bytes too short to hold a header are refused.
+func TestStoreWriteEncoded(t *testing.T) {
+	st, _ := NewStore(t.TempDir())
+	incr := testSnap(44)
+	incr.Kind, incr.BaseTick = KindIncremental, 40
+	path, err := st.WriteEncoded(Encode(incr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := filepath.Join(st.Dir(), "snap-0000000000000044-incr.mlgp"); path != want {
+		t.Fatalf("wrote %s, want %s", path, want)
+	}
+	if _, err := st.WriteEncoded([]byte("MLGP")); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("short input: got %v, want ErrTruncated", err)
+	}
+}
+
 // Unknown section IDs must decode and be skippable — a newer writer's file
 // still restores on an older reader that ignores sections it cannot use.
 func TestDecodeSkipsUnknownSections(t *testing.T) {

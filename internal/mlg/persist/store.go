@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -29,7 +30,10 @@ type Store struct {
 
 	// Fault, when set, transforms the encoded bytes just before they hit
 	// the disk — the injection point for torn-write and bit-flip tests.
-	// Returning nil simulates a crash before any byte was written.
+	// Returning nil simulates a crash before any byte was written. data is
+	// the writer's buffer, which a Snapshotter reuses for its next
+	// snapshot: Fault may edit it in place or return a subslice, but must
+	// not keep it after returning.
 	Fault func(name string, data []byte) []byte
 }
 
@@ -77,8 +81,19 @@ func parseSnapName(name string) (tick int64, kind Kind, ok bool) {
 // Write encodes and atomically persists the snapshot, then applies
 // retention. The returned path names the final file.
 func (st *Store) Write(s *Snapshot) (string, error) {
-	name := snapName(s.Tick, s.Kind)
-	data := Encode(s)
+	return st.WriteEncoded(Encode(s))
+}
+
+// WriteEncoded atomically persists one sealed MLGP snapshot (see Seal),
+// named by the tick and kind in its header, then applies retention. The
+// returned path names the final file. The store does not keep data.
+func (st *Store) WriteEncoded(data []byte) (string, error) {
+	if len(data) < headerSize {
+		return "", ErrTruncated
+	}
+	// The kind and tick follow the magic and version words.
+	kind := Kind(data[8])
+	name := snapName(int64(binary.BigEndian.Uint64(data[9:17])), kind)
 	if st.Fault != nil {
 		data = st.Fault(name, data)
 	}
@@ -91,7 +106,7 @@ func (st *Store) Write(s *Snapshot) (string, error) {
 	if err := writeFileAtomic(st.dir, name, data); err != nil {
 		return "", err
 	}
-	if s.Kind == KindFull {
+	if kind == KindFull {
 		st.prune()
 	}
 	return path, nil

@@ -398,20 +398,26 @@ func fitsInt8(v int32) bool { return v >= -128 && v <= 127 }
 // BroadcastChat sends a chat packet to every socket-backed player, encoded
 // once. The virtual path accounts chats without materializing them; the
 // real path delivers them here, which is how the bot swarm's response-time
-// probe observes its own message.
+// probe observes its own message. Tick goroutine only: the connection list
+// is server-owned scratch.
 func (s *Server) BroadcastChat(c *protocol.Chat) {
 	s.mu.Lock()
-	players := make([]*Player, 0, len(s.order))
+	conns := s.chatConns[:0]
 	for _, pid := range s.order {
-		players = append(players, s.players[pid])
-	}
-	s.mu.Unlock()
-	f := protocol.EncodeFrame(c)
-	for _, p := range players {
-		if p.conn != nil {
-			p.conn.WriteFrame(f)
+		if p := s.players[pid]; p.conn != nil {
+			conns = append(conns, p.conn)
 		}
 	}
+	s.chatConns = conns
+	s.mu.Unlock()
+	if len(conns) == 0 {
+		return
+	}
+	f := protocol.EncodeFrame(c)
+	for _, conn := range conns {
+		conn.WriteFrame(f)
+	}
+	clear(conns)
 }
 
 // Addr formats a host:port for the default game port.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -271,5 +272,54 @@ func TestProcessInboxStablePartition(t *testing.T) {
 	s.Tick() // the held-back move is now due
 	if p.Pos.X != 10.5 {
 		t.Fatalf("deferred move lost or reordered: X = %v, want 10.5", p.Pos.X)
+	}
+}
+
+// TestVirtualFanOutAllocs: with only virtual players, neither a chat
+// broadcast nor a dissemination pass that fans entity updates out
+// allocates — both fill server-owned slices, and a broadcast with no
+// socket to reach encodes nothing.
+func TestVirtualFanOutAllocs(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	s := New(w, DefaultConfig(Vanilla), env.NewMachine(env.DAS5SixteenCore, 1),
+		env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)))
+	for i := 0; i < 20; i++ {
+		s.Connect("virtual")
+	}
+	for i := 0; i < 10; i++ {
+		s.EntityWorld().SpawnMob(world.Pos{X: 2 * i, Y: 11, Z: 3})
+	}
+	deliveries := 0
+	s.deliverHook = func(int64, world.ChunkPos) { deliveries++ }
+	for i := 0; i < 20; i++ {
+		s.Tick()
+	}
+	chat := &protocol.Chat{Sender: "virtual", Text: "probe"}
+	if n := testing.AllocsPerRun(100, func() { s.BroadcastChat(chat) }); n != 0 {
+		t.Fatalf("BroadcastChat to virtual players: %v allocs, want 0", n)
+	}
+	// The entity tick that produces the updates stays outside the count;
+	// the first 50 passes let the store's drain buffer reach its size.
+	pos := s.playerPositions()
+	var counts tickCounts
+	var before, after runtime.MemStats
+	mallocs := uint64(0)
+	for i := 0; i < 100; i++ {
+		if i == 50 {
+			deliveries = 0
+		}
+		s.ents.Tick(pos)
+		runtime.ReadMemStats(&before)
+		s.disseminate(&counts)
+		runtime.ReadMemStats(&after)
+		if i >= 50 {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	if deliveries == 0 {
+		t.Fatal("no entity update reached a player: the fan-out path did not run")
+	}
+	if mallocs != 0 {
+		t.Fatalf("50 dissemination passes to virtual players: %d allocs, want 0", mallocs)
 	}
 }

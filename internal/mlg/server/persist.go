@@ -29,36 +29,50 @@ type SnapshotBase struct {
 	Revs map[world.ChunkPos]uint64
 }
 
-// EncodeSnapshot captures the server's complete state as an MLGP snapshot.
-// With base nil the snapshot is full; otherwise it is an incremental
-// carrying only chunks changed since base (sim/entity/server sections are
-// always complete — they are small next to the chunk set). Must be called
-// between ticks, on the tick goroutine.
-func (s *Server) EncodeSnapshot(base *SnapshotBase) *persist.Snapshot {
-	s.mu.Lock()
-	tick := s.tick
-	s.mu.Unlock()
-	snap := &persist.Snapshot{Kind: persist.KindFull, Tick: tick}
-	worldID := persist.SectionWorld
+// AppendSnapshot appends the server's complete state to dst as one framed
+// MLGP snapshot, checksums left for persist.Seal. With base nil the
+// snapshot is full; otherwise it is an incremental carrying only chunks
+// changed since base (sim/entity/server sections are always complete —
+// they are small next to the chunk set). Each section's codec appends its
+// payload straight into dst. Must be called between ticks, on the tick
+// goroutine.
+func (s *Server) AppendSnapshot(dst []byte, base *SnapshotBase) []byte {
+	kind, baseTick, worldID := persist.KindFull, int64(0), persist.SectionWorld
 	var baseRevs map[world.ChunkPos]uint64
 	if base != nil {
-		snap.Kind = persist.KindIncremental
-		snap.BaseTick = base.Tick
+		kind, baseTick, worldID = persist.KindIncremental, base.Tick, persist.SectionWorldDelta
 		baseRevs = base.Revs
-		worldID = persist.SectionWorldDelta
 	}
-	snap.Sections = []persist.Section{
-		{ID: worldID, Payload: s.w.AppendPersist(nil, baseRevs)},
-		{ID: persist.SectionSim, Payload: s.engine.AppendPersist(nil)},
-		{ID: persist.SectionEntities, Payload: s.ents.AppendPersist(nil)},
-		{ID: persist.SectionServer, Payload: s.appendServerSection(nil)},
+	dst = persist.AppendHeader(dst, kind, s.TickNumber(), baseTick, 4)
+	var at int
+	dst, at = persist.BeginSection(dst, worldID)
+	dst = persist.EndSection(s.w.AppendPersist(dst, baseRevs), at)
+	dst, at = persist.BeginSection(dst, persist.SectionSim)
+	dst = persist.EndSection(s.engine.AppendPersist(dst), at)
+	dst, at = persist.BeginSection(dst, persist.SectionEntities)
+	dst = persist.EndSection(s.ents.AppendPersist(dst), at)
+	dst, at = persist.BeginSection(dst, persist.SectionServer)
+	return persist.EndSection(s.appendServerSection(dst), at)
+}
+
+// EncodeSnapshot captures the server's complete state as a decoded MLGP
+// snapshot (see AppendSnapshot). Must be called between ticks, on the tick
+// goroutine.
+func (s *Server) EncodeSnapshot(base *SnapshotBase) *persist.Snapshot {
+	b := s.AppendSnapshot(nil, base)
+	persist.Seal(b)
+	snap, err := persist.Decode(b)
+	if err != nil {
+		panic(fmt.Sprintf("server: freshly framed snapshot does not decode: %v", err))
 	}
 	return snap
 }
 
 // Save captures a full snapshot and writes it atomically to the store.
 func (s *Server) Save(st *persist.Store) (string, error) {
-	return st.Write(s.EncodeSnapshot(nil))
+	b := s.AppendSnapshot(nil, nil)
+	persist.Seal(b)
+	return st.WriteEncoded(b)
 }
 
 func (s *Server) appendServerSection(dst []byte) []byte {

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/mlg/persist"
@@ -57,6 +58,37 @@ func BenchmarkSnapshotSave(b *testing.B) {
 				if _, err := st.Write(s.EncodeSnapshot(base)); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshotter is the autosave path as the tick goroutine drives
+// it: a warmed Sync Snapshotter capturing into its retained buffer, then
+// sealing and writing — full snapshots, or incrementals against one full.
+func BenchmarkSnapshotter(b *testing.B) {
+	for _, mode := range []struct {
+		name      string
+		fullEvery int
+	}{{"full", 1}, {"incr", math.MaxInt32}} {
+		b.Run(mode.name, func(b *testing.B) {
+			s := benchPersistServer(b, 10)
+			st, err := persist.NewStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{Sync: true, FullEvery: mode.fullEvery})
+			sn.Snapshot() // the first is full: base installed, buffer grown
+			s.Tick()      // one tick of drift so an incremental is non-empty
+			sn.Snapshot()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sn.Snapshot()
+			}
+			b.StopTimer()
+			if err := sn.Err(); err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

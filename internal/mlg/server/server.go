@@ -327,6 +327,13 @@ type Server struct {
 
 	// positions holds playerPositions' snapshot, reused across ticks.
 	positions []entity.Vec3
+	// tickPlayers and playerChunks hold disseminate's player list and
+	// their chunks, chatConns BroadcastChat's socket list: tick-goroutine
+	// scratch reused across ticks. The two pointer lists are cleared after
+	// use so a departed session is not kept alive.
+	tickPlayers  []*Player
+	playerChunks []world.ChunkPos
+	chatConns    []*protocol.Conn
 
 	// deliverHook, when non-nil, observes per-player entity-update delivery
 	// decisions (Hooks.EntityDelivery). Tick goroutine only.
@@ -873,11 +880,13 @@ func (s *Server) disseminate(counts *tickCounts) {
 	s.blockChanges = nil
 	s.blockChangeCount = 0
 	nPlayers := len(s.order)
-	players := make([]*Player, 0, nPlayers)
+	players := s.tickPlayers[:0]
 	for _, pid := range s.order {
 		players = append(players, s.players[pid])
 	}
+	s.tickPlayers = players
 	s.mu.Unlock()
+	defer clear(players)
 
 	addMsgs := func(n int, size int, entityRelated bool) {
 		if n <= 0 {
@@ -906,10 +915,11 @@ func (s *Server) disseminate(counts *tickCounts) {
 	// chunk's updates reach only the players whose view distance covers it,
 	// not every connected player.
 	if updates := s.ents.DrainChunkUpdates(); len(updates) > 0 {
-		playerChunks := make([]world.ChunkPos, nPlayers)
-		for i, p := range players {
-			playerChunks[i] = world.ChunkPosAt(p.Pos.BlockPos())
+		playerChunks := s.playerChunks[:0]
+		for _, p := range players {
+			playerChunks = append(playerChunks, world.ChunkPosAt(p.Pos.BlockPos()))
 		}
+		s.playerChunks = playerChunks
 		vd := int32(s.cfg.Net.ViewDistance)
 		var moved, spawned, despawned int
 		for _, u := range updates {

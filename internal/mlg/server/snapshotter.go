@@ -25,25 +25,35 @@ type SnapshotterConfig struct {
 }
 
 type snapshotJob struct {
-	snap *persist.Snapshot
+	data []byte        // framed, unsealed MLGP bytes: the Snapshotter's buffer
 	base *SnapshotBase // non-nil when the job is a full: install on success
 }
 
 // Snapshotter periodically captures server snapshots and persists them
-// through a Store. Encoding always happens on the tick goroutine (between
-// ticks, via MaybeSnapshot); in the default async mode the encoded bytes
-// are handed to a background writer so disk latency never extends a tick,
-// and a snapshot whose writer is still busy is skipped, not queued — the
-// next cadence point takes a fresh one instead.
+// through a Store. Capture always happens on the tick goroutine (between
+// ticks, via MaybeSnapshot): the server frames the snapshot straight into
+// one buffer the Snapshotter owns and reuses, so a steady autosave
+// allocates no file-sized garbage. The writer — the background goroutine
+// in the default async mode, the tick goroutine with Sync — seals the
+// checksums, writes the bytes and gives the buffer back. While the writer
+// holds the buffer a new snapshot is skipped before anything is encoded,
+// not queued: disk latency never extends a tick, and the next cadence
+// point takes a fresh one instead.
 type Snapshotter struct {
 	s   *Server
 	st  *persist.Store
 	cfg SnapshotterConfig
 
-	jobs chan snapshotJob
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 
 	mu sync.Mutex
+	// jobs hands the buffer to the background writer; nil with Sync and
+	// after Close.
+	jobs chan snapshotJob
+	// buf is the retained encode buffer; busy is set from capture until
+	// the writer gives buf back.
+	buf  []byte
+	busy bool
 	// base is the identity of the last full snapshot known to be on disk;
 	// incrementals are computed against it. Guarded by mu: the background
 	// writer installs it on write success while the tick goroutine reads it.
@@ -66,7 +76,7 @@ func NewSnapshotter(s *Server, st *persist.Store, cfg SnapshotterConfig) *Snapsh
 	if !cfg.Sync {
 		sn.jobs = make(chan snapshotJob, 1)
 		sn.wg.Add(1)
-		go sn.writer()
+		go sn.writer(sn.jobs)
 	}
 	return sn
 }
@@ -82,48 +92,47 @@ func (sn *Snapshotter) MaybeSnapshot(tick int64) {
 }
 
 // Snapshot captures and persists one snapshot now (full or incremental per
-// the FullEvery schedule). Must be called between ticks on the tick
-// goroutine.
+// the FullEvery schedule). In async mode it is skipped, without encoding,
+// while the writer still holds the buffer or after Close. Must be called
+// between ticks on the tick goroutine.
 func (sn *Snapshotter) Snapshot() {
 	sn.mu.Lock()
-	base := sn.base
+	jobs := sn.jobs
+	if !sn.cfg.Sync && (sn.busy || jobs == nil) {
+		sn.skipped++
+		sn.mu.Unlock()
+		return
+	}
+	sn.busy = true
+	buf, base := sn.buf[:0], sn.base
 	full := base == nil || sn.cfg.FullEvery <= 1 || sn.sinceFull >= sn.cfg.FullEvery-1
 	sn.mu.Unlock()
 	var job snapshotJob
 	if full {
-		job.snap = sn.s.EncodeSnapshot(nil)
-		job.base = &SnapshotBase{Tick: job.snap.Tick, Revs: sn.s.World().ChunkRevisions()}
+		job.data = sn.s.AppendSnapshot(buf, nil)
+		job.base = &SnapshotBase{Tick: sn.s.TickNumber(), Revs: sn.s.World().ChunkRevisions()}
 	} else {
-		job.snap = sn.s.EncodeSnapshot(base)
+		job.data = sn.s.AppendSnapshot(buf, base)
 	}
-	if sn.cfg.Sync {
+	if jobs == nil {
 		sn.runJob(job)
 		return
 	}
-	select {
-	case sn.jobs <- job:
-	default:
-		// Writer still busy with the previous snapshot: drop this one.
-		sn.mu.Lock()
-		sn.skipped++
-		sn.mu.Unlock()
-		if full {
-			// The staged base never hit the disk; stay on the old one.
-			return
-		}
-	}
+	jobs <- job // never blocks: busy kept every other job out
 }
 
-func (sn *Snapshotter) writer() {
+func (sn *Snapshotter) writer(jobs <-chan snapshotJob) {
 	defer sn.wg.Done()
-	for job := range sn.jobs {
+	for job := range jobs {
 		sn.runJob(job)
 	}
 }
 
-// runJob writes one snapshot with retry/backoff; on success of a full it
-// installs the new incremental base and resets the full cadence.
+// runJob seals and writes one snapshot with retry/backoff, then gives the
+// buffer back; on success of a full it installs the new incremental base
+// and resets the full cadence.
 func (sn *Snapshotter) runJob(job snapshotJob) {
+	persist.Seal(job.data)
 	var err error
 	backoff := sn.cfg.RetryBackoff
 	for attempt := 0; attempt < sn.cfg.Retries; attempt++ {
@@ -131,12 +140,13 @@ func (sn *Snapshotter) runJob(job snapshotJob) {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		if _, err = sn.st.Write(job.snap); err == nil {
+		if _, err = sn.st.WriteEncoded(job.data); err == nil {
 			break
 		}
 	}
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
+	sn.buf, sn.busy = job.data, false
 	if err != nil {
 		sn.err = err
 		return
@@ -165,13 +175,17 @@ func (sn *Snapshotter) Stats() (written, skipped int) {
 	return sn.written, sn.skipped
 }
 
-// Close stops the background writer after draining any queued job. It does
-// not take a final snapshot — callers that want one (graceful shutdown)
-// call Snapshot first, once ticking has stopped.
+// Close stops the background writer after it finishes any snapshot in
+// flight; later async snapshots are skipped. It does not take a final
+// snapshot — callers that want one (graceful shutdown) write it with
+// Server.Save after Close, once ticking has stopped.
 func (sn *Snapshotter) Close() {
-	if sn.jobs != nil {
-		close(sn.jobs)
+	sn.mu.Lock()
+	jobs := sn.jobs
+	sn.jobs = nil
+	sn.mu.Unlock()
+	if jobs != nil {
+		close(jobs)
 		sn.wg.Wait()
-		sn.jobs = nil
 	}
 }

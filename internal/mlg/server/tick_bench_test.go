@@ -90,8 +90,8 @@ func setupTNTStorm(b *testing.B) *server.Server {
 // whose entity population is spread across the whole map, as natural
 // spawning leaves it — most entities are outside every player's activation
 // range. Paper flavor, so the activation-range path is on the hot path.
-func setupPlayers(b *testing.B) *server.Server {
-	b.Helper()
+func setupPlayers(tb testing.TB) *server.Server {
+	tb.Helper()
 	w := workload.NewWorld(workload.Players, world.PaperControlSeed)
 	s := newBenchServer(server.Paper, w)
 	w.EnsureArea(world.Pos{X: 320, Y: 0, Z: 320}, 21)
@@ -205,7 +205,7 @@ func BenchmarkTick(b *testing.B) {
 		{"Lag", func(b *testing.B) *server.Server {
 			return setupWorkload(b, workload.Lag, server.Vanilla, 1, 100)
 		}},
-		{"Players", setupPlayers},
+		{"Players", func(b *testing.B) *server.Server { return setupPlayers(b) }},
 	}
 	for _, sc := range scenarios {
 		b.Run(sc.name, func(b *testing.B) {

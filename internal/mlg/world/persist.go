@@ -1,8 +1,9 @@
 package world
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mlg/persist"
 )
@@ -48,11 +49,11 @@ func (w *World) AppendPersist(dst []byte, changedSince map[ChunkPos]uint64) []by
 		}
 		chunks = append(chunks, c)
 	}
-	sort.Slice(chunks, func(i, j int) bool {
-		if chunks[i].Pos.Z != chunks[j].Pos.Z {
-			return chunks[i].Pos.Z < chunks[j].Pos.Z
+	slices.SortFunc(chunks, func(a, b *Chunk) int {
+		if a.Pos.Z != b.Pos.Z {
+			return cmp.Compare(a.Pos.Z, b.Pos.Z)
 		}
-		return chunks[i].Pos.X < chunks[j].Pos.X
+		return cmp.Compare(a.Pos.X, b.Pos.X)
 	})
 	dst = persist.AppendU64(dst, uint64(w.generated))
 	dst = persist.AppendU64(dst, uint64(w.setCount))

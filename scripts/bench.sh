@@ -5,7 +5,8 @@
 #
 #   1. the full pinned set at -cpu 1 (GOMAXPROCS=1): the serial per-
 #      workload tick windows, the serial entity tick (BenchmarkEntityTick),
-#      one warmed mob-sized A* search (BenchmarkFindPath),
+#      one warmed mob-sized A* search (BenchmarkFindPath), the warmed
+#      autosave path (BenchmarkSnapshotter),
 #      the terrain-drain workers sweep (BenchmarkTickParallel) pinned
 #      single-core so its alloc trajectory stays machine-independent, and
 #      the shard handoff;
@@ -42,7 +43,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH.json}"
 benchtime="${BENCHTIME:-1s}"
 
-full='BenchmarkTick$|BenchmarkTickParallel$|BenchmarkEntityTick$|BenchmarkFindPath$|BenchmarkSendReal$|BenchmarkSerializeChunk$|BenchmarkSnapshotSave$|BenchmarkRestore$'
+full='BenchmarkTick$|BenchmarkTickParallel$|BenchmarkEntityTick$|BenchmarkFindPath$|BenchmarkSendReal$|BenchmarkSerializeChunk$|BenchmarkSnapshotSave$|BenchmarkSnapshotter$|BenchmarkRestore$'
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
