@@ -104,7 +104,7 @@ func (s *Server) Stop() {
 func (s *Server) handleConn(conn *protocol.Conn) {
 	defer conn.Close()
 
-	pkt, _, err := conn.ReadPacket()
+	pkt, err := s.readIdle(conn)
 	if err != nil {
 		return
 	}
@@ -113,7 +113,7 @@ func (s *Server) handleConn(conn *protocol.Conn) {
 		conn.WritePacket(&protocol.Disconnect{Reason: "bad handshake"})
 		return
 	}
-	pkt, _, err = conn.ReadPacket()
+	pkt, err = s.readIdle(conn)
 	if err != nil {
 		return
 	}
@@ -140,12 +140,8 @@ func (s *Server) handleConn(conn *protocol.Conn) {
 		WriteTimeout: s.cfg.Net.WriteTimeout,
 	})
 
-	idle := s.cfg.Net.ReadIdleTimeout
 	for {
-		if idle > 0 {
-			conn.SetReadDeadline(time.Now().Add(idle))
-		}
-		pkt, _, err := conn.ReadPacket()
+		pkt, err := s.readIdle(conn)
 		if err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// A completely silent peer: without this reap its read
@@ -157,6 +153,17 @@ func (s *Server) handleConn(conn *protocol.Conn) {
 		}
 		s.Enqueue(p.ID, pkt, s.clock.Now())
 	}
+}
+
+// readIdle reads one packet under the read idle deadline. Every read of a
+// connection goes through it, the handshake and login included, so a peer
+// that connects and never speaks is reaped like one that falls silent.
+func (s *Server) readIdle(conn *protocol.Conn) (protocol.Packet, error) {
+	if idle := s.cfg.Net.ReadIdleTimeout; idle > 0 {
+		conn.SetReadDeadline(time.Now().Add(idle))
+	}
+	pkt, _, err := conn.ReadPacket()
+	return pkt, err
 }
 
 // sendChunkBatch streams a batch of owed chunks over a player's connection,

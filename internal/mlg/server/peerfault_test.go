@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -242,6 +243,32 @@ func TestReadIdleTimeoutReapsSilentPeer(t *testing.T) {
 		"silent peer was never reaped by the idle timeout")
 	if got := s.Outbound().IdleDisconnects; got < 1 {
 		t.Fatalf("IdleDisconnects = %d, want >= 1", got)
+	}
+}
+
+// TestReadIdleTimeoutReapsPreLoginPeer: a peer that connects and never
+// sends its handshake is reaped by the same idle timeout, so it cannot hold
+// a read goroutine and a socket open forever.
+func TestReadIdleTimeoutReapsPreLoginPeer(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	cfg := DefaultConfig(Vanilla)
+	cfg.Net.ReadIdleTimeout = 100 * time.Millisecond
+	s := New(w, cfg, nil, env.RealClock{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer func() { s.Stop(); ln.Close() }()
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := nc.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent pre-login peer read %d bytes, err %v; want EOF from the server's reap", n, err)
 	}
 }
 

@@ -43,8 +43,8 @@ type NetConfig struct {
 	WriteQueueBatches int
 	WriteQueueBytes   int
 	// ReadIdleTimeout disconnects a real connection that sends nothing at
-	// all for this long — a silent peer otherwise leaks its read goroutine
-	// and player session forever. Zero disables (DefaultNetConfig: 90 s;
+	// all for this long, before login or after — a silent peer otherwise
+	// leaks its read goroutine, socket and player session forever. Zero disables (DefaultNetConfig: 90 s;
 	// bots answer keep-alives, so live clients always have traffic).
 	ReadIdleTimeout time.Duration
 	// SocketWriteBuffer, when > 0, shrinks accepted TCP connections' kernel

@@ -573,8 +573,6 @@ func New(id PacketID) (Packet, error) {
 		return &EntityHandoff{}, nil
 	case IDShardBarrier:
 		return &ShardBarrier{}, nil
-	case IDEntityMirrors:
-		return &EntityMirrors{}, nil
 	default:
 		return nil, fmt.Errorf("protocol: unknown packet id %#x", int32(id))
 	}

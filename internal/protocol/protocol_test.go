@@ -81,40 +81,20 @@ func TestAllPacketsRoundTrip(t *testing.T) {
 }
 
 func TestNewRejectsUnknownID(t *testing.T) {
-	// 0x15, the retired one-ghost-per-packet mirror, must stay unknown so a
-	// peer still sending it faults instead of being misread.
-	for _, id := range []PacketID{0x15, 0x7F} {
+	// 0x15 and 0x16, the retired halo entity ghost packets, must stay
+	// unknown so a peer still sending them faults instead of being misread.
+	for _, id := range []PacketID{0x15, 0x16, 0x7F} {
 		if _, err := New(id); err == nil {
 			t.Fatalf("expected error for unknown packet id %#x", int32(id))
 		}
 	}
 }
 
-// TestEntityMirrorsWire: a ghost batch round-trips, a count the body cannot
-// back is rejected before anything is allocated for it, and the largest
-// batch a sender emits frames inside the pooled read buffer.
-func TestEntityMirrorsWire(t *testing.T) {
-	sent := &EntityMirrors{Ghosts: []EntityMirror{{Kind: 1, X: 0.5, Y: 20, Z: -3}, {Kind: 4, X: 1e9, Y: -1, Z: 2}}}
-	body := sent.MarshalBody(nil)
-	if len(body) != 1+2*entityMirrorSize {
-		t.Fatalf("body is %d bytes, want a 1-byte count and 25 per ghost", len(body))
-	}
-	got := &EntityMirrors{}
-	if err := got.UnmarshalBody(body); err != nil || !reflect.DeepEqual(got, sent) {
-		t.Fatalf("round trip: %+v, %v", got, err)
-	}
-	for _, hostile := range [][]byte{
-		append(AppendVarint(nil, 3), body[1:]...), // 3 claimed, 2 present
-		AppendVarint(nil, 1<<31-1),
-		AppendVarint(nil, -1),
-	} {
-		if err := (&EntityMirrors{}).UnmarshalBody(hostile); err == nil {
-			t.Errorf("accepted hostile body %x", hostile)
-		}
-	}
-	full := &EntityMirrors{Ghosts: make([]EntityMirror, MaxEntityMirrors)}
-	if n := len(AppendFrame(nil, full)); n > maxPooledReadBuf {
-		t.Fatalf("a %d-ghost frame is %d bytes, over the %d-byte pooled read buffer", MaxEntityMirrors, n, maxPooledReadBuf)
+// TestShardHelloBody: the hello carries the shard index and the cluster
+// size, nothing else.
+func TestShardHelloBody(t *testing.T) {
+	if n := len((&ShardHello{Shard: 1, Shards: 2}).MarshalBody(nil)); n != 8 {
+		t.Fatalf("hello body is %d bytes, want 8", n)
 	}
 }
 

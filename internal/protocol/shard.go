@@ -9,18 +9,17 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
-// Inter-shard packet IDs. 0x15 once carried a single ghost per packet; it
-// is retired, not reused, so a peer still sending it faults the session
-// with an unknown packet ID instead of being misread.
+// Inter-shard packet IDs. 0x15 and 0x16 once carried halo entity ghosts,
+// which no shard read; they are retired, not reused, so a peer still
+// sending them faults the session with an unknown packet ID instead of
+// being misread.
 const (
 	IDShardHello    PacketID = 0x11 // shard → shard: session handshake
 	IDChunkMirror   PacketID = 0x12 // owner → neighbour: halo chunk image
 	IDEntityHandoff PacketID = 0x13 // owner → new owner: migrating entity
 	IDShardBarrier  PacketID = 0x14 // shard → shard: end-of-tick marker
-	IDEntityMirrors PacketID = 0x16 // owner → neighbour: one tick's halo entity ghosts
 )
 
 // ShardHello opens an inter-shard session: each side announces its shard
@@ -28,24 +27,19 @@ const (
 type ShardHello struct {
 	Shard  int32
 	Shards int32
-	Tick   int64
 }
 
 func (*ShardHello) ID() PacketID { return IDShardHello }
 func (p *ShardHello) MarshalBody(dst []byte) []byte {
 	dst = appendI32(dst, p.Shard)
-	dst = appendI32(dst, p.Shards)
-	return appendI64(dst, p.Tick)
+	return appendI32(dst, p.Shards)
 }
 func (p *ShardHello) UnmarshalBody(src []byte) error {
 	var err error
 	if p.Shard, src, err = readI32(src); err != nil {
 		return err
 	}
-	if p.Shards, src, err = readI32(src); err != nil {
-		return err
-	}
-	p.Tick, _, err = readI64(src)
+	p.Shards, _, err = readI32(src)
 	return err
 }
 
@@ -149,68 +143,6 @@ func (p *EntityHandoff) UnmarshalBody(src []byte) error {
 	return err
 }
 
-// EntityMirror is a halo entity ghost: the position of one live entity
-// standing in an owned chunk within HaloWidth of a shard boundary, resent
-// every tick. Ghosts exist for visibility only — clients near the boundary
-// see entities across it — and are never simulated by the receiving shard,
-// which keeps the determinism contract intact (only the owner draws the
-// entity's decision streams).
-type EntityMirror struct {
-	Kind    uint8
-	X, Y, Z float64
-}
-
-// entityMirrorSize is one ghost's body size: kind byte plus three float64s.
-const entityMirrorSize = 1 + 3*8
-
-// MaxEntityMirrors caps the ghosts one EntityMirrors packet carries. 2048
-// ghosts are about 51 kB, so the frame stays inside a connection's pooled
-// read buffer (maxPooledReadBuf) and the receiver never takes the
-// transient-allocation path; senders split larger sets across packets.
-const MaxEntityMirrors = 2048
-
-// EntityMirrors carries one tick's halo entity ghosts from an owner to a
-// neighbouring shard in one packet: a varint count, then 25 bytes per
-// ghost. Ghosts currently have no consumer outside tests; the receiving
-// shard keeps them as a display-only set (Endpoint.Ghosts).
-type EntityMirrors struct {
-	Ghosts []EntityMirror
-}
-
-func (*EntityMirrors) ID() PacketID { return IDEntityMirrors }
-func (p *EntityMirrors) MarshalBody(dst []byte) []byte {
-	dst = AppendVarint(dst, int32(len(p.Ghosts)))
-	for _, g := range p.Ghosts {
-		dst = append(dst, g.Kind)
-		dst = appendF64(dst, g.X)
-		dst = appendF64(dst, g.Y)
-		dst = appendF64(dst, g.Z)
-	}
-	return dst
-}
-func (p *EntityMirrors) UnmarshalBody(src []byte) error {
-	n, src, err := readVarintBytes(src)
-	if err != nil {
-		return err
-	}
-	// Bound the count by the bytes actually present before allocating, so a
-	// hostile count cannot reserve memory the body does not back.
-	if n < 0 || int(n) > len(src)/entityMirrorSize {
-		return fmt.Errorf("protocol: %d entity mirrors exceed buffer of %d bytes", n, len(src))
-	}
-	p.Ghosts = make([]EntityMirror, n)
-	for i := range p.Ghosts {
-		b := src[i*entityMirrorSize:]
-		p.Ghosts[i] = EntityMirror{
-			Kind: b[0],
-			X:    math.Float64frombits(binary.BigEndian.Uint64(b[1:])),
-			Y:    math.Float64frombits(binary.BigEndian.Uint64(b[9:])),
-			Z:    math.Float64frombits(binary.BigEndian.Uint64(b[17:])),
-		}
-	}
-	return nil
-}
-
 // ShardBarrier marks the end of a shard's outbound traffic for one tick:
 // after the barrier for tick T, the peer has every mirror and handoff T
 // produced and may start its own tick T+1. The lockstep cluster driver uses
@@ -218,7 +150,8 @@ func (p *EntityMirrors) UnmarshalBody(src []byte) error {
 type ShardBarrier struct {
 	Tick int64
 	// Handoffs is the number of EntityHandoff packets preceding this
-	// barrier, a cheap integrity check on the session stream.
+	// barrier, a cheap integrity check: the receiving session faults when
+	// the stream carried a different number.
 	Handoffs int32
 }
 

@@ -99,7 +99,7 @@ func (c *Cluster) Shard(i int) *server.Server {
 }
 
 // Endpoint returns shard i's exchange endpoint (nil while dead), for
-// inspecting ghosts and sessions in tests.
+// drivers that run the exchange phases themselves and for tests.
 func (c *Cluster) Endpoint(i int) *Endpoint {
 	if c.dead[i] {
 		return nil

@@ -13,17 +13,16 @@ import (
 
 // Endpoint is one shard's half of the inter-shard exchange: after every
 // local tick it drains departing entities toward their new owners, mirrors
-// changed boundary chunks and halo entity ghosts to its neighbours, and
-// applies the symmetric traffic its peers produced. The exchange is split
-// into a send phase and an apply phase so a lockstep driver (or the
-// after-tick hook of a wall-clock shard) can fan all sends out before any
-// shard blocks on a barrier — sends are async, so the two-phase shape is
-// deadlock-free whatever the shard order.
+// changed boundary chunks to its neighbours, and applies the symmetric
+// traffic its peers produced. The exchange is split into a send phase and
+// an apply phase so a lockstep driver (or the after-tick hook of a
+// wall-clock shard) can fan all sends out before any shard blocks on a
+// barrier — sends are async, so the two-phase shape is deadlock-free
+// whatever the shard order.
 //
 // The per-tick cost tracks what changed, not what exists: an unchanged
-// boundary chunk costs a revision compare, and each peer's ghosts travel as
-// one batch. The outbound slices are reused across ticks, which is safe
-// because Session.Send encodes synchronously.
+// boundary chunk costs a revision compare. The outbound slices are reused
+// across ticks, which is safe because Session.Send encodes synchronously.
 type Endpoint struct {
 	S     *server.Server
 	Map   Map
@@ -43,12 +42,8 @@ type peerLink struct {
 	// mirrored remembers, per boundary chunk, the content sum last
 	// mirrored over this link.
 	mirrored map[world.ChunkPos]uint64
-	// ghosts holds the halo entity mirrors most recently received from the
-	// peer — display-only state, never simulated.
-	ghosts []protocol.EntityMirror
 
-	out      []protocol.Packet       // this tick's outbound packets
-	ghostOut []protocol.EntityMirror // this tick's outbound ghosts
+	out []protocol.Packet // this tick's outbound packets
 }
 
 // NewEndpoint wraps a shard server for inter-shard exchange. Sessions are
@@ -88,24 +83,14 @@ func (ep *Endpoint) DropSession(peer int) {
 // the caller may hold across DropSession calls.
 func (ep *Endpoint) Peers() []int { return slices.Clone(ep.order) }
 
-// Ghosts returns the halo entity mirrors last received from peer shards —
-// entities standing just across a boundary, for client visibility only.
-func (ep *Endpoint) Ghosts() []protocol.EntityMirror {
-	var out []protocol.EntityMirror
-	for _, p := range ep.order {
-		out = append(out, ep.links[p].ghosts...)
-	}
-	return out
-}
-
 // SendTick runs the shard's outbound half for the tick that just finished:
-// departure sweep, boundary chunk mirrors, halo ghosts, barrier. Handoffs
-// whose destination link is down are re-inserted locally rather than lost —
-// the entity freezes at the boundary until failover restores the peer.
+// departure sweep, boundary chunk mirrors, barrier. Handoffs whose
+// destination link is down are re-inserted locally rather than lost — the
+// entity freezes at the boundary until failover restores the peer.
 func (ep *Endpoint) SendTick(tick int64) error {
 	for _, p := range ep.order {
 		l := ep.links[p]
-		l.out, l.ghostOut = l.out[:0], l.ghostOut[:0]
+		l.out = l.out[:0]
 	}
 
 	ents := ep.S.EntityWorld()
@@ -131,25 +116,8 @@ func (ep *Endpoint) SendTick(tick int64) error {
 
 	ep.queueMirrors()
 
-	ents.Entities(func(e *entity.Entity) {
-		ep.halo = ep.Map.AppendHaloPeers(ep.halo[:0], ep.Index, world.ChunkPosAt(e.Pos.BlockPos()))
-		for _, peer := range ep.halo {
-			if l := ep.links[peer]; l != nil {
-				l.ghostOut = append(l.ghostOut, protocol.EntityMirror{
-					Kind: uint8(e.Kind), X: e.Pos.X, Y: e.Pos.Y, Z: e.Pos.Z,
-				})
-			}
-		}
-	})
-
 	for _, peer := range ep.order {
 		l := ep.links[peer]
-		// Ghosts go last, one packet per MaxEntityMirrors; none when empty.
-		for g := l.ghostOut; len(g) > 0; {
-			n := min(len(g), protocol.MaxEntityMirrors)
-			l.out = append(l.out, &protocol.EntityMirrors{Ghosts: g[:n]})
-			g = g[n:]
-		}
 		err := l.sess.Send(tick, l.out)
 		clear(l.out) // release this tick's handoffs and chunk images
 		if err != nil {
@@ -188,8 +156,8 @@ func (ep *Endpoint) queueMirrors() {
 
 // ApplyTick blocks until every attached peer has delivered its barrier for
 // the tick, then applies the traffic in ascending peer order: chunk mirrors
-// into the halo copies, handoffs into the entity store, ghosts into the
-// display set. Deterministic given deterministic peers.
+// into the halo copies, handoffs into the entity store. Deterministic given
+// deterministic peers.
 func (ep *Endpoint) ApplyTick(tick int64) error {
 	ents := ep.S.EntityWorld()
 	w := ep.S.World()
@@ -199,7 +167,6 @@ func (ep *Endpoint) ApplyTick(tick int64) error {
 		if err != nil {
 			return fmt.Errorf("shard %d ← %d: %w", ep.Index, peer, err)
 		}
-		l.ghosts = l.ghosts[:0]
 		for _, p := range pkts {
 			switch p := p.(type) {
 			case *protocol.ChunkMirror:
@@ -222,8 +189,6 @@ func (ep *Endpoint) ApplyTick(tick int64) error {
 					SeedKey:        p.SeedKey,
 					WanderCooldown: int(p.WanderCooldown),
 				})
-			case *protocol.EntityMirrors:
-				l.ghosts = append(l.ghosts, p.Ghosts...)
 			default:
 				return fmt.Errorf("shard %d ← %d: unexpected packet %#x", ep.Index, peer, int32(p.ID()))
 			}

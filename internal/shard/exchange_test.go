@@ -1,12 +1,14 @@
 package shard_test
 
 // The exchange suite pins what the inter-shard exchange costs per tick: an
-// unchanged boundary costs no allocation per ghost and no chunk image, a
+// unchanged boundary costs no byte or allocation per halo entity and no
+// chunk image, a
 // revision that moved without changing content sends nothing, and a
 // replaced link resynchronises every halo chunk.
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mlg/server"
@@ -22,6 +24,20 @@ type exchangePair struct {
 	eps  [2]*shard.Endpoint
 	sess [2]*shard.Session
 	tick int64
+	// written counts the bytes both sessions hand to their pipe ends.
+	written atomic.Int64
+}
+
+// countingConn counts bytes before writing them, so once a peer has read
+// a barrier the bytes that carried it are already counted.
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.n.Add(int64(len(b)))
+	return c.Conn.Write(b)
 }
 
 func newExchangePair(t *testing.T) *exchangePair {
@@ -48,7 +64,10 @@ func newExchangePair(t *testing.T) *exchangePair {
 func (p *exchangePair) link() {
 	old := p.sess
 	a, b := net.Pipe()
-	p.sess = [2]*shard.Session{shard.NewSession(a, 0, 1, 2), shard.NewSession(b, 1, 0, 2)}
+	p.sess = [2]*shard.Session{
+		shard.NewSession(countingConn{a, &p.written}, 0, 1, 2),
+		shard.NewSession(countingConn{b, &p.written}, 1, 0, 2),
+	}
 	p.eps[0].SetSession(1, p.sess[0])
 	p.eps[1].SetSession(0, p.sess[1])
 	for _, s := range old {
@@ -100,19 +119,19 @@ func (p *exchangePair) peerRevisions(t *testing.T, cps []world.ChunkPos) []uint6
 	return revs
 }
 
-// TestExchangeAllocsFlatInGhosts: with no terrain change, a steady-state
-// exchange round allocates the same small constant whether 64 or 1024
-// items stand in the halo — ghosts travel as one batch per peer, and
-// unchanged chunks are neither hashed nor resent.
-func TestExchangeAllocsFlatInGhosts(t *testing.T) {
-	allocs := map[int]float64{}
+// TestExchangeFlatInHaloEntities: with no terrain change, a steady-state
+// exchange round writes the same bytes and allocates the same small
+// constant whether 64 or 1024 items stand in the halo — entities cross
+// only as handoffs, and unchanged chunks are neither hashed nor resent.
+func TestExchangeFlatInHaloEntities(t *testing.T) {
+	allocs, written := map[int]float64{}, map[int]int64{}
 	for _, n := range []int{64, 1024} {
 		p := newExchangePair(t)
 		for _, cp := range haloChunks() {
 			p.eps[p.eps[0].Map.ShardOf(cp)].S.World().Chunk(cp)
 		}
 		// Items two blocks apart (the Vanilla merge cell) fill shard 1's
-		// boundary column, chunk X=16, so each one is a ghost for shard 0.
+		// boundary column, chunk X=16, inside shard 0's halo.
 		ents := p.eps[1].S.EntityWorld()
 		for i := 0; i < n; i++ {
 			x := equivSplit*world.ChunkSize + 2*(i%8)
@@ -125,16 +144,19 @@ func TestExchangeAllocsFlatInGhosts(t *testing.T) {
 		}
 		p.round(t) // first round mirrors every halo chunk and sizes the buffers
 		allocs[n] = testing.AllocsPerRun(50, func() { p.round(t) })
-		if got := len(p.eps[0].Ghosts()); got != n {
-			t.Fatalf("shard 0 holds %d ghosts, want %d", got, n)
-		}
+		before := p.written.Load()
+		p.round(t)
+		written[n] = p.written.Load() - before
 	}
-	t.Logf("allocs per exchange round: %v", allocs)
+	t.Logf("per exchange round: allocs %v, bytes %v", allocs, written)
+	if written[1024] != written[64] {
+		t.Fatalf("bytes per round grow with halo entities: %v", written)
+	}
 	// The sessions' reader and writer goroutines allocate too, and their
 	// timing can shift a slice growth between rounds, so the two sizes
-	// may differ by one or two; a per-ghost cost would differ by ~1000.
+	// may differ by one or two; a per-entity cost would differ by ~1000.
 	if d := allocs[1024] - allocs[64]; d > 2 || d < -2 {
-		t.Fatalf("allocs per round grow with ghosts: %v", allocs)
+		t.Fatalf("allocs per round grow with halo entities: %v", allocs)
 	}
 	if allocs[1024] > 40 {
 		t.Fatalf("allocs per round = %v, want a small constant", allocs[1024])

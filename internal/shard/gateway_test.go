@@ -12,18 +12,14 @@ import (
 )
 
 // TestGatewayForwardsDownstreamByteForByte: the gateway relays a shard's
-// downstream stream without decoding it, so a ghost-heavy, entity-heavy
+// downstream stream without decoding it, so a chunk-heavy, entity-heavy
 // stream — including a frame too large for the pooled read buffer —
 // reaches the client exactly as the shard wrote it.
 func TestGatewayForwardsDownstreamByteForByte(t *testing.T) {
 	login := &protocol.LoginSuccess{PlayerID: 5, X: 8.5, Y: 11, Z: 8.5}
-	ghosts := make([]protocol.EntityMirror, protocol.MaxEntityMirrors)
-	for i := range ghosts {
-		ghosts[i] = protocol.EntityMirror{Kind: uint8(i % 5), X: float64(i), Y: 20, Z: -float64(i)}
-	}
 	stream := []protocol.Packet{
-		&protocol.EntityMirrors{Ghosts: ghosts},
-		&protocol.EntityMirrors{Ghosts: ghosts[:100]},
+		// ~50 kB: large, but still inside the pooled read buffer.
+		&protocol.ChunkData{ChunkX: 2, ChunkZ: 0, Data: bytes.Repeat([]byte{7, 0, 3, 1, 9}, 10<<10)},
 		&protocol.WorldStream{Data: bytes.Repeat([]byte{0xC3}, 70<<10)},
 		&protocol.ChunkData{ChunkX: 1, ChunkZ: -1, Data: bytes.Repeat([]byte{0, 4, 1, 0}, 256)},
 	}

@@ -107,20 +107,32 @@ func (s *Session) readLoop(shards int, expectHello bool) {
 			return
 		}
 	}
+	handoffs := 0 // EntityHandoff packets since the last barrier
 	for {
 		p, _, err := s.conn.ReadPacket()
 		if err != nil {
 			s.fault(err)
 			return
 		}
-		s.mu.Lock()
-		if b, ok := p.(*protocol.ShardBarrier); ok {
-			s.ready[b.Tick] = s.pending
+		switch p := p.(type) {
+		case *protocol.ShardBarrier:
+			if int(p.Handoffs) != handoffs {
+				s.fault(fmt.Errorf("shard: peer %d barrier for tick %d claims %d handoffs, stream carried %d",
+					s.peer, p.Tick, p.Handoffs, handoffs))
+				return
+			}
+			handoffs = 0
+			s.mu.Lock()
+			s.ready[p.Tick] = s.pending
 			s.pending = nil
 			s.cond.Broadcast()
-		} else {
-			s.pending = append(s.pending, p)
+			s.mu.Unlock()
+			continue
+		case *protocol.EntityHandoff:
+			handoffs++
 		}
+		s.mu.Lock()
+		s.pending = append(s.pending, p)
 		s.mu.Unlock()
 	}
 }

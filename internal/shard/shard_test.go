@@ -11,6 +11,7 @@ package shard_test
 // across shards) must stay bit-identical to the single-shard run.
 
 import (
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -149,7 +150,7 @@ func TestSessionBarrier(t *testing.T) {
 
 	out := []protocol.Packet{
 		&protocol.EntityHandoff{Kind: 2, X: 1, SeedKey: 42},
-		&protocol.EntityMirrors{Ghosts: []protocol.EntityMirror{{Kind: 1, X: 3, Y: 4, Z: 5}}},
+		&protocol.ChunkMirror{ChunkX: 16, ChunkZ: -1, Data: []byte{1, 2, 3}},
 	}
 	if err := sa.Send(7, out); err != nil {
 		t.Fatal(err)
@@ -181,6 +182,31 @@ func TestSessionBarrier(t *testing.T) {
 	sb.WaitTimeout = 50 * time.Millisecond
 	if _, err := sb.WaitBarrier(8); err == nil {
 		t.Fatal("WaitBarrier(8) succeeded without a barrier for tick 8")
+	}
+}
+
+// TestSessionBarrierHandoffCount: a barrier whose handoff count disagrees
+// with the handoffs that preceded it faults the session instead of
+// delivering a torn tick.
+func TestSessionBarrierHandoffCount(t *testing.T) {
+	a, b := net.Pipe()
+	sa := shard.NewSession(a, 0, 1, 2)
+	defer sa.Close()
+	raw := protocol.NewConn(b)
+	defer raw.Close()
+	go io.Copy(io.Discard, b) // drain sa's hello
+	for _, p := range []protocol.Packet{
+		&protocol.ShardHello{Shard: 1, Shards: 2},
+		&protocol.EntityHandoff{Kind: 2, SeedKey: 42},
+		&protocol.ShardBarrier{Tick: 3, Handoffs: 2},
+	} {
+		if _, err := raw.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sa.WaitTimeout = 5 * time.Second
+	if pkts, err := sa.WaitBarrier(3); err == nil {
+		t.Fatalf("WaitBarrier returned %d packets for a barrier claiming 2 handoffs over 1", len(pkts))
 	}
 }
 
@@ -347,15 +373,6 @@ func TestClusterMirror(t *testing.T) {
 	cluster.Tick()
 	if got := cluster.Shard(0).World().Block(p).ID; got != world.Air {
 		t.Fatalf("halo copy holds %v after second exchange, want Air", got)
-	}
-
-	// Halo entity ghosts: an entity standing in the boundary chunk shows up
-	// in the neighbour's display-only ghost set after the next exchange.
-	cluster.Shard(1).EntityWorld().SpawnItem(p.Up(), world.Stone)
-	cluster.Tick()
-	ghosts := cluster.Endpoint(0).Ghosts()
-	if len(ghosts) != 1 || entity.Type(ghosts[0].Kind) != entity.Item {
-		t.Fatalf("ghosts = %+v, want one item mirror", ghosts)
 	}
 }
 
