@@ -99,6 +99,9 @@ func FuzzPacketDecode(f *testing.F) {
 	f.Add(int32(IDChat), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // oversized string length
 	f.Add(int32(IDChunkData), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0x7F})
 	f.Add(int32(0x16), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x07, 1, 2, 3}) // retired ghost ID: must stay unknown
+	// A hello in the old layout, with the retired trailing tick: the tail
+	// is ignored and the body must re-marshal to the 8-byte canonical form.
+	f.Add(int32(IDShardHello), appendI64((&ShardHello{Shard: 1, Shards: 2}).MarshalBody(nil), 1<<35))
 	f.Fuzz(func(t *testing.T, id int32, body []byte) {
 		p1, err := New(PacketID(id))
 		if err != nil {
