@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -130,13 +129,4 @@ func experiments() []experiment {
 		{"tab7", "Hardware recommendations of MLG hosting companies", tab7, nil},
 		{"tab8", "Entity-related share of network traffic (MF4)", tab8, tab8Grid},
 	}
-}
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -132,9 +132,6 @@ func (c *Client) actLoop() {
 // backs up — the stalled-peer fault the swarm benchmark injects.
 func (c *Client) PauseReads() { c.paused.Store(true) }
 
-// ResumeReads restarts a paused read loop.
-func (c *Client) ResumeReads() { c.paused.Store(false) }
-
 // SetReadDelay throttles the read loop to one packet per d — a slow (but not
 // stalled) consumer. Zero removes the throttle.
 func (c *Client) SetReadDelay(d time.Duration) { c.readDelay.Store(int64(d)) }

@@ -85,13 +85,6 @@ func (c *Controller) WaitForWorkers(n int, timeout time.Duration) error {
 	}
 }
 
-// WorkerCount returns the number of connected workers.
-func (c *Controller) WorkerCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.workers)
-}
-
 // Send transmits a message to worker idx and waits for its ok/err
 // acknowledgement. keep_alive and exit are fire-and-forget.
 func (c *Controller) Send(idx int, m Message) error {

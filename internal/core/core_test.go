@@ -190,3 +190,29 @@ func TestPlayersWorkloadTwentyFiveBots(t *testing.T) {
 		t.Fatalf("responses = %d, want >= 250", len(r.ResponseMS))
 	}
 }
+
+// TestRunInstallFailureKeepsLabels: a run whose workload cannot be installed
+// crashes with the same identity labels as any other result.
+func TestRunInstallFailureKeepsLabels(t *testing.T) {
+	s := spec(workload.Control, server.Vanilla, env.DAS5TwoCore, time.Second)
+	s.Workload.Kind = workload.Kind(99)
+	s.Iteration = 3
+	res := Run(s)
+	if !res.Crashed || res.CrashReason == "" {
+		t.Fatalf("unknown workload kind did not crash the run: %+v", res)
+	}
+	type labels struct {
+		Flavor, Workload, Environment string
+		Iteration                     int
+	}
+	got := labels{res.Flavor, res.Workload, res.Environment, res.Iteration}
+	want := labels{
+		Flavor:      server.Vanilla.Name,
+		Workload:    workload.Kind(99).String(),
+		Environment: env.DAS5TwoCore.Name,
+		Iteration:   3,
+	}
+	if got != want {
+		t.Fatalf("crashed result labels = %+v, want %+v", got, want)
+	}
+}

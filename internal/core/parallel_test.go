@@ -33,7 +33,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	const n = 8
 	// Farm is included deliberately: its spawner/hopper constructs exposed
 	// map-iteration-order nondeterminism in the engine (fixed alongside the
-	// scheduler; see sim.Engine sortedPositions and world.LoadedChunks).
+	// scheduler; see sim.Engine sortedPositions and world.LoadedChunkRefs).
 	for _, k := range []workload.Kind{workload.Control, workload.Players, workload.Farm} {
 		spec := detSpec(k, 5)
 		serial := RunIterations(spec, n)

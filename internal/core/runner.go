@@ -24,9 +24,6 @@ type RunSpec struct {
 	Seed      int64
 	// ProbeEvery overrides the chat-probe interval (default 1 s).
 	ProbeEvery time.Duration
-	// WorldSeed overrides the terrain seed (default the paper's Control
-	// seed).
-	WorldSeed int64
 	// SimWorkers sets the terrain-drain parallelism of the server under
 	// test (0 = GOMAXPROCS, 1 = serial). Simulation output is bit-identical
 	// at any value — the golden checksum suite and the serial-vs-parallel
@@ -94,23 +91,26 @@ func Run(spec RunSpec) RunResult {
 	if spec.ProbeEvery <= 0 {
 		spec.ProbeEvery = time.Second
 	}
-	worldSeed := spec.WorldSeed
-	if worldSeed == 0 {
-		worldSeed = world.PaperControlSeed
+	res := RunResult{
+		Flavor:      spec.Flavor.Name,
+		Workload:    spec.Workload.Kind.String(),
+		Environment: spec.Env.Name,
+		Iteration:   spec.Iteration,
 	}
 
 	start := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	clock := env.NewVirtualClock(start)
 	machine := env.NewMachine(spec.Env, spec.Seed*2654435761+int64(spec.Iteration))
 
-	w := workload.NewWorld(spec.Workload.Kind, worldSeed)
+	w := workload.NewWorld(spec.Workload.Kind, world.PaperControlSeed)
 	scfg := server.DefaultConfig(spec.Flavor)
 	scfg.Sim.Seed = spec.Seed
 	scfg.Net.ClientTimeout = spec.Env.ConnTimeout
 	scfg.Sim.Workers = spec.SimWorkers
 	s := server.New(w, scfg, machine, clock)
 	if err := workload.Install(s, spec.Workload); err != nil {
-		return RunResult{Crashed: true, CrashReason: err.Error()}
+		res.Crashed, res.CrashReason = true, err.Error()
+		return res
 	}
 
 	// Warm-up: let the freshly installed world settle (fluid spread, wire
@@ -160,13 +160,6 @@ func Run(spec RunSpec) RunResult {
 	// Bots act at uniformly random offsets within each tick cycle, like
 	// real clients whose inputs are not phase-locked to the server tick.
 	sendJitter := rand.New(rand.NewSource(spec.Seed ^ 0x5ca1ab1e))
-
-	res := RunResult{
-		Flavor:      spec.Flavor.Name,
-		Workload:    spec.Workload.Kind.String(),
-		Environment: spec.Env.Name,
-		Iteration:   spec.Iteration,
-	}
 
 	runStart := clock.Now()
 	end := runStart.Add(spec.Duration)

@@ -93,19 +93,12 @@ func NewMachine(p Profile, seed int64) *Machine {
 	return m
 }
 
-// Profile returns the machine's environment profile.
-func (m *Machine) Profile() Profile { return m.prof }
-
 // BusyHost reports whether this iteration landed on an oversubscribed host.
 func (m *Machine) BusyHost() bool { return m.busyHost }
 
 // Throttled reports whether a burstable machine has exhausted its CPU
 // credits and is running at its baseline fraction.
 func (m *Machine) Throttled() bool { return m.throttled }
-
-// CreditsRemaining returns the CPU-seconds of burst budget left (0 for
-// non-burstable profiles).
-func (m *Machine) CreditsRemaining() float64 { return m.credits }
 
 // TickComputeTime converts one tick's Work into the compute time the tick
 // occupies on this machine, applying in order: Amdahl speedup over the

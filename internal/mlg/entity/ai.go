@@ -1,7 +1,6 @@
 package entity
 
 import (
-	"cmp"
 	"container/heap"
 	"slices"
 
@@ -53,6 +52,9 @@ func (ew *World) pathStale(e *Entity) bool {
 	return false
 }
 
+// pathNodeBudget caps A* node expansions per path computation.
+const pathNodeBudget = 250
+
 // choosePath picks a goal (a player within 16 blocks, else a random point
 // within 8) and runs A* toward it. Target finding queries the tick's player
 // grid: only buckets around the mob are visited, and the lowest-index match
@@ -74,7 +76,7 @@ func (ew *World) choosePath(e *Entity, d *decisionStream) {
 		goal.Y = ew.surfaceAt(goal)
 	}
 
-	path, nodes, found := ew.findPath(e.path[:0], start, goal, ew.cfg.PathNodeBudget)
+	path, nodes, found := ew.findPath(e.path[:0], start, goal, pathNodeBudget)
 	ew.counters.PathNodes += nodes
 	if !found {
 		e.wanderCooldown = 20 + d.Intn(20)
@@ -82,12 +84,14 @@ func (ew *World) choosePath(e *Entity, d *decisionStream) {
 	}
 	e.path = path
 	e.pathIdx = 0
-	// Record terrain versions of the chunks the path crosses, in (Z, X)
-	// order.
+	// Record terrain versions of the chunks the path crosses, in
+	// ChunkPos.Compare order.
 	marks := e.pathVersions[:0]
 	for _, p := range path {
 		cp := world.ChunkPosAt(p)
-		i, seen := slices.BinarySearchFunc(marks, cp, comparePathMark)
+		i, seen := slices.BinarySearchFunc(marks, cp, func(m pathMark, cp world.ChunkPos) int {
+			return m.cp.Compare(cp)
+		})
 		if !seen {
 			marks = append(marks, pathMark{})
 			copy(marks[i+1:], marks[i:])
@@ -102,14 +106,6 @@ func (ew *World) choosePath(e *Entity, d *decisionStream) {
 type pathMark struct {
 	cp      world.ChunkPos
 	version uint64
-}
-
-// comparePathMark orders marks by chunk position, Z then X.
-func comparePathMark(m pathMark, cp world.ChunkPos) int {
-	if m.cp.Z != cp.Z {
-		return cmp.Compare(m.cp.Z, cp.Z)
-	}
-	return cmp.Compare(m.cp.X, cp.X)
 }
 
 // followPath steers the mob toward its next waypoint; completing the path

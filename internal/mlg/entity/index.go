@@ -1,7 +1,6 @@
 package entity
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -192,12 +191,7 @@ func (ew *World) DrainChunkUpdates() []ChunkUpdates {
 		out = append(out, u)
 	}
 	clear(ew.chunkUpdates)
-	slices.SortFunc(out, func(a, b ChunkUpdates) int {
-		if a.Pos.Z != b.Pos.Z {
-			return cmp.Compare(a.Pos.Z, b.Pos.Z)
-		}
-		return cmp.Compare(a.Pos.X, b.Pos.X)
-	})
+	slices.SortFunc(out, func(a, b ChunkUpdates) int { return a.Pos.Compare(b.Pos) })
 	ew.drained = out
 	return out
 }

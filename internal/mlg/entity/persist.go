@@ -1,7 +1,6 @@
 package entity
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -80,12 +79,7 @@ func (ew *World) AppendPersist(dst []byte) []byte {
 	for cp := range ew.chunkVersion {
 		cps = append(cps, cp)
 	}
-	slices.SortFunc(cps, func(a, b world.ChunkPos) int {
-		if a.Z != b.Z {
-			return cmp.Compare(a.Z, b.Z)
-		}
-		return cmp.Compare(a.X, b.X)
-	})
+	slices.SortFunc(cps, world.ChunkPos.Compare)
 	ew.persistCPs = cps
 	dst = persist.AppendU32(dst, uint32(len(cps)))
 	for _, cp := range cps {
@@ -98,15 +92,7 @@ func (ew *World) AppendPersist(dst []byte) []byte {
 	for cell := range ew.itemCells {
 		cells = append(cells, cell)
 	}
-	slices.SortFunc(cells, func(a, b world.Pos) int {
-		if a.Y != b.Y {
-			return cmp.Compare(a.Y, b.Y)
-		}
-		if a.Z != b.Z {
-			return cmp.Compare(a.Z, b.Z)
-		}
-		return cmp.Compare(a.X, b.X)
-	})
+	slices.SortFunc(cells, world.Pos.Compare)
 	ew.persistCells = cells
 	dst = persist.AppendU32(dst, uint32(len(cells)))
 	for _, cell := range cells {
@@ -161,7 +147,7 @@ func (ew *World) RestorePersist(data []byte) error {
 			e.pathVersions = make([]pathMark, 0, nv)
 			for j := 0; j < nv; j++ {
 				m := pathMark{cp: world.ChunkPos{X: d.I32(), Z: d.I32()}, version: d.U64()}
-				if j > 0 && d.Err() == nil && comparePathMark(e.pathVersions[j-1], m.cp) >= 0 {
+				if j > 0 && d.Err() == nil && e.pathVersions[j-1].cp.Compare(m.cp) >= 0 {
 					return fmt.Errorf("%w: entity %d: path marks not in (Z, X) order at %d", persist.ErrCorrupt, i, j)
 				}
 				e.pathVersions = append(e.pathVersions, m)

@@ -17,15 +17,10 @@ type Config struct {
 	MaxMobs int
 	// ItemLifetimeTicks is how long an item entity lives (Minecraft: 6000).
 	ItemLifetimeTicks int
-	// MobLifetimeTicks despawns wandering mobs after a while, bounding farm
-	// populations.
-	MobLifetimeTicks int
 	// ActivationRange, when > 0, tick-throttles entities farther than this
 	// many blocks from every player to one tick in four — the PaperMC
 	// entity-activation optimization. 0 disables throttling (vanilla).
 	ActivationRange int
-	// PathNodeBudget caps A* node expansions per path computation.
-	PathNodeBudget int
 	// NaturalSpawning enables ambient mob spawning near players.
 	NaturalSpawning bool
 	// SpawnAttemptsPerTick is the number of natural-spawn placements tried
@@ -44,9 +39,7 @@ func DefaultConfig() Config {
 		MaxEntities:          3000,
 		MaxMobs:              60,
 		ItemLifetimeTicks:    6000,
-		MobLifetimeTicks:     2400,
 		ActivationRange:      0,
-		PathNodeBudget:       250,
 		NaturalSpawning:      true,
 		SpawnAttemptsPerTick: 3,
 	}
@@ -458,6 +451,10 @@ func (ew *World) throttled(e *Entity) bool {
 	return (e.Age+int(e.seedKey&3))%4 != 0
 }
 
+// mobLifetimeTicks despawns wandering mobs after a while, bounding farm
+// populations.
+const mobLifetimeTicks = 2400
+
 // compact removes dead and expired entities. Mobs that die drop loot (the
 // entity-farm yield); drops are spawned after the sweep so the list is not
 // mutated mid-iteration.
@@ -469,7 +466,7 @@ func (ew *World) compact() {
 		case e.Dead:
 		case e.Kind == Item && e.Age > ew.cfg.ItemLifetimeTicks:
 			e.Dead = true
-		case e.Kind == Mob && ew.cfg.MobLifetimeTicks > 0 && e.Age > ew.cfg.MobLifetimeTicks:
+		case e.Kind == Mob && e.Age > mobLifetimeTicks:
 			e.Dead = true
 			drops = append(drops, e.Pos.BlockPos())
 		case e.Pos.Y < -8:

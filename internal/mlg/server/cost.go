@@ -10,8 +10,8 @@ import (
 // microseconds. The constants are calibrated so that the absolute tick-time
 // magnitudes of the paper's experiments are reproduced on the DAS-5
 // reference profile (Control ≈ 10-20 ms ticks on 2 cores, TNT peaks in the
-// seconds, Lag heavy ticks of 1-2 s). They are exported as one struct so
-// ablation benchmarks can vary them.
+// seconds, Lag heavy ticks of 1-2 s). DefaultCosts is the one instance the
+// server accounts with.
 type CostModel struct {
 	// Player handler costs.
 	PlayerMoveUS   float64 // movement validation + collision

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"log"
 	"net"
 	"os"
@@ -71,7 +70,6 @@ func (s *Server) Serve(ln net.Listener) error {
 // after-tick hook and snapshot cadence run inside Tick itself
 // (Hooks.AfterTick, Config.Persist), so Run is a bare loop.
 func (s *Server) Run() {
-	go s.keepAliveLoop()
 	for {
 		select {
 		case <-s.stopped:
@@ -133,7 +131,7 @@ func (s *Server) handleConn(conn *protocol.Conn) {
 
 	// Handshake traffic above was synchronous; everything after login rides
 	// the connection's async writer so a slow peer can never block the tick
-	// goroutine (or the keep-alive/chat broadcast loops).
+	// goroutine.
 	conn.StartWriter(protocol.WriterConfig{
 		MaxBatches:   s.cfg.Net.WriteQueueBatches,
 		MaxBytes:     s.cfg.Net.WriteQueueBytes,
@@ -236,11 +234,12 @@ func (e *entSnap) fullMoveFrame() protocol.Frame {
 // sendReal materializes this tick's updates for socket-backed players.
 // Entity updates are interest-filtered (only entities inside the player's
 // chunk view area are sent) and capped per tick per player, like production
-// servers' broadcast budgets. Broadcast packets are encoded once and fanned
-// out as raw frames; each player's whole tick goes out under a single
-// flush (async conns: a single writer-queue enqueue). It returns the IDs
-// of players whose connection faulted mid-send, for the caller to reap.
-func (s *Server) sendReal(players []*Player, bc []protocol.BlockChange, counts *tickCounts) []int64 {
+// servers' broadcast budgets. Broadcast packets (block changes, plus a
+// KeepAlive on keep-alive ticks) are encoded once and fanned out as raw
+// frames; each player's whole tick goes out under a single flush (async
+// conns: a single writer-queue enqueue). It returns the IDs of players
+// whose connection faulted mid-send, for the caller to reap.
+func (s *Server) sendReal(players []*Player, bc []protocol.BlockChange, keepAlive bool, counts *tickCounts) []int64 {
 	const entityCap = 400
 	var hasReal bool
 	for _, p := range players {
@@ -264,16 +263,20 @@ func (s *Server) sendReal(players []*Player, bc []protocol.BlockChange, counts *
 	})
 	s.sendScratch.ents = ents
 
+	s.mu.Lock()
+	tick := s.tick
+	s.mu.Unlock()
+
 	// Encode the tick's shared broadcast frames exactly once.
 	bcFrames := s.sendScratch.bcFrames[:0]
 	for i := range bc {
 		bcFrames = append(bcFrames, protocol.EncodeFrame(&bc[i]))
 	}
+	if keepAlive {
+		bcFrames = append(bcFrames, protocol.EncodeFrame(&protocol.KeepAlive{Nonce: tick}))
+	}
 	s.sendScratch.bcFrames = bcFrames
 
-	s.mu.Lock()
-	tick := s.tick
-	s.mu.Unlock()
 	tickFrame := protocol.EncodeFrame(&protocol.TimeUpdate{Tick: tick})
 	vd := int32(s.cfg.Net.ViewDistance)
 
@@ -405,8 +408,10 @@ func fitsInt8(v int32) bool { return v >= -128 && v <= 127 }
 // BroadcastChat sends a chat packet to every socket-backed player, encoded
 // once. The virtual path accounts chats without materializing them; the
 // real path delivers them here, which is how the bot swarm's response-time
-// probe observes its own message. Tick goroutine only: the connection list
-// is server-owned scratch.
+// probe observes its own message. A frame a full writer queue refuses is
+// counted in OutboundStats.DroppedBatches; a faulted writer is reaped by the
+// next dissemination. Tick goroutine only: the connection list is
+// server-owned scratch.
 func (s *Server) BroadcastChat(c *protocol.Chat) {
 	s.mu.Lock()
 	conns := s.chatConns[:0]
@@ -421,37 +426,16 @@ func (s *Server) BroadcastChat(c *protocol.Chat) {
 		return
 	}
 	f := protocol.EncodeFrame(c)
+	var dropped int64
 	for _, conn := range conns {
-		conn.WriteFrame(f)
+		if _, err := conn.WriteFrame(f); errors.Is(err, protocol.ErrBacklog) {
+			dropped++
+		}
 	}
 	clear(conns)
-}
-
-// Addr formats a host:port for the default game port.
-func Addr(host string, port int) string { return fmt.Sprintf("%s:%d", host, port) }
-
-// keepAliveLoop periodically sends keep-alives on real connections, one
-// encode per round.
-func (s *Server) keepAliveLoop() {
-	t := time.NewTicker(s.cfg.Net.KeepAliveEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopped:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			players := make([]*Player, 0, len(s.order))
-			for _, pid := range s.order {
-				players = append(players, s.players[pid])
-			}
-			s.mu.Unlock()
-			f := protocol.EncodeFrame(&protocol.KeepAlive{Nonce: time.Now().UnixNano()})
-			for _, p := range players {
-				if p.conn != nil {
-					p.conn.WriteFrame(f)
-				}
-			}
-		}
+	if dropped > 0 {
+		s.mu.Lock()
+		s.out.DroppedBatches += dropped
+		s.mu.Unlock()
 	}
 }

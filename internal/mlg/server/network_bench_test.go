@@ -62,7 +62,7 @@ func BenchmarkSendReal(b *testing.B) {
 		// chunk so the herd never leaves anyone's view.
 		dx := 4 + float64(i%16)*0.0625
 		s.ents.Entities(func(e *entity.Entity) { e.Pos.X = dx })
-		s.sendReal(players, bc, &counts)
+		s.sendReal(players, bc, false, &counts)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -176,6 +177,74 @@ func TestSocketChatLeavesNoEcho(t *testing.T) {
 	}
 }
 
+// TestKeepAliveRidesTick: with nothing but Tick driving the server (no Run,
+// no wall-clock loop), a socket player that logged in through handleConn
+// receives exactly one KeepAlive in its first keepAliveTicks batches, inside
+// the batch of tick keepAliveTicks — the tick the cost model accounts it on.
+func TestKeepAliveRidesTick(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	s := New(w, DefaultConfig(Vanilla), nil, testClock())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(ln)
+	defer func() { s.Stop(); ln.Close() }()
+
+	conn, err := protocol.Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.WritePacket(&protocol.Handshake{Version: protocol.ProtocolVersion})
+	conn.WritePacket(&protocol.Login{Name: "keepalive-bot"})
+	if _, _, err := conn.ReadPacket(); err != nil { // LoginSuccess
+		t.Fatal(err)
+	}
+
+	// Each tick batch ends with its TimeUpdate, so a KeepAlive belongs to
+	// the batch of the next TimeUpdate read after it.
+	type seen struct{ nonce, batch int64 }
+	got := make(chan []seen, 1)
+	go func() {
+		var keepAlives []seen
+		var pending []int64
+		for {
+			pkt, _, err := conn.ReadPacket()
+			if err != nil {
+				got <- nil
+				return
+			}
+			switch p := pkt.(type) {
+			case *protocol.KeepAlive:
+				pending = append(pending, p.Nonce)
+			case *protocol.TimeUpdate:
+				for _, n := range pending {
+					keepAlives = append(keepAlives, seen{nonce: n, batch: p.Tick})
+				}
+				pending = pending[:0]
+				if p.Tick == keepAliveTicks {
+					got <- keepAlives
+					return
+				}
+			}
+		}
+	}()
+
+	for i := int64(0); i < keepAliveTicks; i++ {
+		s.Tick()
+	}
+	select {
+	case ka := <-got:
+		want := []seen{{nonce: keepAliveTicks, batch: keepAliveTicks}}
+		if !slices.Equal(ka, want) {
+			t.Fatalf("keep-alives (nonce, batch tick) through tick %d = %v, want %v", keepAliveTicks, ka, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("tick %d batch never arrived", keepAliveTicks)
+	}
+}
+
 // TestStationaryEntitiesSendNothing: an in-view entity that does not move
 // between broadcast rounds must send exactly one full-move baseline and
 // then nothing.
@@ -190,13 +259,13 @@ func TestStationaryEntitiesSendNothing(t *testing.T) {
 
 	var counts tickCounts
 	players := []*Player{p}
-	s.sendReal(players, nil, &counts)
+	s.sendReal(players, nil, false, &counts)
 	base := p.conn.Stats()
 	if base.EntityMsgs != 1 {
 		t.Fatalf("baseline round sent %d entity packets, want 1 full move", base.EntityMsgs)
 	}
 	for i := 0; i < 5; i++ {
-		s.sendReal(players, nil, &counts)
+		s.sendReal(players, nil, false, &counts)
 	}
 	after := p.conn.Stats()
 	if got := after.EntityMsgs - base.EntityMsgs; got != 0 {

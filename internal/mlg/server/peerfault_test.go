@@ -346,3 +346,33 @@ func waitCond(t *testing.T, d time.Duration, ok func() bool, msg string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// TestBroadcastChatCountsRefusedFrames: a chat fan-out frame that a full
+// writer queue refuses is a dropped batch like a refused tick batch, not a
+// silent loss.
+func TestBroadcastChatCountsRefusedFrames(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	s := New(w, DefaultConfig(Vanilla), nil, env.RealClock{})
+	defer s.Stop()
+
+	a, b := net.Pipe() // b is never read: the first frame blocks the writer
+	defer b.Close()
+	conn := protocol.NewConn(a)
+	conn.StartWriter(protocol.WriterConfig{MaxBatches: 2})
+	s.connect("stalled", conn)
+
+	chat := &protocol.Chat{Sender: "probe", Text: "hello"}
+	s.BroadcastChat(chat)
+	waitCond(t, 5*time.Second, func() bool {
+		n, _ := conn.WriterQueueDepth()
+		return n == 0
+	}, "writer never took the first chat frame")
+	// The writer is blocked on the first frame: two more queue, the other
+	// seven are refused.
+	for i := 1; i < 10; i++ {
+		s.BroadcastChat(chat)
+	}
+	if got := s.Outbound().DroppedBatches; got < 7 {
+		t.Fatalf("DroppedBatches = %d after 10 broadcasts to a stalled 2-batch queue, want >= 7", got)
+	}
+}

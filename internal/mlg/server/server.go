@@ -18,8 +18,8 @@ import (
 // TickBudget is the intended tick period: 50 ms, 20 Hz (§2.1).
 const TickBudget = 50 * time.Millisecond
 
-// NetConfig groups the client-facing networking knobs: interest radius,
-// keep-alive cadence, and the peer-fault bounds of the async outbound path.
+// NetConfig groups the client-facing networking knobs: interest radius and
+// the peer-fault bounds of the async outbound path.
 type NetConfig struct {
 	// ViewDistance is the radius, in chunks, loaded and streamed around each
 	// player.
@@ -28,8 +28,6 @@ type NetConfig struct {
 	// client connections longer than this (the Lag-on-AWS failure mode,
 	// §5.3). It is normally taken from the environment profile.
 	ClientTimeout time.Duration
-	// KeepAliveEvery is the keep-alive broadcast period (default 5 s).
-	KeepAliveEvery time.Duration
 	// WriteTimeout bounds each outbound socket write on a real connection's
 	// async writer; a peer that keeps a write stalled past it is
 	// disconnected on the next tick with its queued frames reclaimed. Zero
@@ -58,14 +56,12 @@ type NetConfig struct {
 func DefaultNetConfig() NetConfig {
 	return NetConfig{
 		ViewDistance:    5,
-		KeepAliveEvery:  5 * time.Second,
 		WriteTimeout:    5 * time.Second,
 		ReadIdleTimeout: 90 * time.Second,
 	}
 }
 
-// SimConfig groups the simulation knobs: seeding, parallelism, and the
-// virtual-time cost model.
+// SimConfig groups the simulation knobs: seeding and parallelism.
 type SimConfig struct {
 	// Seed seeds the simulation RNGs.
 	Seed int64
@@ -75,13 +71,11 @@ type SimConfig struct {
 	// independent — any value produces identical results. The entity tick is
 	// always serial.
 	Workers int
-	// Costs is the operation cost model used for virtual-time accounting.
-	Costs CostModel
 }
 
 // DefaultSimConfig returns the default simulation configuration.
 func DefaultSimConfig() SimConfig {
-	return SimConfig{Seed: 1, Costs: DefaultCosts()}
+	return SimConfig{Seed: 1}
 }
 
 // PersistConfig wires crash-safe persistence into the server. With a
@@ -258,9 +252,9 @@ type TickRecord struct {
 // OutboundStats aggregates the peer-fault counters of the async outbound
 // path over the server's lifetime.
 type OutboundStats struct {
-	// DroppedBatches counts per-player tick batches dropped because the
-	// connection's bounded writer queue was full (chunk-burst batches that
-	// stayed owed included).
+	// DroppedBatches counts batches refused because the connection's
+	// bounded writer queue was full: per-player tick batches (chunk-burst
+	// batches that stayed owed included) and chat fan-out frames.
 	DroppedBatches int64
 	// Keyframes counts keyframe fallbacks: after a drop, the next batch
 	// that fit re-baselined the client with full EntityMove packets.
@@ -416,12 +410,6 @@ func New(w *world.World, cfg Config, machine *env.Machine, clock env.Clock) *Ser
 	if cfg.Net.ViewDistance <= 0 {
 		cfg.Net.ViewDistance = 5
 	}
-	if cfg.Net.KeepAliveEvery <= 0 {
-		cfg.Net.KeepAliveEvery = 5 * time.Second
-	}
-	if cfg.Sim.Costs == (CostModel{}) {
-		cfg.Sim.Costs = DefaultCosts()
-	}
 	s := &Server{
 		cfg:         cfg,
 		w:           w,
@@ -494,9 +482,6 @@ func (s *Server) Engine() *sim.Engine { return s.engine }
 
 // EntityWorld returns the entity store.
 func (s *Server) EntityWorld() *entity.World { return s.ents }
-
-// Flavor returns the server's flavor.
-func (s *Server) Flavor() Flavor { return s.cfg.Flavor }
 
 // Connect adds a player at the world spawn and returns the session. The
 // join triggers the chunk-load and chunk-send burst responsible for the
@@ -683,7 +668,7 @@ func (s *Server) Tick() TickRecord {
 	counts.chunksLoaded = s.w.ChunkCount()
 
 	// Convert work to tick duration.
-	work := s.cfg.Sim.Costs.Work(counts, s.cfg.Flavor)
+	work := DefaultCosts().Work(counts, s.cfg.Flavor)
 	var dur time.Duration
 	if s.machine != nil {
 		dur = s.machine.TickComputeTime(work)
@@ -859,7 +844,7 @@ func (s *Server) handlePacket(in inbound, counts *tickCounts) {
 		if s.cfg.Flavor.AsyncChat {
 			// Paper: chat never touches the game tick; the echo is ready a
 			// fixed async-processing delay after arrival.
-			echo.ReadyAt = in.arrival.Add(time.Duration(s.cfg.Sim.Costs.AsyncChatUS) * time.Microsecond)
+			echo.ReadyAt = in.arrival.Add(time.Duration(DefaultCosts().AsyncChatUS) * time.Microsecond)
 			s.chatEchoes = append(s.chatEchoes, echo)
 		} else {
 			s.pendingChat = append(s.pendingChat, echo)
@@ -869,6 +854,9 @@ func (s *Server) handlePacket(in inbound, counts *tickCounts) {
 		// Client keep-alive echo; nothing to do.
 	}
 }
+
+// keepAliveTicks is the keep-alive period: 5 s of ticks.
+const keepAliveTicks = int64(5 * time.Second / TickBudget)
 
 // disseminate accounts (and, for real connections, sends) this tick's state
 // updates: terrain changes, entity updates, chats, chunk-join bursts,
@@ -950,15 +938,11 @@ func (s *Server) disseminate(counts *tickCounts) {
 	addMsgs(nPlayers, s.sizes.timeUpdate, false)
 	addMsgs(nPlayers, s.sizes.worldStream, false)
 
-	// Keep-alives.
-	if s.cfg.Net.KeepAliveEvery > 0 {
-		every := int64(s.cfg.Net.KeepAliveEvery / TickBudget)
-		if every < 1 {
-			every = 1
-		}
-		if s.tick%every == 0 {
-			addMsgs(nPlayers, s.sizes.keepAlive, false)
-		}
+	// Keep-alives: every player receives one every keepAliveTicks, riding
+	// the tick's broadcast frames on a real connection.
+	keepAlive := s.tick%keepAliveTicks == 0
+	if keepAlive {
+		addMsgs(nPlayers, s.sizes.keepAlive, false)
 	}
 
 	// Join bursts: chunk data owed to newly connected players, throttled to
@@ -994,7 +978,7 @@ func (s *Server) disseminate(counts *tickCounts) {
 	}
 
 	// Real connections additionally receive materialized packets.
-	dead = append(dead, s.sendReal(players, bc, counts)...)
+	dead = append(dead, s.sendReal(players, bc, keepAlive, counts)...)
 
 	// Sample the queue-depth gauge and reap faulted peers. Disconnect closes
 	// the connection, which reclaims every batch its writer still holds.

@@ -18,10 +18,6 @@ type SnapshotterConfig struct {
 	// Sync writes on the calling (tick) goroutine instead of the
 	// background writer — deterministic tests and final-flush paths.
 	Sync bool
-	// Retries is how many times an IO-failed write is retried (default 3),
-	// sleeping RetryBackoff (default 50ms, doubling) between attempts.
-	Retries      int
-	RetryBackoff time.Duration
 }
 
 type snapshotJob struct {
@@ -66,12 +62,6 @@ type Snapshotter struct {
 
 // NewSnapshotter creates a snapshotter for s writing into st.
 func NewSnapshotter(s *Server, st *persist.Store, cfg SnapshotterConfig) *Snapshotter {
-	if cfg.Retries <= 0 {
-		cfg.Retries = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
-	}
 	sn := &Snapshotter{s: s, st: st, cfg: cfg}
 	if !cfg.Sync {
 		sn.jobs = make(chan snapshotJob, 1)
@@ -128,14 +118,21 @@ func (sn *Snapshotter) writer(jobs <-chan snapshotJob) {
 	}
 }
 
+// writeAttempts is how many times an IO-failed write is tried, sleeping
+// writeBackoff (doubling) between attempts.
+const (
+	writeAttempts = 3
+	writeBackoff  = 50 * time.Millisecond
+)
+
 // runJob seals and writes one snapshot with retry/backoff, then gives the
 // buffer back; on success of a full it installs the new incremental base
 // and resets the full cadence.
 func (sn *Snapshotter) runJob(job snapshotJob) {
 	persist.Seal(job.data)
 	var err error
-	backoff := sn.cfg.RetryBackoff
-	for attempt := 0; attempt < sn.cfg.Retries; attempt++ {
+	backoff := writeBackoff
+	for attempt := 0; attempt < writeAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			backoff *= 2

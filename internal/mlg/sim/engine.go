@@ -21,7 +21,7 @@ package sim
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/mlg/world"
 )
@@ -87,11 +87,6 @@ type Config struct {
 	// ExplosionMerge batches simultaneous explosions so overlapping blast
 	// volumes are scanned once (a PaperMC TNT optimization).
 	ExplosionMerge bool
-	// ItemDropChance is the probability an explosion-destroyed block drops
-	// an item entity.
-	ItemDropChance float64
-	// SpawnerIntervalTicks is the mob-spawner period.
-	SpawnerIntervalTicks int
 	// SimWorkers is the number of goroutines draining independent simulation
 	// regions per tick. 0 means GOMAXPROCS; 1 drains serially (the
 	// differential-testing baseline). Whatever the value, results are
@@ -115,12 +110,10 @@ type Config struct {
 // DefaultConfig returns vanilla-like settings.
 func DefaultConfig() Config {
 	return Config{
-		RandomTickRate:       3,
-		MaxUpdatesPerTick:    200_000,
-		RedstoneBatch:        false,
-		ExplosionMerge:       false,
-		ItemDropChance:       0.30,
-		SpawnerIntervalTicks: 40,
+		RandomTickRate:    3,
+		MaxUpdatesPerTick: 200_000,
+		RedstoneBatch:     false,
+		ExplosionMerge:    false,
 	}
 }
 
@@ -246,7 +239,7 @@ func (x *exec) setBlock(p world.Pos, b world.Block) {
 	x.e.w.SetBlock(p, b)
 }
 
-// spawnPrimedTNT, spawnItem and spawnMob route entity-spawn requests: direct
+// spawnPrimedTNT and spawnItem route entity-spawn requests: direct
 // on the root context, buffered as ordered events on a region context so the
 // entity store's IDs and RNG are consumed in the reconstructed serial order.
 func (x *exec) spawnPrimedTNT(p world.Pos, fuseTicks int) {
@@ -263,14 +256,6 @@ func (x *exec) spawnItem(p world.Pos, item world.BlockID) {
 		return
 	}
 	x.e.ents.SpawnItem(p, item)
-}
-
-func (x *exec) spawnMob(p world.Pos) {
-	if r := x.region; r != nil {
-		r.events = append(r.events, event{kind: evSpawnMob, pos: p})
-		return
-	}
-	x.e.ents.SpawnMob(p)
 }
 
 // New creates an engine bound to the world and entity store, seeded
@@ -617,12 +602,11 @@ func (e *Engine) ParallelStats() ParallelStats {
 	}
 }
 
+// spawnerInterval is the mob-spawner period in ticks.
+const spawnerInterval = 40
+
 // tickSpawners activates spawner blocks on their period.
 func (e *Engine) tickSpawners() {
-	interval := int64(e.cfg.SpawnerIntervalTicks)
-	if interval <= 0 {
-		interval = 40
-	}
 	for _, p := range e.sortedSpawners() {
 		if !e.owns(p) {
 			continue
@@ -630,12 +614,9 @@ func (e *Engine) tickSpawners() {
 		// Offset by position hash so spawners do not fire in lockstep. The
 		// offset is kept even-aligned because this method only runs on
 		// redstone ticks.
-		half := interval / 2
-		if half < 1 {
-			half = 1
-		}
-		off := 2 * int64(uint64(p.X*73856093^p.Y*19349663^p.Z*83492791)%uint64(half))
-		if (e.tick+off)%interval == 0 {
+		const half = spawnerInterval / 2
+		off := 2 * int64(uint64(p.X*73856093^p.Y*19349663^p.Z*83492791)%half)
+		if (e.tick+off)%spawnerInterval == 0 {
 			e.counters.BlockUpdates++
 			e.ents.SpawnMob(p.Up())
 		}
@@ -678,16 +659,7 @@ func sortedPositions(set map[world.Pos]struct{}) []world.Pos {
 	for p := range set {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Y != b.Y {
-			return a.Y < b.Y
-		}
-		if a.Z != b.Z {
-			return a.Z < b.Z
-		}
-		return a.X < b.X
-	})
+	slices.SortFunc(out, world.Pos.Compare)
 	return out
 }
 

@@ -9,6 +9,10 @@ import (
 // ExplosionRadius is the blast radius of primed TNT, matching Minecraft's 4.
 const ExplosionRadius = 4.0
 
+// itemDropChance is the probability an explosion-destroyed block drops an
+// item entity.
+const itemDropChance = 0.30
+
 // Explode processes one explosion centred at p: blocks inside the blast
 // sphere (except blast-resistant ones) are destroyed, destroyed TNT blocks
 // chain-ignite with a short random fuse, and a fraction of destroyed blocks
@@ -63,7 +67,7 @@ func (e *Engine) Explode(p world.Pos, radius float64) (int, Counters) {
 					// seconds (as in the community videos the paper cites)
 					// instead of detonating the whole cuboid at once.
 					e.ents.SpawnPrimedTNT(q, 2+st.Intn(88))
-				case st.Float64() < e.cfg.ItemDropChance:
+				case st.Float64() < itemDropChance:
 					e.ents.SpawnItem(q, b.ID)
 				}
 			}
@@ -138,7 +142,7 @@ func (e *Engine) MergedExplosions(centers []world.Pos, radius float64) (int, Cou
 					switch {
 					case b.ID == world.TNT:
 						e.ents.SpawnPrimedTNT(q, 2+st.Intn(88))
-					case st.Float64() < e.cfg.ItemDropChance:
+					case st.Float64() < itemDropChance:
 						e.ents.SpawnItem(q, b.ID)
 					}
 				}

@@ -41,7 +41,6 @@ const (
 	evBlockChange eventKind = iota // fan to world listeners at merge
 	evSpawnTNT                     // EntityOps.SpawnPrimedTNT
 	evSpawnItem                    // EntityOps.SpawnItem
-	evSpawnMob                     // EntityOps.SpawnMob
 	evSchedule                     // append to Engine.scheduled
 )
 
@@ -483,8 +482,6 @@ func (e *Engine) applyMergePlan(regions []*regionRun) {
 			e.ents.SpawnPrimedTNT(ev.pos, int(ev.i1))
 		case evSpawnItem:
 			e.ents.SpawnItem(ev.pos, world.BlockID(ev.i1))
-		case evSpawnMob:
-			e.ents.SpawnMob(ev.pos)
 		case evSchedule:
 			e.scheduled[ev.i1] = append(e.scheduled[ev.i1],
 				scheduledUpdate{pos: ev.pos, kind: ev.upd, val: ev.val})

@@ -23,7 +23,7 @@ package sim
 // exactly what the serial drain would have observed.
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/mlg/world"
 )
@@ -53,7 +53,7 @@ type partitionScratch struct {
 
 // partitionRegions groups the engine's queued updates into simulation
 // regions. It returns the regions sorted by key (minimal core chunk in
-// (Z, X) order — the same convention as World.LoadedChunks), plus the
+// ChunkPos.Compare order, the order of World.LoadedChunkRefs), plus the
 // initial virtual-queue tag sequences: vpInit[i] is the region index owning
 // e.pending[i], vrInit likewise for e.redstonePending; nComps is the
 // component count. When fewer than minRegions components exist, only
@@ -111,7 +111,7 @@ func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit,
 		r.comp = int32(i)
 		r.key = comp[0]
 		for _, cp := range comp {
-			if cp.Z < r.key.Z || (cp.Z == r.key.Z && cp.X < r.key.X) {
+			if cp.Compare(r.key) < 0 {
 				r.key = cp
 			}
 			r.core[cp] = struct{}{}
@@ -123,13 +123,7 @@ func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit,
 		}
 		regions = append(regions, r)
 	}
-	sort.Slice(regions, func(i, j int) bool {
-		a, b := regions[i].key, regions[j].key
-		if a.Z != b.Z {
-			return a.Z < b.Z
-		}
-		return a.X < b.X
-	})
+	slices.SortFunc(regions, func(a, b *regionRun) int { return a.key.Compare(b.key) })
 	ps.regions = regions
 	// remap carries component ids across the sort, so queue entries resolve
 	// through the dirty map in one lookup.

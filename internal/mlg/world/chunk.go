@@ -20,6 +20,24 @@ type ChunkPos struct {
 	X, Z int32
 }
 
+// Compare orders chunk positions by Z, then X: the one chunk order of every
+// deterministic whole-world pass and every persisted chunk list. It is
+// written without cmp.Compare so that it inlines into the sort and search
+// callbacks of the tick path.
+func (cp ChunkPos) Compare(o ChunkPos) int {
+	a, b := cp.Z, o.Z
+	if a == b {
+		a, b = cp.X, o.X
+	}
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // ChunkPosAt returns the chunk containing the block position.
 func ChunkPosAt(p Pos) ChunkPos {
 	return ChunkPos{X: int32(floorDiv(p.X, ChunkSize)), Z: int32(floorDiv(p.Z, ChunkSize))}

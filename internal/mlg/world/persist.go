@@ -1,9 +1,8 @@
 package world
 
 import (
-	"cmp"
+	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/mlg/persist"
 )
@@ -36,35 +35,32 @@ func (w *World) ChunkRevisions() map[ChunkPos]uint64 {
 // AppendPersist appends the world section payload to dst. With
 // changedSince nil every loaded chunk is written (a full snapshot);
 // otherwise only chunks new or revised since that base are written (an
-// incremental delta). Counters are always the current totals.
+// incremental delta). Counters are always the current totals. Chunks are
+// written in the LoadedChunkRefs order.
 func (w *World) AppendPersist(dst []byte, changedSince map[ChunkPos]uint64) []byte {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	chunks := make([]*Chunk, 0, len(w.chunks))
-	for cp, c := range w.chunks {
-		if changedSince != nil {
-			if baseRev, ok := changedSince[cp]; ok && baseRev == c.rev {
-				continue
-			}
-		}
-		chunks = append(chunks, c)
-	}
-	slices.SortFunc(chunks, func(a, b *Chunk) int {
-		if a.Pos.Z != b.Pos.Z {
-			return cmp.Compare(a.Pos.Z, b.Pos.Z)
-		}
-		return cmp.Compare(a.Pos.X, b.Pos.X)
-	})
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	dst = persist.AppendU64(dst, uint64(w.generated))
 	dst = persist.AppendU64(dst, uint64(w.setCount))
 	dst = persist.AppendU64(dst, uint64(w.lightScans))
-	dst = persist.AppendU32(dst, uint32(len(chunks)))
-	for _, c := range chunks {
+	// The chunk count is patched in once the chunks are written (the same
+	// big-endian u32 persist.AppendU32 writes).
+	at := len(dst)
+	dst = persist.AppendU32(dst, 0)
+	n := uint32(0)
+	for _, c := range w.loadedChunkRefsLocked() {
+		if changedSince != nil {
+			if baseRev, ok := changedSince[c.Pos]; ok && baseRev == c.rev {
+				continue
+			}
+		}
+		n++
 		dst = persist.AppendI32(dst, c.Pos.X)
 		dst = persist.AppendI32(dst, c.Pos.Z)
 		dst = persist.AppendU64(dst, c.rev)
 		dst = persist.AppendBytes(dst, c.Payload())
 	}
+	binary.BigEndian.PutUint32(dst[at:], n)
 	return dst
 }
 
@@ -123,7 +119,6 @@ func (w *World) RestorePersist(data []byte) error {
 	w.generated = dec.generated
 	w.setCount = dec.setCount
 	w.lightScans = dec.lightScans
-	w.chunkList = nil
 	w.chunkRefs = nil
 	return nil
 }
@@ -145,7 +140,6 @@ func (w *World) ApplyPersistDelta(data []byte) error {
 	w.generated = dec.generated
 	w.setCount = dec.setCount
 	w.lightScans = dec.lightScans
-	w.chunkList = nil
 	w.chunkRefs = nil
 	return nil
 }

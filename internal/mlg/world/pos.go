@@ -10,6 +10,25 @@ type Pos struct {
 // String formats the position as (x,y,z).
 func (p Pos) String() string { return fmt.Sprintf("(%d,%d,%d)", p.X, p.Y, p.Z) }
 
+// Compare orders positions by Y, then Z, then X, in the style of
+// ChunkPos.Compare.
+func (p Pos) Compare(q Pos) int {
+	a, b := p.Y, q.Y
+	if a == b {
+		a, b = p.Z, q.Z
+	}
+	if a == b {
+		a, b = p.X, q.X
+	}
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // Add returns p offset by (dx, dy, dz).
 func (p Pos) Add(dx, dy, dz int) Pos { return Pos{p.X + dx, p.Y + dy, p.Z + dz} }
 

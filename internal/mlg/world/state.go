@@ -22,7 +22,7 @@ type ChunkState struct {
 }
 
 // ChunkStates returns the state fingerprint of every loaded chunk in the
-// fixed (Z, X) order of LoadedChunks. Tick-goroutine callers only (it reads
+// fixed (Z, X) order of LoadedChunkRefs. Tick-goroutine callers only (it reads
 // chunk contents without per-chunk locking, like the other whole-world
 // accessors the equivalence suites use between ticks).
 func (w *World) ChunkStates() []ChunkState {

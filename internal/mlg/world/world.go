@@ -1,7 +1,7 @@
 package world
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -18,10 +18,8 @@ type World struct {
 	chunks    map[ChunkPos]*Chunk
 	gen       Generator
 	listeners []ChangeListener
-	// chunkList caches LoadedChunks' sorted result; chunks are only ever
-	// added, so it is invalidated (nilled) on generation and rebuilt lazily.
-	// chunkRefs is the parallel pointer view served by LoadedChunkRefs.
-	chunkList []ChunkPos
+	// chunkRefs caches LoadedChunkRefs' sorted view; generation and
+	// restores invalidate (nil) it and the next call rebuilds it.
 	chunkRefs []*Chunk
 
 	// Counters for work accounting and reporting.
@@ -97,7 +95,6 @@ func (w *World) chunkLocked(cp ChunkPos) *Chunk {
 		w.gen.GenerateChunk(c)
 	}
 	w.chunks[cp] = c
-	w.chunkList = nil
 	w.chunkRefs = nil
 	w.generated++
 	return c
@@ -228,47 +225,26 @@ func (w *World) EnsureArea(center Pos, chunkRadius int) int {
 	return n
 }
 
-// LoadedChunks returns the positions of all loaded chunks in a fixed
-// (Z, X) order: callers like the engine's random-tick pass consume seeded
-// RNG state per chunk, so map iteration order would make otherwise-identical
-// runs diverge. The sorted list is cached between chunk generations — the
-// per-tick call must not re-sort an unchanged set. Callers must not mutate
-// the returned slice.
-func (w *World) LoadedChunks() []ChunkPos {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.loadedChunksLocked()
-}
-
-func (w *World) loadedChunksLocked() []ChunkPos {
-	if w.chunkList == nil {
-		w.chunkList = make([]ChunkPos, 0, len(w.chunks))
-		for cp := range w.chunks {
-			w.chunkList = append(w.chunkList, cp)
-		}
-		sort.Slice(w.chunkList, func(i, j int) bool {
-			if w.chunkList[i].Z != w.chunkList[j].Z {
-				return w.chunkList[i].Z < w.chunkList[j].Z
-			}
-			return w.chunkList[i].X < w.chunkList[j].X
-		})
-	}
-	return w.chunkList
-}
-
-// LoadedChunkRefs returns the loaded chunks themselves in the same fixed
-// (Z, X) order as LoadedChunks. Per-tick whole-world passes (the engine's
-// random-tick sampler) read blocks straight off the chunk instead of paying
-// a lock plus map lookup per sample. Callers must not mutate the slice.
+// LoadedChunkRefs returns the loaded chunks in the fixed ChunkPos.Compare
+// order: callers like the engine's random-tick pass consume seeded RNG state
+// per chunk, so map iteration order would make otherwise-identical runs
+// diverge. Per-tick whole-world passes read blocks straight off the chunk
+// instead of paying a lock plus map lookup per sample. The sorted view is
+// cached between chunk generations — the per-tick call must not re-sort an
+// unchanged set. Callers must not mutate the slice.
 func (w *World) LoadedChunkRefs() []*Chunk {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.loadedChunkRefsLocked()
+}
+
+func (w *World) loadedChunkRefsLocked() []*Chunk {
 	if w.chunkRefs == nil {
-		positions := w.loadedChunksLocked()
-		refs := make([]*Chunk, len(positions))
-		for i, cp := range positions {
-			refs[i] = w.chunks[cp]
+		refs := make([]*Chunk, 0, len(w.chunks))
+		for _, c := range w.chunks {
+			refs = append(refs, c)
 		}
+		slices.SortFunc(refs, func(a, b *Chunk) int { return a.Pos.Compare(b.Pos) })
 		w.chunkRefs = refs
 	}
 	return w.chunkRefs

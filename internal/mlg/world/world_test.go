@@ -2,10 +2,12 @@ package world
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"hash/fnv"
 	"io"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -235,8 +237,8 @@ func TestNoiseGeneratorTerrainShape(t *testing.T) {
 	w := New(NewNoiseGenerator(PaperControlSeed))
 	w.EnsureArea(Pos{0, 0, 0}, 3)
 	sawWater, sawGrass, sawTree := false, false, false
-	for _, cp := range w.LoadedChunks() {
-		c := w.ChunkIfLoaded(cp)
+	for _, c := range w.LoadedChunkRefs() {
+		cp := c.Pos
 		for lz := 0; lz < ChunkSize; lz++ {
 			for lx := 0; lx < ChunkSize; lx++ {
 				if c.At(lx, 0, lz).ID != Bedrock {
@@ -431,5 +433,46 @@ func TestWorldRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompareOrders: ChunkPos.Compare is (Z, X) order and Pos.Compare is
+// (Y, Z, X) order, with the sign of cmp.Compare, extreme coordinates
+// included.
+func TestCompareOrders(t *testing.T) {
+	vals := []int32{math.MinInt32, -17, -1, 0, 1, 16, math.MaxInt32}
+	firstNonZero := func(cs ...int) int {
+		for _, c := range cs {
+			if c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	var chunks []ChunkPos
+	var positions []Pos
+	for _, z := range vals {
+		for _, x := range vals {
+			chunks = append(chunks, ChunkPos{X: x, Z: z})
+			for _, y := range vals {
+				positions = append(positions, Pos{X: int(x), Y: int(y), Z: int(z)})
+			}
+		}
+	}
+	for _, a := range chunks {
+		for _, b := range chunks {
+			want := firstNonZero(cmp.Compare(a.Z, b.Z), cmp.Compare(a.X, b.X))
+			if got := a.Compare(b); got != want {
+				t.Fatalf("%v.Compare(%v) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+	for _, p := range positions {
+		for _, q := range positions {
+			want := firstNonZero(cmp.Compare(p.Y, q.Y), cmp.Compare(p.Z, q.Z), cmp.Compare(p.X, q.X))
+			if got := p.Compare(q); got != want {
+				t.Fatalf("%v.Compare(%v) = %d, want %d", p, q, got, want)
+			}
+		}
 	}
 }

@@ -19,10 +19,8 @@ type Options struct {
 	// Workers is the SimWorkers value of each twin (default {1, 2, 4}; the
 	// first should be 1 so the legacy serial paths anchor the comparison).
 	Workers []int
-	// Env is the machine profile (default env.DAS5SixteenCore);
-	// MachineSeed seeds its jitter streams (all twins share one seed).
-	Env         env.Profile
-	MachineSeed int64
+	// Env is the machine profile (default env.DAS5SixteenCore).
+	Env env.Profile
 	// Fault, when set, runs before each step on every twin — meta-tests use
 	// it to corrupt one twin's state and prove the harness catches it.
 	Fault func(step int, tw *Twin)
@@ -107,7 +105,8 @@ func Run(sc *Scenario, opts Options) *Result {
 			tw.deliveries = append(tw.deliveries, delivery{player: pid, chunk: c})
 		}
 		clock := env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC))
-		return server.New(w, cfg, env.NewMachine(profile, opts.MachineSeed), clock), clock
+		// All twins share one machine jitter seed.
+		return server.New(w, cfg, env.NewMachine(profile, 0), clock), clock
 	}
 
 	twins := make([]*Twin, len(workers))

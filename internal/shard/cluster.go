@@ -3,7 +3,7 @@ package shard
 import (
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 
 	"repro/internal/mlg/persist"
 	"repro/internal/mlg/server"
@@ -43,9 +43,6 @@ type ClusterConfig struct {
 	// restores from (Stores[i] belongs to shard i). The shards themselves
 	// snapshot through their own PersistConfig — Build wires that.
 	Stores []*persist.Store
-	// Hooks is the cluster-level hook set; AfterTick fires once per
-	// cluster tick with the merged record.
-	Hooks server.Hooks
 }
 
 // NewCluster builds the shards, installs the workload on each, and links
@@ -146,11 +143,7 @@ func (c *Cluster) Tick() server.TickRecord {
 			c.setErr(c.eps[i].ApplyTick(tick))
 		}
 	}
-	merged := mergeRecords(recs)
-	if c.cfg.Hooks.AfterTick != nil {
-		c.cfg.Hooks.AfterTick(merged)
-	}
-	return merged
+	return mergeRecords(recs)
 }
 
 func mergeRecords(recs []server.TickRecord) server.TickRecord {
@@ -232,13 +225,7 @@ func (c *Cluster) Snapshot() server.Snapshot {
 			}
 		}
 	}
-	sort.Slice(snap.Chunks, func(a, b int) bool {
-		ca, cb := snap.Chunks[a].Pos, snap.Chunks[b].Pos
-		if ca.Z != cb.Z {
-			return ca.Z < cb.Z
-		}
-		return ca.X < cb.X
-	})
+	slices.SortFunc(snap.Chunks, func(a, b world.ChunkState) int { return a.Pos.Compare(b.Pos) })
 	return snap
 }
 

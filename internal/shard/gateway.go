@@ -41,8 +41,6 @@ type GatewayConfig struct {
 	// RetryEvery paces re-dial attempts toward a dead shard (default
 	// 100 ms).
 	RetryEvery time.Duration
-	// DialTimeout bounds each upstream dial (default 2 s).
-	DialTimeout time.Duration
 }
 
 // NewGateway validates the topology and returns a gateway ready to Serve.
@@ -55,9 +53,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = 100 * time.Millisecond
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
 	}
 	return &Gateway{cfg: cfg, addrs: append([]string(nil), cfg.Addrs...), down: make([]bool, cfg.Map.Count())}, nil
 }
@@ -110,10 +105,13 @@ type upstream struct {
 	conn  *protocol.Conn
 }
 
+// dialTimeout bounds each upstream dial.
+const dialTimeout = 2 * time.Second
+
 // dialShard logs the player into shard i and returns the leg plus the
 // shard's LoginSuccess.
 func (g *Gateway) dialShard(i int, name string) (*upstream, *protocol.LoginSuccess, error) {
-	nc, err := net.DialTimeout("tcp", g.addr(i), g.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", g.addr(i), dialTimeout)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -217,8 +217,7 @@ func TestInstallUnknownKind(t *testing.T) {
 
 func countBlocks(w *world.World, id world.BlockID) int {
 	n := 0
-	for _, cp := range w.LoadedChunks() {
-		c := w.ChunkIfLoaded(cp)
+	for _, c := range w.LoadedChunkRefs() {
 		for y := 0; y < world.Height; y++ {
 			for z := 0; z < world.ChunkSize; z++ {
 				for x := 0; x < world.ChunkSize; x++ {
