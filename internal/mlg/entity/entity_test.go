@@ -161,24 +161,27 @@ func TestDetonationsDrainInIDOrder(t *testing.T) {
 }
 
 // TestEntityTickAllocs pins the allocations of one warmed store tick over
-// four clusters of items, pathing mobs and TNT (the BenchmarkEntityTick
-// population), with the server's per-tick drains.
+// two and four clusters of items, pathing mobs and TNT (the
+// BenchmarkEntityTick populations), with the server's per-tick drains.
 func TestEntityTickAllocs(t *testing.T) {
-	const clusters = 4
-	ew := buildClusterWorld(t, clusters)
-	players := clusterPlayers(clusters)
-	for i := 0; i < 5; i++ {
-		ew.Tick(players)
-		ew.DrainChunkUpdates()
-	}
-	got := testing.AllocsPerRun(40, func() {
-		ew.Tick(players)
-		ew.DrainChunkUpdates()
-		ew.DrainExplosions()
-	})
 	const pinned = 4
-	if got > pinned {
-		t.Fatalf("entity tick allocates %.0f times, pinned at %d", got, pinned)
+	for _, clusters := range []int{2, 4} {
+		t.Run(fmt.Sprintf("Clusters%d", clusters), func(t *testing.T) {
+			ew := buildClusterWorld(t, clusters)
+			players := clusterPlayers(clusters)
+			for i := 0; i < 5; i++ {
+				ew.Tick(players)
+				ew.DrainChunkUpdates()
+			}
+			got := testing.AllocsPerRun(40, func() {
+				ew.Tick(players)
+				ew.DrainChunkUpdates()
+				ew.DrainExplosions()
+			})
+			if got > pinned {
+				t.Fatalf("entity tick allocates %.0f times, pinned at %d", got, pinned)
+			}
+		})
 	}
 }
 

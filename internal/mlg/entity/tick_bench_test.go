@@ -1,8 +1,8 @@
 package entity
 
-// BenchmarkEntityTick is the entity-phase cost recorded in BENCH.json: 60
-// store-level ticks over multi-cluster populations (items, pathing mobs,
-// slow TNT).
+// BenchmarkEntityTick is the entity-phase cost: 60 store-level ticks over
+// multi-cluster populations (items, pathing mobs, slow TNT).
+// TestEntityTickAllocs bounds the allocations of one such tick.
 
 import (
 	"runtime"
@@ -26,7 +26,7 @@ func BenchmarkEntityTick(b *testing.B) {
 					ew.Tick(players) // settle spawn bursts off the timer
 					ew.DrainChunkUpdates()
 				}
-				runtime.GC() // reproducible heap for 1x gate samples
+				runtime.GC() // reproducible heap for single-iteration samples
 				b.StartTimer()
 				for t := 0; t < 60; t++ {
 					ew.Tick(players)

@@ -5,7 +5,7 @@ import (
 	"log"
 	"net"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/mlg/entity"
@@ -382,7 +382,7 @@ func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame 
 			gone = append(gone, id)
 		}
 	}
-	sort.Slice(gone, func(i, j int) bool { return gone[i] < gone[j] })
+	slices.Sort(gone)
 	p.gone = gone
 	for _, id := range gone {
 		delete(p.lastSent, id)

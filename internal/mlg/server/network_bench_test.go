@@ -3,7 +3,8 @@ package server
 // Benchmarks for the real-network outbound path: the per-tick broadcast
 // fan-out (sendReal) and the chunk-column serialization joining players pay
 // for. These are the regression harness for the encode-once/batched-flush
-// network layer; scripts/bench.sh records them into BENCH.json.
+// network layer; TestSendRealAllocs and TestSerializeChunkAllocs bound
+// their allocations.
 //
 //	go test -bench 'SendReal|SerializeChunk' -benchmem ./internal/mlg/server
 
@@ -27,78 +28,126 @@ func (discardConn) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
 func (discardConn) Close() error                { return nil }
 
-// newBroadcastServer builds a server with socket-backed players clustered at
-// spawn and a mob herd inside everyone's view area.
-func newBroadcastServer(bots, mobs int) (*Server, []*Player) {
+// newSendRealRig builds 50 socket-backed bots clustered at spawn, a 40-mob
+// herd inside everyone's view area and 32 terrain updates, and returns one
+// broadcast tick over them: every mob steps 1/16 block (wrapping inside the
+// spawn chunk so the herd never leaves anyone's view), then sendReal runs
+// per-player interest filtering and the tick time update. Before the herd
+// arrives, one streamed mob leaves the world, so every player has untracked
+// an entity once, as in any live session.
+func newSendRealRig() (send func()) {
 	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
 	clock := env.NewVirtualClock(time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC))
 	s := New(w, DefaultConfig(Vanilla), env.NewMachine(env.DAS5SixteenCore, 1), clock)
-	players := make([]*Player, 0, bots)
-	for i := 0; i < bots; i++ {
+	players := make([]*Player, 0, 50)
+	for i := 0; i < 50; i++ {
 		p := s.connect("bench-bot", protocol.NewConn(discardConn{}))
 		p.pendingChunks = nil // skip the join burst: steady-state broadcast only
 		players = append(players, p)
 	}
-	for i := 0; i < mobs; i++ {
-		s.EntityWorld().SpawnMob(world.Pos{X: 4 + i%8, Y: 11, Z: 4 + i/8})
-	}
-	return s, players
-}
-
-// BenchmarkSendReal measures one broadcast tick for 50 socket-backed bots:
-// 32 terrain updates plus a 40-mob herd whose members all moved since the
-// last tick, per-player interest filtering, and the tick time update.
-func BenchmarkSendReal(b *testing.B) {
-	s, players := newBroadcastServer(50, 40)
 	bc := make([]protocol.BlockChange, 32)
 	for i := range bc {
 		bc[i] = protocol.BlockChange{X: int32(i), Y: 11, Z: int32(i), BlockID: 1}
 	}
 	var counts tickCounts
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Every mob steps 1/16 block per iteration, wrapping inside the spawn
-		// chunk so the herd never leaves anyone's view.
-		dx := 4 + float64(i%16)*0.0625
+	step := 0
+	send = func() {
+		dx := 4 + float64(step%16)*0.0625
+		step++
 		s.ents.Entities(func(e *entity.Entity) { e.Pos.X = dx })
 		s.sendReal(players, bc, false, &counts)
 	}
+	ew := s.EntityWorld()
+	ew.SpawnMob(world.Pos{X: 4, Y: 11, Z: 4})
+	send()
+	ew.DrainDepartures(func(world.ChunkPos) bool { return false })
+	for i := 0; i < 40; i++ {
+		ew.SpawnMob(world.Pos{X: 4 + i%8, Y: 11, Z: 4 + i/8})
+	}
+	return send
 }
 
-// BenchmarkSerializeChunk measures the RLE chunk-column payload a joining
-// player is sent, resolved through the chunk's encoding memo: the steady
-// case (unchanged chunk, repeat send) and the worst case (a terrain edit
-// between every send).
-func BenchmarkSerializeChunk(b *testing.B) {
-	newChunk := func() (*world.World, *world.Chunk) {
-		w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
-		return w, w.Chunk(world.ChunkPos{X: 0, Z: 0})
+// BenchmarkSendReal measures one broadcast tick of the newSendRealRig.
+func BenchmarkSendReal(b *testing.B) {
+	send := newSendRealRig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
 	}
-	b.Run("steady", func(b *testing.B) {
-		_, c := newChunk()
-		if len(c.Payload()) == 0 {
-			b.Fatal("empty chunk payload")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Payload()
-		}
-	})
-	b.Run("invalidated", func(b *testing.B) {
-		w, c := newChunk()
-		c.Payload()
-		pos := world.Pos{X: 3, Y: 30, Z: 3}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%2 == 0 {
+}
+
+// TestSendRealAllocs bounds the allocations of one warmed BenchmarkSendReal
+// broadcast tick.
+func TestSendRealAllocs(t *testing.T) {
+	const bound = 117
+	got := testing.AllocsPerRun(20, newSendRealRig())
+	t.Logf("%.1f allocs per broadcast tick, bound %d", got, bound)
+	if got > bound {
+		t.Fatal("allocations over the bound")
+	}
+}
+
+// chunkPayloadRigs are the chunk payload reads BenchmarkSerializeChunk
+// times, resolved through the chunk's encoding memo: the steady case
+// (unchanged chunk, repeat send) and the worst case (a terrain edit between
+// every send). allocs bounds one warmed read.
+var chunkPayloadRigs = []struct {
+	name   string
+	edits  bool
+	allocs float64
+}{
+	{"steady", false, 0},
+	{"invalidated", true, 2},
+}
+
+// newChunkPayloadRig returns one read of a flat chunk's payload, preceded
+// by a block toggle when edits is set.
+func newChunkPayloadRig(tb testing.TB, edits bool) (read func()) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	c := w.Chunk(world.ChunkPos{X: 0, Z: 0})
+	if len(c.Payload()) == 0 {
+		tb.Fatal("empty chunk payload")
+	}
+	pos := world.Pos{X: 3, Y: 30, Z: 3}
+	stone := false
+	return func() {
+		if edits {
+			if stone = !stone; stone {
 				w.SetBlock(pos, world.B(world.Stone))
 			} else {
 				w.SetBlock(pos, world.B(world.Air))
 			}
-			c.Payload()
 		}
-	})
+		c.Payload()
+	}
+}
+
+// BenchmarkSerializeChunk measures the RLE chunk-column payload a joining
+// player is sent.
+func BenchmarkSerializeChunk(b *testing.B) {
+	for _, rig := range chunkPayloadRigs {
+		b.Run(rig.name, func(b *testing.B) {
+			read := newChunkPayloadRig(b, rig.edits)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+		})
+	}
+}
+
+// TestSerializeChunkAllocs bounds the allocations of one warmed
+// BenchmarkSerializeChunk read.
+func TestSerializeChunkAllocs(t *testing.T) {
+	for _, rig := range chunkPayloadRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			got := testing.AllocsPerRun(50, newChunkPayloadRig(t, rig.edits))
+			t.Logf("%.1f allocs per payload read, bound %.0f", got, rig.allocs)
+			if got > rig.allocs {
+				t.Fatal("allocations over the bound")
+			}
+		})
+	}
 }

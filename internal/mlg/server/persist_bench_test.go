@@ -11,14 +11,14 @@ import (
 )
 
 // Persistence cost benchmarks: what one snapshot costs the tick loop
-// (encode + atomic write) and what a restart pays to come back. Recorded
-// into the BENCH.json trajectory by scripts/bench.sh.
+// (encode + atomic write) and what a restart pays to come back. The
+// matching Test*Allocs bound the allocations of each operation.
 
 // benchPersistServer builds a Farm server (Scale 2, like the equivalence
 // matrix) and runs it warm ticks so the snapshot carries a realistic
 // mid-run state.
-func benchPersistServer(b *testing.B, warm int) *server.Server {
-	b.Helper()
+func benchPersistServer(tb testing.TB, warm int) *server.Server {
+	tb.Helper()
 	s := newPersistRef(workload.Farm, 1, 0)
 	for i := 0; i < warm; i++ {
 		s.Tick()
@@ -26,61 +26,114 @@ func benchPersistServer(b *testing.B, warm int) *server.Server {
 	return s
 }
 
+// newSaveRigs builds a server warmed for warm ticks and returns two
+// operations over one store: encoding and writing a full snapshot, and an
+// incremental against the full taken at setup. The incremental sees one
+// tick of drift, so its delta is non-empty.
+func newSaveRigs(tb testing.TB, warm int) (full, incr func() error) {
+	s := benchPersistServer(tb, warm)
+	snap := s.EncodeSnapshot(nil)
+	base := &server.SnapshotBase{Tick: snap.Tick, Revs: s.World().ChunkRevisions()}
+	st, err := persist.NewStore(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := st.Write(snap); err != nil {
+		tb.Fatal(err)
+	}
+	s.Tick()
+	save := func(base *server.SnapshotBase) func() error {
+		return func() error {
+			_, err := st.Write(s.EncodeSnapshot(base))
+			return err
+		}
+	}
+	return save(nil), save(base)
+}
+
 func BenchmarkSnapshotSave(b *testing.B) {
 	for _, warm := range []int{10, 40} {
-		s := benchPersistServer(b, warm)
-		full := s.EncodeSnapshot(nil)
-		base := &server.SnapshotBase{Tick: full.Tick, Revs: s.World().ChunkRevisions()}
-
-		b.Run(fmt.Sprintf("full/ticks%d", warm), func(b *testing.B) {
-			st, err := persist.NewStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Write(s.EncodeSnapshot(nil)); err != nil {
-					b.Fatal(err)
+		full, incr := newSaveRigs(b, warm)
+		for _, op := range []struct {
+			kind string
+			save func() error
+		}{{"full", full}, {"incr", incr}} {
+			b.Run(fmt.Sprintf("%s/ticks%d", op.kind, warm), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := op.save(); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("incr/ticks%d", warm), func(b *testing.B) {
-			st, err := persist.NewStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := st.Write(full); err != nil {
-				b.Fatal(err)
-			}
-			s.Tick() // one tick of drift so the delta is non-empty
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := st.Write(s.EncodeSnapshot(base)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 
-// BenchmarkSnapshotter is the autosave path as the tick goroutine drives
-// it: a warmed Sync Snapshotter capturing into its retained buffer, then
-// sealing and writing — full snapshots, or incrementals against one full.
-func BenchmarkSnapshotter(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		fullEvery int
-	}{{"full", 1}, {"incr", math.MaxInt32}} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := benchPersistServer(b, 10)
-			st, err := persist.NewStore(b.TempDir())
+// TestSnapshotSaveAllocs bounds the allocations of one BenchmarkSnapshotSave
+// operation.
+func TestSnapshotSaveAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		warm       int
+		full, incr uint64
+	}{{10, 60, 39}, {40, 61, 42}} {
+		full, incr := newSaveRigs(t, tc.warm)
+		checkAllocs(t, fmt.Sprintf("full/ticks%d", tc.warm), full, tc.full)
+		checkAllocs(t, fmt.Sprintf("incr/ticks%d", tc.warm), incr, tc.incr)
+	}
+}
+
+// checkAllocs runs a subtest that fails when op errs, or when the cheapest
+// of five runs with the collector off (see gcOff) allocates more than bound
+// times. Stray allocations by other goroutines only add to a run's count,
+// so the cheapest run is the op's own, and the bounds are those counts.
+func checkAllocs(t *testing.T, name string, op func() error, bound uint64) {
+	t.Run(name, func(t *testing.T) {
+		gcOff(t)
+		fewest := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			var err error
+			fewest = min(fewest, mallocs(func() { err = op() }))
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
-			sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{Sync: true, FullEvery: mode.fullEvery})
-			sn.Snapshot() // the first is full: base installed, buffer grown
-			s.Tick()      // one tick of drift so an incremental is non-empty
-			sn.Snapshot()
+		}
+		t.Logf("%d allocs per op, bound %d", fewest, bound)
+		if fewest > bound {
+			t.Fatal("allocations over the bound")
+		}
+	})
+}
+
+// snapshotterModes are the autosave cadences BenchmarkSnapshotter drives:
+// every capture full, or incrementals against one full. allocs bounds one
+// capture (see checkAllocs).
+var snapshotterModes = []struct {
+	name      string
+	fullEvery int
+	allocs    uint64
+}{{"full", 1, 44}, {"incr", math.MaxInt32, 22}}
+
+// newSnapshotterRig is the autosave path as the tick goroutine drives it: a
+// warmed Sync Snapshotter capturing into its retained buffer, then sealing
+// and writing.
+func newSnapshotterRig(tb testing.TB, fullEvery int) *server.Snapshotter {
+	s := benchPersistServer(tb, 10)
+	st, err := persist.NewStore(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{Sync: true, FullEvery: fullEvery})
+	sn.Snapshot() // the first is full: base installed, buffer grown
+	s.Tick()      // one tick of drift so an incremental is non-empty
+	sn.Snapshot()
+	return sn
+}
+
+func BenchmarkSnapshotter(b *testing.B) {
+	for _, mode := range snapshotterModes {
+		b.Run(mode.name, func(b *testing.B) {
+			sn := newSnapshotterRig(b, mode.fullEvery)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -94,20 +147,49 @@ func BenchmarkSnapshotter(b *testing.B) {
 	}
 }
 
+// TestSnapshotterAllocs bounds the allocations of one warmed
+// BenchmarkSnapshotter capture.
+func TestSnapshotterAllocs(t *testing.T) {
+	for _, mode := range snapshotterModes {
+		sn := newSnapshotterRig(t, mode.fullEvery)
+		checkAllocs(t, mode.name, func() error {
+			sn.Snapshot()
+			return sn.Err()
+		}, mode.allocs)
+	}
+}
+
+// newRestoreRig returns one restart from a full snapshot of a server warmed
+// for warm ticks: a blank server restoring it.
+func newRestoreRig(tb testing.TB, warm int) (restore func() error) {
+	s := benchPersistServer(tb, warm)
+	full := s.EncodeSnapshot(nil)
+	res := &persist.Resolved{Tick: full.Tick, Full: full}
+	return func() error {
+		return newPersistBlank(workload.Farm, 1).RestoreSnapshot(res)
+	}
+}
+
 func BenchmarkRestore(b *testing.B) {
 	for _, warm := range []int{10, 40} {
-		s := benchPersistServer(b, warm)
-		full := s.EncodeSnapshot(nil)
-		res := &persist.Resolved{Tick: full.Tick, Full: full}
-
+		restore := newRestoreRig(b, warm)
 		b.Run(fmt.Sprintf("full/ticks%d", warm), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tw := newPersistBlank(workload.Farm, 1)
-				if err := tw.RestoreSnapshot(res); err != nil {
+				if err := restore(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreAllocs bounds the allocations of one BenchmarkRestore restart.
+func TestRestoreAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		warm   int
+		allocs uint64
+	}{{10, 296}, {40, 438}} {
+		checkAllocs(t, fmt.Sprintf("full/ticks%d", tc.warm), newRestoreRig(t, tc.warm), tc.allocs)
 	}
 }

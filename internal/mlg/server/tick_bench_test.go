@@ -16,6 +16,7 @@ package server_test
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -50,12 +51,12 @@ func newBenchServerWorkers(f server.Flavor, w *world.World, simWorkers int) *ser
 
 // setupWorkload installs a paper workload, connects players and warms the
 // world until its constructs settle.
-func setupWorkload(b *testing.B, k workload.Kind, f server.Flavor, players, warmTicks int) *server.Server {
-	b.Helper()
+func setupWorkload(tb testing.TB, k workload.Kind, f server.Flavor, players, warmTicks int) *server.Server {
+	tb.Helper()
 	s := newBenchServer(f, workload.NewWorld(k, world.PaperControlSeed))
 	spec := k.DefaultSpec()
 	if err := workload.Install(s, spec); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < players; i++ {
 		s.Connect("bench")
@@ -68,13 +69,13 @@ func setupWorkload(b *testing.B, k workload.Kind, f server.Flavor, players, warm
 
 // setupTNTStorm ignites the TNT cuboid and advances into the chain reaction
 // so the measured window covers peak entity population.
-func setupTNTStorm(b *testing.B) *server.Server {
-	b.Helper()
+func setupTNTStorm(tb testing.TB) *server.Server {
+	tb.Helper()
 	s := newBenchServer(server.Vanilla, workload.NewWorld(workload.TNT, world.PaperControlSeed))
 	spec := workload.TNT.DefaultSpec()
 	spec.IgniteAfterTicks = 2
 	if err := workload.Install(s, spec); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s.Connect("bench")
 	workload.Arm(s, spec)
@@ -118,8 +119,8 @@ func setupPlayers(tb testing.TB) *server.Server {
 // drain parallelism, warmed until its constructs settle. Scale >= 2 lays
 // out that many separated construct clusters (independent simulation
 // regions), which is what the SimWorkers sweep parallelizes over.
-func setupScaledWorkload(b *testing.B, k workload.Kind, scale, simWorkers, players, warmTicks int) *server.Server {
-	b.Helper()
+func setupScaledWorkload(tb testing.TB, k workload.Kind, scale, simWorkers, players, warmTicks int) *server.Server {
+	tb.Helper()
 	s := newBenchServerWorkers(server.Vanilla, workload.NewWorld(k, world.PaperControlSeed), simWorkers)
 	spec := k.DefaultSpec()
 	spec.Scale = scale
@@ -127,7 +128,7 @@ func setupScaledWorkload(b *testing.B, k workload.Kind, scale, simWorkers, playe
 		spec.IgniteAfterTicks = 2
 	}
 	if err := workload.Install(s, spec); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for i := 0; i < players; i++ {
 		s.Connect("bench")
@@ -145,69 +146,89 @@ func setupScaledWorkload(b *testing.B, k workload.Kind, scale, simWorkers, playe
 	return s
 }
 
-// BenchmarkTickParallel is the SimWorkers sweep over the scale>=2 construct
-// workloads — the serial-vs-parallel tick benchmark. BENCH.json records it
-// at -cpu 1 as an allocation trajectory. The workers=1 runs are the serial
-// drain; speedup at workers=N requires >= N available cores and >= N
-// construct clusters (regions), so interpret a timing sweep together with
-// the host's GOMAXPROCS (the -cpu suffix in the raw output).
-func BenchmarkTickParallel(b *testing.B) {
-	scenarios := []struct {
-		name  string
-		kind  workload.Kind
-		scale int
-		warm  int
-	}{
-		{"Lag2", workload.Lag, 2, 100},
-		{"Farm4", workload.Farm, 4, 300},
-		{"TNT2", workload.TNT, 2, 0},
-	}
-	for _, sc := range scenarios {
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/workers%d", sc.name, workers), func(b *testing.B) {
-				var regions int
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					s := setupScaledWorkload(b, sc.kind, sc.scale, workers, 1, sc.warm)
-					// Collect setup garbage so the measured window starts
-					// from a reproducible heap: without this, GC debt
-					// inherited from whichever benchmark ran before skews
-					// single-sample (-benchtime=1x) runs by tens of percent,
-					// which the CI perf gate would misread as a regression.
-					runtime.GC()
-					b.StartTimer()
-					for t := 0; t < measuredTicks; t++ {
-						rec := s.Tick()
-						if rec.SimRegions > regions {
-							regions = rec.SimRegions
-						}
-					}
-				}
-				b.ReportMetric(float64(regions), "regions")
-			})
+// tickScenarios are the per-workload windows at paper scale: BenchmarkTick
+// times them and TestTickAllocs bounds their allocations. allocs is the
+// bound on one window (measuredTicks ticks after setup): over repeated runs
+// at GOMAXPROCS 1, 2 and 4, the highest count seen plus twice the spread
+// (map hash seeds and worker scheduling move some counts) plus 10, rounded
+// up to ten. One extra allocation per tick adds 60.
+var tickScenarios = []struct {
+	name   string
+	setup  func(tb testing.TB) *server.Server
+	allocs uint64
+}{
+	{"Control", func(tb testing.TB) *server.Server {
+		return setupWorkload(tb, workload.Control, server.Vanilla, 1, 20)
+	}, 220},
+	{"Farm", func(tb testing.TB) *server.Server {
+		return setupWorkload(tb, workload.Farm, server.Vanilla, 5, 300)
+	}, 70},
+	{"TNT", setupTNTStorm, 19180},
+	{"Lag", func(tb testing.TB) *server.Server {
+		return setupWorkload(tb, workload.Lag, server.Vanilla, 1, 100)
+	}, 350},
+	{"Players", setupPlayers, 60},
+}
+
+// tickParallelScenarios is the SimWorkers sweep over the scale>=2 construct
+// workloads, with the same window and bound as tickScenarios.
+var tickParallelScenarios = []struct {
+	name        string
+	kind        workload.Kind
+	scale, warm int
+	workers     int
+	allocs      uint64
+}{
+	{"Lag2", workload.Lag, 2, 100, 1, 370},
+	{"Lag2", workload.Lag, 2, 100, 2, 1290},
+	{"Lag2", workload.Lag, 2, 100, 4, 1270},
+	{"Farm4", workload.Farm, 4, 300, 1, 180},
+	{"Farm4", workload.Farm, 4, 300, 2, 450},
+	{"Farm4", workload.Farm, 4, 300, 4, 490},
+	{"TNT2", workload.TNT, 2, 0, 1, 24690},
+	{"TNT2", workload.TNT, 2, 0, 2, 25440},
+	{"TNT2", workload.TNT, 2, 0, 4, 25500},
+}
+
+// tickWindow runs the measured window and returns the most simulation
+// regions any of its ticks drained.
+func tickWindow(s *server.Server) (regions int) {
+	for t := 0; t < measuredTicks; t++ {
+		if rec := s.Tick(); rec.SimRegions > regions {
+			regions = rec.SimRegions
 		}
+	}
+	return regions
+}
+
+// BenchmarkTickParallel is the serial-vs-parallel tick benchmark. The
+// workers=1 runs are the serial drain; speedup at workers=N requires >= N
+// available cores and >= N construct clusters (regions), so interpret a
+// timing sweep together with the host's GOMAXPROCS (the -cpu suffix in the
+// raw output).
+func BenchmarkTickParallel(b *testing.B) {
+	for _, sc := range tickParallelScenarios {
+		b.Run(fmt.Sprintf("%s/workers%d", sc.name, sc.workers), func(b *testing.B) {
+			var regions int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := setupScaledWorkload(b, sc.kind, sc.scale, sc.workers, 1, sc.warm)
+				// Collect setup garbage so the measured window starts from
+				// a reproducible heap: without this, GC debt inherited from
+				// whichever benchmark ran before skews single-sample runs
+				// by tens of percent.
+				runtime.GC()
+				b.StartTimer()
+				regions = max(regions, tickWindow(s))
+			}
+			b.ReportMetric(float64(regions), "regions")
+		})
 	}
 }
 
 // BenchmarkTick measures one game tick per workload at paper scale.
 func BenchmarkTick(b *testing.B) {
-	scenarios := []struct {
-		name  string
-		setup func(b *testing.B) *server.Server
-	}{
-		{"Control", func(b *testing.B) *server.Server {
-			return setupWorkload(b, workload.Control, server.Vanilla, 1, 20)
-		}},
-		{"Farm", func(b *testing.B) *server.Server {
-			return setupWorkload(b, workload.Farm, server.Vanilla, 5, 300)
-		}},
-		{"TNT", setupTNTStorm},
-		{"Lag", func(b *testing.B) *server.Server {
-			return setupWorkload(b, workload.Lag, server.Vanilla, 1, 100)
-		}},
-		{"Players", func(b *testing.B) *server.Server { return setupPlayers(b) }},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range tickScenarios {
 		b.Run(sc.name, func(b *testing.B) {
 			var entities, players int
 			for i := 0; i < b.N; i++ {
@@ -216,12 +237,65 @@ func BenchmarkTick(b *testing.B) {
 				entities, players = s.EntityWorld().Count(), s.PlayerCount()
 				runtime.GC() // reproducible heap (see BenchmarkTickParallel)
 				b.StartTimer()
-				for t := 0; t < measuredTicks; t++ {
-					s.Tick()
-				}
+				tickWindow(s)
 			}
 			b.ReportMetric(float64(entities), "entities")
 			b.ReportMetric(float64(players), "players")
+		})
+	}
+}
+
+// gcOff collects the heap, then switches the collector off until t ends: a
+// cycle inside a measured window would empty the standard library's pools
+// and add a varying number of refills to the count.
+func gcOff(t *testing.T) {
+	runtime.GC()
+	percent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(percent) })
+}
+
+// mallocs returns the number of heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// checkWindowAllocs fails t when one measured window on s allocates more
+// than bound times.
+func checkWindowAllocs(t *testing.T, s *server.Server, bound uint64) {
+	t.Helper()
+	gcOff(t)
+	got := mallocs(func() { tickWindow(s) })
+	t.Logf("%d allocs over %d ticks, bound %d", got, measuredTicks, bound)
+	if got > bound {
+		t.Fatal("allocations over the bound")
+	}
+}
+
+// TestTickAllocs bounds the allocations of each BenchmarkTick window.
+func TestTickAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("paper-scale tick windows; skipped in -short and under -race")
+	}
+	for _, sc := range tickScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			checkWindowAllocs(t, sc.setup(t), sc.allocs)
+		})
+	}
+}
+
+// TestTickParallelAllocs bounds the allocations of each
+// BenchmarkTickParallel window.
+func TestTickParallelAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("scaled tick windows; skipped in -short and under -race")
+	}
+	for _, sc := range tickParallelScenarios {
+		t.Run(fmt.Sprintf("%s/workers%d", sc.name, sc.workers), func(t *testing.T) {
+			checkWindowAllocs(t, setupScaledWorkload(t, sc.kind, sc.scale, sc.workers, 1, sc.warm), sc.allocs)
 		})
 	}
 }

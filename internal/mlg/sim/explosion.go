@@ -40,35 +40,8 @@ func (e *Engine) Explode(p world.Pos, radius float64) (int, Counters) {
 				if float64(dx*dx+dy*dy+dz*dz) > r2 {
 					continue
 				}
-				e.counters.ExplosionScan++
-				q := p.Add(dx, dy, dz)
-				// Unowned blocks are scanned but not destroyed (shard mode):
-				// scan counters sum across shards to the single-shard value,
-				// and a shard never mutates a chunk it does not own.
-				if !e.owns(q) {
-					continue
-				}
-				b, loaded := e.wc.BlockIfLoaded(q)
-				if !loaded || b.IsAir() || blastResistant(b.ID) {
-					continue
-				}
-				e.counters.ExplosionBlocks++
-				e.counters.BlockRemoves++
-				destroyed++
-				e.w.SetBlock(q, world.B(world.Air))
-				// Fuse and drop rolls come from the destroyed block's own
-				// per-tick stream (streams.go), so chain spread is independent
-				// of detonation order and shard layout.
-				st := blockStream(e.seed, q, e.tick)
-				switch {
-				case b.ID == world.TNT:
-					// Chain ignition with a randomized fuse up to three
-					// seconds; the spread keeps the chain burning for tens of
-					// seconds (as in the community videos the paper cites)
-					// instead of detonating the whole cuboid at once.
-					e.ents.SpawnPrimedTNT(q, 2+st.Intn(88))
-				case st.Float64() < itemDropChance:
-					e.ents.SpawnItem(q, b.ID)
+				if e.blastCell(p.Add(dx, dy, dz)) {
+					destroyed++
 				}
 			}
 		}
@@ -126,24 +99,8 @@ func (e *Engine) MergedExplosions(centers []world.Pos, radius float64) (int, Cou
 						continue
 					}
 					seen[q] = struct{}{}
-					e.counters.ExplosionScan++
-					if !e.owns(q) {
-						continue
-					}
-					b, loaded := e.wc.BlockIfLoaded(q)
-					if !loaded || b.IsAir() || blastResistant(b.ID) {
-						continue
-					}
-					e.counters.ExplosionBlocks++
-					e.counters.BlockRemoves++
-					destroyed++
-					e.w.SetBlock(q, world.B(world.Air))
-					st := blockStream(e.seed, q, e.tick)
-					switch {
-					case b.ID == world.TNT:
-						e.ents.SpawnPrimedTNT(q, 2+st.Intn(88))
-					case st.Float64() < itemDropChance:
-						e.ents.SpawnItem(q, b.ID)
+					if e.blastCell(q) {
+						destroyed++
 					}
 				}
 			}
@@ -155,6 +112,41 @@ func (e *Engine) MergedExplosions(centers []world.Pos, radius float64) (int, Cou
 		e.root.queueNeighbors(c)
 	}
 	return destroyed, e.counters.Sub(before)
+}
+
+// blastCell scans one block of a blast volume: an owned, loaded block that
+// is neither air nor blast resistant is destroyed, and rolls a chain fuse
+// (TNT) or an item drop. It reports whether q was destroyed.
+func (e *Engine) blastCell(q world.Pos) bool {
+	e.counters.ExplosionScan++
+	// Unowned blocks are scanned but not destroyed (shard mode): scan
+	// counters sum across shards to the single-shard value, and a shard
+	// never mutates a chunk it does not own.
+	if !e.owns(q) {
+		return false
+	}
+	b, loaded := e.wc.BlockIfLoaded(q)
+	if !loaded || b.IsAir() || blastResistant(b.ID) {
+		return false
+	}
+	e.counters.ExplosionBlocks++
+	e.counters.BlockRemoves++
+	e.w.SetBlock(q, world.B(world.Air))
+	// Fuse and drop rolls come from the destroyed block's own per-tick
+	// stream (streams.go), so chain spread is independent of detonation
+	// order and shard layout.
+	st := blockStream(e.seed, q, e.tick)
+	switch {
+	case b.ID == world.TNT:
+		// Chain ignition with a randomized fuse up to three seconds; the
+		// spread keeps the chain burning for tens of seconds (as in the
+		// community videos the paper cites) instead of detonating the
+		// whole cuboid at once.
+		e.ents.SpawnPrimedTNT(q, 2+st.Intn(88))
+	case st.Float64() < itemDropChance:
+		e.ents.SpawnItem(q, b.ID)
+	}
+	return true
 }
 
 // blastResistant lists blocks explosions cannot destroy.

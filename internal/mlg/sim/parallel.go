@@ -82,9 +82,8 @@ type undoRec struct {
 // its private counters and caches, and the logs the merge replays.
 type regionRun struct {
 	key   world.ChunkPos
-	comp  int32 // flood-fill component id, carried across the key sort
-	core  map[world.ChunkPos]struct{}
-	owned map[world.ChunkPos]struct{} // core plus one-chunk halo
+	comp  int32                       // flood-fill component id, carried across the key sort
+	owned map[world.ChunkPos]struct{} // core chunks plus one-chunk halo
 
 	pendingQ  []scheduledUpdate
 	redstoneQ []scheduledUpdate

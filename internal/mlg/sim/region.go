@@ -114,7 +114,6 @@ func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit,
 			if cp.Compare(r.key) < 0 {
 				r.key = cp
 			}
-			r.core[cp] = struct{}{}
 			for dz := int32(-1); dz <= 1; dz++ {
 				for dx := int32(-1); dx <= 1; dx++ {
 					r.owned[world.ChunkPos{X: cp.X + dx, Z: cp.Z + dz}] = struct{}{}
@@ -182,10 +181,7 @@ func (e *Engine) takeRegionRun() *regionRun {
 		r.reset()
 		return r
 	}
-	return &regionRun{
-		core:  make(map[world.ChunkPos]struct{}, 16),
-		owned: make(map[world.ChunkPos]struct{}, 64),
-	}
+	return &regionRun{owned: make(map[world.ChunkPos]struct{}, 64)}
 }
 
 // releaseRegionRuns returns the tick's region shells to the pool. Callers
@@ -195,7 +191,6 @@ func (e *Engine) releaseRegionRuns(regions []*regionRun) {
 }
 
 func (r *regionRun) reset() {
-	clear(r.core)
 	clear(r.owned)
 	clear(r.wireSeen)
 	r.pendingQ = r.pendingQ[:0]

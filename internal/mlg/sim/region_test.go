@@ -9,6 +9,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mlg/world"
@@ -30,8 +31,9 @@ func chebyshev(a, b world.ChunkPos) int32 {
 }
 
 // partitionForUpdates builds an engine whose queues contain exactly the
-// given update positions and returns its partition.
-func partitionForUpdates(t *testing.T, pendingPos, redstonePos []world.Pos) ([]*regionRun, []int32, []int32) {
+// given update positions and returns its partition, plus each region's core
+// chunks (its component's chunk list) in region order.
+func partitionForUpdates(t *testing.T, pendingPos, redstonePos []world.Pos) ([]*regionRun, [][]world.ChunkPos, []int32, []int32) {
 	t.Helper()
 	w := world.New(nil)
 	e := New(w, &orderedEnts{}, DefaultConfig(), 1)
@@ -45,7 +47,11 @@ func partitionForUpdates(t *testing.T, pendingPos, redstonePos []world.Pos) ([]*
 	if nComps != len(regions) {
 		t.Fatalf("component count %d != materialized regions %d", nComps, len(regions))
 	}
-	return regions, vpInit, vrInit
+	cores := make([][]world.ChunkPos, len(regions))
+	for i, r := range regions {
+		cores[i] = e.part.comps[r.comp]
+	}
+	return regions, cores, vpInit, vrInit
 }
 
 func TestRegionPartitionProperties(t *testing.T) {
@@ -70,7 +76,7 @@ func TestRegionPartitionProperties(t *testing.T) {
 			pending = append(pending, world.Pos{X: rng.Intn(2000) - 1000, Y: 5, Z: rng.Intn(2000) - 1000})
 		}
 
-		regions, vpInit, vrInit := partitionForUpdates(t, pending, redstone)
+		regions, cores, vpInit, vrInit := partitionForUpdates(t, pending, redstone)
 
 		// Tag sequences must mirror the queues one to one.
 		if len(vpInit) != len(pending) || len(vrInit) != len(redstone) {
@@ -85,7 +91,7 @@ func TestRegionPartitionProperties(t *testing.T) {
 			for i, tag := range tags {
 				r := regions[tag]
 				cp := world.ChunkPosAt(positions[i])
-				if _, ok := r.core[cp]; !ok {
+				if !slices.Contains(cores[tag], cp) {
 					t.Fatalf("trial %d: update %v tagged to region %v whose core misses chunk %v",
 						trial, positions[i], r.key, cp)
 				}
@@ -106,8 +112,8 @@ func TestRegionPartitionProperties(t *testing.T) {
 				if i >= j {
 					continue
 				}
-				for ca := range a.core {
-					for cb := range b.core {
+				for _, ca := range cores[i] {
+					for _, cb := range cores[j] {
 						if d := chebyshev(ca, cb); d <= regionLinkChunks {
 							t.Fatalf("trial %d: cores of regions %v and %v only %d chunks apart",
 								trial, a.key, b.key, d)
@@ -138,8 +144,8 @@ func TestRegionPartitionProperties(t *testing.T) {
 		}
 
 		// Owned sets must cover each core with its full 1-chunk halo.
-		for _, r := range regions {
-			for cp := range r.core {
+		for i, r := range regions {
+			for _, cp := range cores[i] {
 				for dz := int32(-1); dz <= 1; dz++ {
 					for dx := int32(-1); dx <= 1; dx++ {
 						n := world.ChunkPos{X: cp.X + dx, Z: cp.Z + dz}
@@ -163,7 +169,7 @@ func TestRegionPartitionDeterministicOrder(t *testing.T) {
 	}
 	var firstKeys []world.ChunkPos
 	for rep := 0; rep < 20; rep++ {
-		regions, _, _ := partitionForUpdates(t, positions, nil)
+		regions, _, _, _ := partitionForUpdates(t, positions, nil)
 		keys := make([]world.ChunkPos, len(regions))
 		for i, r := range regions {
 			keys[i] = r.key

@@ -437,50 +437,72 @@ func TestClusterFailover(t *testing.T) {
 	sameChunks(t, "post-failover terrain", cs.Chunks, ss.Chunks)
 }
 
-// BenchmarkShardHandoff measures the full inter-shard migration path: the
+// handoffBatch is the number of entities one handoff operation migrates.
+const handoffBatch = 64
+
+// newHandoffRig builds a two-shard Control cluster and returns one
+// operation over the full inter-shard migration path: handoffBatch items
+// spawned on shard 0 deep inside shard 1's range, clear of the halo; the
 // departure sweep on the old owner, the wire round trip through the packet
-// codec and async writer, and the arrival insert on the new owner — 64
-// entities per operation.
-func BenchmarkShardHandoff(b *testing.B) {
+// codec and async writer, and the arrival insert on the new owner.
+func newHandoffRig(tb testing.TB) (handoff func()) {
 	m := shard.Map{Splits: []int32{equivSplit}}
 	cluster, err := shard.NewCluster(shard.ClusterConfig{
 		Map:   m,
 		Build: buildFn(server.Vanilla, workload.Control, m, nil),
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	ents0 := cluster.Shard(0).EntityWorld()
 	ents1 := cluster.Shard(1).EntityWorld()
 	ep0, ep1 := cluster.Endpoint(0), cluster.Endpoint(1)
-	// Deep inside shard 1's range, clear of the halo, so the bench isolates
-	// handoffs from mirror traffic.
 	dst := world.Pos{X: (equivSplit + 14) * world.ChunkSize, Y: 40, Z: 8}
 	everything := func(world.ChunkPos) bool { return false }
-
-	const batch = 64
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < batch; j++ {
+	var tick int64
+	return func() {
+		for j := 0; j < handoffBatch; j++ {
 			ents0.SpawnItem(dst, world.Stone)
 		}
-		tick := int64(i + 1)
+		tick++
 		if err := ep0.SendTick(tick); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := ep1.SendTick(tick); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := ep0.ApplyTick(tick); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := ep1.ApplyTick(tick); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if n := ents1.Count(); n != batch {
-			b.Fatalf("op %d: %d arrivals, want %d", i, n, batch)
+		if n := ents1.Count(); n != handoffBatch {
+			tb.Fatalf("tick %d: %d arrivals, want %d", tick, n, handoffBatch)
 		}
 		ents1.DrainDepartures(everything) // reset for the next op
 	}
-	b.ReportMetric(batch, "handoffs/op")
+}
+
+// BenchmarkShardHandoff measures one newHandoffRig operation.
+func BenchmarkShardHandoff(b *testing.B) {
+	handoff := newHandoffRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		handoff()
+	}
+	b.ReportMetric(handoffBatch, "handoffs/op")
+}
+
+// TestShardHandoffAllocs bounds the allocations of one warmed
+// BenchmarkShardHandoff operation. The sessions' reader and writer
+// goroutines allocate inside the count too.
+func TestShardHandoffAllocs(t *testing.T) {
+	const bound = 305
+	got := testing.AllocsPerRun(20, newHandoffRig(t))
+	t.Logf("%.1f allocs per %d-entity handoff, bound %d", got, handoffBatch, bound)
+	if got > bound {
+		t.Fatal("allocations over the bound")
+	}
 }
