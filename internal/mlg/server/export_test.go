@@ -5,6 +5,9 @@ import (
 	"repro/internal/mlg/world"
 )
 
+// CheckAllocs is checkAllocs for the external test package.
+var CheckAllocs = checkAllocs
+
 // ReferenceEncodeSnapshot is the oracle for AppendSnapshot: the section
 // assembly EncodeSnapshot used before snapshots were framed in place, kept
 // verbatim — each codec appends into its own nil slice, and

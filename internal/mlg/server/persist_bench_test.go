@@ -26,14 +26,26 @@ func benchPersistServer(tb testing.TB, warm int) *server.Server {
 	return s
 }
 
-// newSaveRigs builds a server warmed for warm ticks and returns two
-// operations over one store: encoding and writing a full snapshot, and an
-// incremental against the full taken at setup. The incremental sees one
-// tick of drift, so its delta is non-empty.
-func newSaveRigs(tb testing.TB, warm int) (full, incr func() error) {
+// snapshotSaves are the snapshot writes BenchmarkSnapshotSave times: a full
+// snapshot or an incremental, of a server warmed for warm ticks. allocs
+// bounds one write.
+var snapshotSaves = []struct {
+	kind   string
+	warm   int
+	allocs uint64
+}{{"full", 10, 60}, {"incr", 10, 39}, {"full", 40, 61}, {"incr", 40, 42}}
+
+// newSaveRig builds a server warmed for warm ticks and a store holding its
+// full snapshot, ticks once, and returns one encode and write of a full
+// snapshot, or of an incremental against the stored full. The tick of
+// drift makes the delta non-empty.
+func newSaveRig(tb testing.TB, warm int, incremental bool) (save func()) {
 	s := benchPersistServer(tb, warm)
 	snap := s.EncodeSnapshot(nil)
-	base := &server.SnapshotBase{Tick: snap.Tick, Revs: s.World().ChunkRevisions()}
+	var base *server.SnapshotBase
+	if incremental {
+		base = &server.SnapshotBase{Tick: snap.Tick, Revs: s.World().ChunkRevisions()}
+	}
 	st, err := persist.NewStore(tb.TempDir())
 	if err != nil {
 		tb.Fatal(err)
@@ -42,72 +54,49 @@ func newSaveRigs(tb testing.TB, warm int) (full, incr func() error) {
 		tb.Fatal(err)
 	}
 	s.Tick()
-	save := func(base *server.SnapshotBase) func() error {
-		return func() error {
-			_, err := st.Write(s.EncodeSnapshot(base))
-			return err
+	return func() {
+		if _, err := st.Write(s.EncodeSnapshot(base)); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	return save(nil), save(base)
 }
 
 func BenchmarkSnapshotSave(b *testing.B) {
-	for _, warm := range []int{10, 40} {
-		full, incr := newSaveRigs(b, warm)
-		for _, op := range []struct {
-			kind string
-			save func() error
-		}{{"full", full}, {"incr", incr}} {
-			b.Run(fmt.Sprintf("%s/ticks%d", op.kind, warm), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := op.save(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+	for _, sc := range snapshotSaves {
+		b.Run(fmt.Sprintf("%s/ticks%d", sc.kind, sc.warm), func(b *testing.B) {
+			save := newSaveRig(b, sc.warm, sc.kind == "incr")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				save()
+			}
+		})
+	}
+}
+
+// skipUnderRace skips t under the race detector: every snapshot write goes
+// through os and fmt, whose sync.Pools drop puts at random there, so the
+// counts are not the program's.
+func skipUnderRace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through sync.Pool are randomised under -race")
 	}
 }
 
 // TestSnapshotSaveAllocs bounds the allocations of one BenchmarkSnapshotSave
-// operation.
+// write.
 func TestSnapshotSaveAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		warm       int
-		full, incr uint64
-	}{{10, 60, 39}, {40, 61, 42}} {
-		full, incr := newSaveRigs(t, tc.warm)
-		checkAllocs(t, fmt.Sprintf("full/ticks%d", tc.warm), full, tc.full)
-		checkAllocs(t, fmt.Sprintf("incr/ticks%d", tc.warm), incr, tc.incr)
+	skipUnderRace(t)
+	for _, sc := range snapshotSaves {
+		t.Run(fmt.Sprintf("%s/ticks%d", sc.kind, sc.warm), func(t *testing.T) {
+			server.CheckAllocs(t, 5, newSaveRig(t, sc.warm, sc.kind == "incr"), sc.allocs)
+		})
 	}
-}
-
-// checkAllocs runs a subtest that fails when op errs, or when the cheapest
-// of five runs with the collector off (see gcOff) allocates more than bound
-// times. Stray allocations by other goroutines only add to a run's count,
-// so the cheapest run is the op's own, and the bounds are those counts.
-func checkAllocs(t *testing.T, name string, op func() error, bound uint64) {
-	t.Run(name, func(t *testing.T) {
-		gcOff(t)
-		fewest := uint64(math.MaxUint64)
-		for i := 0; i < 5; i++ {
-			var err error
-			fewest = min(fewest, mallocs(func() { err = op() }))
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		t.Logf("%d allocs per op, bound %d", fewest, bound)
-		if fewest > bound {
-			t.Fatal("allocations over the bound")
-		}
-	})
 }
 
 // snapshotterModes are the autosave cadences BenchmarkSnapshotter drives:
 // every capture full, or incrementals against one full. allocs bounds one
-// capture (see checkAllocs).
+// capture.
 var snapshotterModes = []struct {
 	name      string
 	fullEvery int
@@ -150,35 +139,40 @@ func BenchmarkSnapshotter(b *testing.B) {
 // TestSnapshotterAllocs bounds the allocations of one warmed
 // BenchmarkSnapshotter capture.
 func TestSnapshotterAllocs(t *testing.T) {
+	skipUnderRace(t)
 	for _, mode := range snapshotterModes {
-		sn := newSnapshotterRig(t, mode.fullEvery)
-		checkAllocs(t, mode.name, func() error {
-			sn.Snapshot()
-			return sn.Err()
-		}, mode.allocs)
+		t.Run(mode.name, func(t *testing.T) {
+			sn := newSnapshotterRig(t, mode.fullEvery)
+			server.CheckAllocs(t, 5, func() {
+				if sn.Snapshot(); sn.Err() != nil {
+					t.Fatal(sn.Err())
+				}
+			}, mode.allocs)
+		})
 	}
 }
 
 // newRestoreRig returns one restart from a full snapshot of a server warmed
 // for warm ticks: a blank server restoring it.
-func newRestoreRig(tb testing.TB, warm int) (restore func() error) {
+func newRestoreRig(tb testing.TB, warm int) (restore func()) {
 	s := benchPersistServer(tb, warm)
 	full := s.EncodeSnapshot(nil)
 	res := &persist.Resolved{Tick: full.Tick, Full: full}
-	return func() error {
-		return newPersistBlank(workload.Farm, 1).RestoreSnapshot(res)
+	return func() {
+		if err := newPersistBlank(workload.Farm, 1).RestoreSnapshot(res); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkRestore(b *testing.B) {
 	for _, warm := range []int{10, 40} {
-		restore := newRestoreRig(b, warm)
 		b.Run(fmt.Sprintf("full/ticks%d", warm), func(b *testing.B) {
+			restore := newRestoreRig(b, warm)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := restore(); err != nil {
-					b.Fatal(err)
-				}
+				restore()
 			}
 		})
 	}
@@ -190,6 +184,8 @@ func TestRestoreAllocs(t *testing.T) {
 		warm   int
 		allocs uint64
 	}{{10, 296}, {40, 438}} {
-		checkAllocs(t, fmt.Sprintf("full/ticks%d", tc.warm), newRestoreRig(t, tc.warm), tc.allocs)
+		t.Run(fmt.Sprintf("full/ticks%d", tc.warm), func(t *testing.T) {
+			server.CheckAllocs(t, 5, newRestoreRig(t, tc.warm), tc.allocs)
+		})
 	}
 }

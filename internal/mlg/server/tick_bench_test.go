@@ -16,7 +16,6 @@ package server_test
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -245,36 +244,6 @@ func BenchmarkTick(b *testing.B) {
 	}
 }
 
-// gcOff collects the heap, then switches the collector off until t ends: a
-// cycle inside a measured window would empty the standard library's pools
-// and add a varying number of refills to the count.
-func gcOff(t *testing.T) {
-	runtime.GC()
-	percent := debug.SetGCPercent(-1)
-	t.Cleanup(func() { debug.SetGCPercent(percent) })
-}
-
-// mallocs returns the number of heap allocations f makes.
-func mallocs(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// checkWindowAllocs fails t when one measured window on s allocates more
-// than bound times.
-func checkWindowAllocs(t *testing.T, s *server.Server, bound uint64) {
-	t.Helper()
-	gcOff(t)
-	got := mallocs(func() { tickWindow(s) })
-	t.Logf("%d allocs over %d ticks, bound %d", got, measuredTicks, bound)
-	if got > bound {
-		t.Fatal("allocations over the bound")
-	}
-}
-
 // TestTickAllocs bounds the allocations of each BenchmarkTick window.
 func TestTickAllocs(t *testing.T) {
 	if testing.Short() || raceEnabled {
@@ -282,7 +251,8 @@ func TestTickAllocs(t *testing.T) {
 	}
 	for _, sc := range tickScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			checkWindowAllocs(t, sc.setup(t), sc.allocs)
+			s := sc.setup(t)
+			server.CheckAllocs(t, 1, func() { tickWindow(s) }, sc.allocs)
 		})
 	}
 }
@@ -295,7 +265,8 @@ func TestTickParallelAllocs(t *testing.T) {
 	}
 	for _, sc := range tickParallelScenarios {
 		t.Run(fmt.Sprintf("%s/workers%d", sc.name, sc.workers), func(t *testing.T) {
-			checkWindowAllocs(t, setupScaledWorkload(t, sc.kind, sc.scale, sc.workers, 1, sc.warm), sc.allocs)
+			s := setupScaledWorkload(t, sc.kind, sc.scale, sc.workers, 1, sc.warm)
+			server.CheckAllocs(t, 1, func() { tickWindow(s) }, sc.allocs)
 		})
 	}
 }

@@ -12,7 +12,10 @@ package shard_test
 
 import (
 	"io"
+	"math"
 	"net"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -496,13 +499,26 @@ func BenchmarkShardHandoff(b *testing.B) {
 }
 
 // TestShardHandoffAllocs bounds the allocations of one warmed
-// BenchmarkShardHandoff operation. The sessions' reader and writer
-// goroutines allocate inside the count too.
+// BenchmarkShardHandoff operation, counted as the server package's
+// checkAllocs counts: the cheapest of several operations with the collector
+// off. The sessions' reader and writer goroutines allocate inside each
+// count too, and at GOMAXPROCS > 1 the first handful of operations after
+// setup can all read a few over the steady count, so this takes twenty.
 func TestShardHandoffAllocs(t *testing.T) {
 	const bound = 305
-	got := testing.AllocsPerRun(20, newHandoffRig(t))
-	t.Logf("%.1f allocs per %d-entity handoff, bound %d", got, handoffBatch, bound)
-	if got > bound {
+	handoff := newHandoffRig(t)
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fewest := uint64(math.MaxUint64)
+	for i := 0; i < 20; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		handoff()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("%d allocs per %d-entity handoff, bound %d", fewest, handoffBatch, bound)
+	if fewest > bound {
 		t.Fatal("allocations over the bound")
 	}
 }
