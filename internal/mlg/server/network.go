@@ -19,7 +19,7 @@ import (
 // cmd/mlgserver binary and the real-TCP bot swarm use; benchmark
 // reproduction normally runs the in-process virtual path instead.
 //
-// The outbound side is built around four disciplines:
+// The outbound side is built around four disciplines and one login order:
 //
 //   - Encode-once frames: a broadcast packet (block change, chat,
 //     keep-alive, time update, entity move) is marshalled to wire bytes
@@ -42,6 +42,11 @@ import (
 //     its writer and is disconnected on the next tick, frames reclaimed.
 //     One slow TCP peer therefore costs one blocked goroutine, never a
 //     stalled world.
+//   - Login order: handleConn starts the writer, then connect stages
+//     LoginSuccess on the connection before it publishes the player to the
+//     tick. LoginSuccess therefore leads the first batch that reaches the
+//     socket, and every tick write goes through the writer. Only the
+//     handshake's error replies (Disconnect) are written synchronously.
 
 // Serve accepts connections until the listener closes. It blocks; run it in
 // a goroutine alongside Run.
@@ -121,22 +126,22 @@ func (s *Server) handleConn(conn *protocol.Conn) {
 		return
 	}
 
-	p := s.connect(login.Name, conn)
-	if _, err := conn.WritePacket(&protocol.LoginSuccess{
-		PlayerID: int32(p.ID), X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z,
-	}); err != nil {
-		s.Disconnect(p.ID)
-		return
-	}
-
-	// Handshake traffic above was synchronous; everything after login rides
-	// the connection's async writer so a slow peer can never block the tick
-	// goroutine.
+	// The handshake replies above are synchronous writes on this
+	// goroutine. The writer starts before connect publishes the player, so
+	// every later write — the staged LoginSuccess and all tick traffic —
+	// rides it, and a slow peer can never block the tick goroutine.
 	conn.StartWriter(protocol.WriterConfig{
 		MaxBatches:   s.cfg.Net.WriteQueueBatches,
 		MaxBytes:     s.cfg.Net.WriteQueueBytes,
 		WriteTimeout: s.cfg.Net.WriteTimeout,
 	})
+	p := s.connect(login.Name, conn)
+	// Send LoginSuccess now, unless a tick batch already opened on the
+	// connection carries it.
+	if err := conn.Flush(); err != nil {
+		s.Disconnect(p.ID)
+		return
+	}
 
 	for {
 		pkt, err := s.readIdle(conn)
@@ -165,7 +170,7 @@ func (s *Server) readIdle(conn *protocol.Conn) (protocol.Packet, error) {
 }
 
 // sendChunkBatch streams a batch of owed chunks over a player's connection,
-// all under one flush. It returns the error that broke the batch:
+// all under one flush. It returns the flush's error:
 // protocol.ErrBacklog means the whole batch was dropped before reaching the
 // wire (the chunks must stay owed); any other error is a connection fault
 // and the peer should be disconnected. The old path discarded both — a
@@ -181,12 +186,7 @@ func (s *Server) sendChunkBatch(p *Player, batch []world.ChunkPos) error {
 		if c == nil {
 			c = s.w.Chunk(cp)
 		}
-		if _, err := p.conn.WritePacket(&protocol.ChunkData{
-			ChunkX: cp.X, ChunkZ: cp.Z, Data: c.Payload(),
-		}); err != nil {
-			p.conn.FlushBatch() // balance the batch window; the write error wins
-			return err
-		}
+		p.conn.WritePacket(&protocol.ChunkData{ChunkX: cp.X, ChunkZ: cp.Z, Data: c.Payload()})
 	}
 	return p.conn.FlushBatch()
 }
@@ -304,9 +304,9 @@ func (s *Server) sendReal(players []*Player, bc []protocol.BlockChange, keepAliv
 // sendPlayerTick assembles and flushes one player's complete tick batch:
 // shared broadcast frames, interest-filtered entity updates (or a keyframe
 // re-baseline after a dropped batch), destroys for entities leaving the
-// interest area, and the time update. A write error aborts the batch and is
-// returned; on async connections the only errors are flush-boundary ones
-// (ErrBacklog, or the writer's sticky fault).
+// interest area, and the time update. Writes inside the batch only stage,
+// so the one error is the flush's: ErrBacklog, or the writer's sticky
+// fault.
 func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame protocol.Frame,
 	ents []entSnap, vd int32, entityCap int, counts *tickCounts) error {
 	keyframe := p.needKeyframe
@@ -320,14 +320,8 @@ func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame 
 
 	var rel protocol.EntityMoveRel
 	p.conn.BeginBatch()
-	abort := func(err error) error {
-		p.conn.FlushBatch() // balance the batch window; the write error wins
-		return err
-	}
 	for _, f := range bcFrames {
-		if _, err := p.conn.WriteFrame(f); err != nil {
-			return abort(err)
-		}
+		p.conn.WriteFrame(f)
 	}
 	pc := world.ChunkPosAt(p.Pos.BlockPos())
 	if p.lastSent == nil {
@@ -360,15 +354,11 @@ func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame 
 				EntityID: int32(en.id),
 				DX:       int8(dx), DY: int8(dy), DZ: int8(dz),
 			}
-			if _, err := p.conn.WritePacket(&rel); err != nil {
-				return abort(err)
-			}
+			p.conn.WritePacket(&rel)
 		} else {
 			// First sighting, a jump too large for a delta, or a keyframe
 			// re-baseline: full move.
-			if _, err := p.conn.WriteFrame(en.fullMoveFrame()); err != nil {
-				return abort(err)
-			}
+			p.conn.WriteFrame(en.fullMoveFrame())
 		}
 		p.lastSent[en.id] = en.q
 		sent++
@@ -386,13 +376,9 @@ func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame 
 	p.gone = gone
 	for _, id := range gone {
 		delete(p.lastSent, id)
-		if _, err := p.conn.WritePacket(&protocol.DestroyEntity{EntityID: int32(id)}); err != nil {
-			return abort(err)
-		}
+		p.conn.WritePacket(&protocol.DestroyEntity{EntityID: int32(id)})
 	}
-	if _, err := p.conn.WriteFrame(tickFrame); err != nil {
-		return abort(err)
-	}
+	p.conn.WriteFrame(tickFrame)
 	if err := p.conn.FlushBatch(); err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -177,6 +178,40 @@ func TestSocketChatLeavesNoEcho(t *testing.T) {
 	}
 }
 
+// TestLoginSuccessLeadsTickFrames: a socket player's LoginSuccess is the
+// first frame on its connection, ahead of the join burst and the tick
+// traffic of the first tick that sees the player.
+func TestLoginSuccessLeadsTickFrames(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	s := New(w, DefaultConfig(Vanilla), nil, testClock())
+	a, b := net.Pipe()
+	defer b.Close()
+	first := make(chan protocol.Packet, 1)
+	go func() {
+		peer := protocol.NewConn(b)
+		pkt, _, err := peer.ReadPacket()
+		first <- pkt
+		for err == nil { // drain so the tick's writes never block
+			_, _, err = peer.ReadPacket()
+		}
+	}()
+	p := s.connect("a", protocol.NewConn(a))
+	s.Tick()
+	select {
+	case pkt := <-first:
+		ls, ok := pkt.(*protocol.LoginSuccess)
+		if !ok {
+			t.Fatalf("first frame is %T, want *protocol.LoginSuccess", pkt)
+		}
+		if int64(ls.PlayerID) != p.ID {
+			t.Fatalf("LoginSuccess for player %d, want %d", ls.PlayerID, p.ID)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no frame reached the peer")
+	}
+	s.Disconnect(p.ID)
+}
+
 // TestKeepAliveRidesTick: with nothing but Tick driving the server (no Run,
 // no wall-clock loop), a socket player that logged in through handleConn
 // receives exactly one KeepAlive in its first keepAliveTicks batches, inside
@@ -206,6 +241,7 @@ func TestKeepAliveRidesTick(t *testing.T) {
 	// the batch of the next TimeUpdate read after it.
 	type seen struct{ nonce, batch int64 }
 	got := make(chan []seen, 1)
+	var lastTick atomic.Int64 // the newest TimeUpdate the reader has seen
 	go func() {
 		var keepAlives []seen
 		var pending []int64
@@ -223,6 +259,7 @@ func TestKeepAliveRidesTick(t *testing.T) {
 					keepAlives = append(keepAlives, seen{nonce: n, batch: p.Tick})
 				}
 				pending = pending[:0]
+				lastTick.Store(p.Tick)
 				if p.Tick == keepAliveTicks {
 					got <- keepAlives
 					return
@@ -231,8 +268,17 @@ func TestKeepAliveRidesTick(t *testing.T) {
 		}
 	}()
 
-	for i := int64(0); i < keepAliveTicks; i++ {
+	// Pace the ticks on the reader: unpaced, they outrun the writer queue
+	// and drop batches, the one under test among them.
+	for i := int64(1); i <= keepAliveTicks; i++ {
 		s.Tick()
+		deadline := time.Now().Add(10 * time.Second)
+		for lastTick.Load() < i {
+			if time.Now().After(deadline) {
+				t.Fatalf("tick %d batch never arrived (%+v)", i, s.Outbound())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
 	}
 	select {
 	case ka := <-got:

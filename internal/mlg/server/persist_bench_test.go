@@ -112,7 +112,7 @@ func newSnapshotterRig(tb testing.TB, fullEvery int) *server.Snapshotter {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{Sync: true, FullEvery: fullEvery})
+	sn := server.NewSnapshotter(s, server.PersistConfig{Store: st, Sync: true, FullEvery: fullEvery})
 	sn.Snapshot() // the first is full: base installed, buffer grown
 	s.Tick()      // one tick of drift so an incremental is non-empty
 	sn.Snapshot()

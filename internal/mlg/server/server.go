@@ -435,11 +435,7 @@ func New(w *world.World, cfg Config, machine *env.Machine, clock env.Clock) *Ser
 	s.ents = entity.NewWorld(w, entCfg, cfg.Sim.Seed+1)
 	s.engine = sim.New(w, s.ents, simCfg, cfg.Sim.Seed+2)
 	if cfg.Persist.Store != nil {
-		s.snap = NewSnapshotter(s, cfg.Persist.Store, SnapshotterConfig{
-			Every:     cfg.Persist.Every,
-			FullEvery: cfg.Persist.FullEvery,
-			Sync:      cfg.Persist.Sync,
-		})
+		s.snap = NewSnapshotter(s, cfg.Persist)
 	}
 	// A real conn that appears mid-tick (realConns flips to >0 after some
 	// changes were already elided) receives only the rest of that tick's
@@ -517,11 +513,16 @@ func (s *Server) connect(name string, conn *protocol.Conn) *Player {
 	s.mu.Lock()
 	s.nextPID++
 	p.ID = s.nextPID
-	s.players[p.ID] = p
-	s.order = append(s.order, p.ID)
 	if conn != nil {
+		// Staged before the tick can see the player, LoginSuccess leads
+		// the connection's first flushed batch: no tick frame overtakes it.
+		conn.StagePacket(&protocol.LoginSuccess{
+			PlayerID: int32(p.ID), X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z,
+		})
 		s.realConns.Add(1)
 	}
+	s.players[p.ID] = p
+	s.order = append(s.order, p.ID)
 	s.mu.Unlock()
 	return p
 }

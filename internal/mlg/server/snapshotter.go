@@ -7,19 +7,6 @@ import (
 	"repro/internal/mlg/persist"
 )
 
-// SnapshotterConfig tunes the periodic snapshotter.
-type SnapshotterConfig struct {
-	// Every is the snapshot cadence in ticks (<= 0 disables MaybeSnapshot).
-	Every int
-	// FullEvery makes every Nth snapshot a full one; the ones between are
-	// incrementals against the last full on disk. <= 1 means every
-	// snapshot is full.
-	FullEvery int
-	// Sync writes on the calling (tick) goroutine instead of the
-	// background writer — deterministic tests and final-flush paths.
-	Sync bool
-}
-
 type snapshotJob struct {
 	data []byte        // framed, unsealed MLGP bytes: the Snapshotter's buffer
 	base *SnapshotBase // non-nil when the job is a full: install on success
@@ -37,8 +24,7 @@ type snapshotJob struct {
 // point takes a fresh one instead.
 type Snapshotter struct {
 	s   *Server
-	st  *persist.Store
-	cfg SnapshotterConfig
+	cfg PersistConfig
 
 	wg sync.WaitGroup
 
@@ -60,9 +46,9 @@ type Snapshotter struct {
 	skipped   int
 }
 
-// NewSnapshotter creates a snapshotter for s writing into st.
-func NewSnapshotter(s *Server, st *persist.Store, cfg SnapshotterConfig) *Snapshotter {
-	sn := &Snapshotter{s: s, st: st, cfg: cfg}
+// NewSnapshotter creates a snapshotter for s writing into cfg.Store.
+func NewSnapshotter(s *Server, cfg PersistConfig) *Snapshotter {
+	sn := &Snapshotter{s: s, cfg: cfg}
 	if !cfg.Sync {
 		sn.jobs = make(chan snapshotJob, 1)
 		sn.wg.Add(1)
@@ -137,7 +123,7 @@ func (sn *Snapshotter) runJob(job snapshotJob) {
 			time.Sleep(backoff)
 			backoff *= 2
 		}
-		if _, err = sn.st.WriteEncoded(job.data); err == nil {
+		if _, err = sn.cfg.Store.WriteEncoded(job.data); err == nil {
 			break
 		}
 	}

@@ -96,7 +96,7 @@ func TestAppendSnapshotMatchesReference(t *testing.T) {
 func TestSnapshotterReusesBuffer(t *testing.T) {
 	s := setupPlayers(t)
 	st := newTestStore(t)
-	sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{Sync: true})
+	sn := server.NewSnapshotter(s, server.PersistConfig{Store: st, Sync: true})
 	sn.Snapshot()
 	sn.Snapshot()
 	var before, after runtime.MemStats
@@ -131,7 +131,7 @@ func TestSnapshotterSkipsWhileWriterBusy(t *testing.T) {
 		<-release
 		return data
 	}
-	sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{})
+	sn := server.NewSnapshotter(s, server.PersistConfig{Store: st})
 	released := false
 	defer func() {
 		if !released {
@@ -181,7 +181,7 @@ func TestSnapshotterAfterCloseDoesNotBlock(t *testing.T) {
 	s := newPersistRef(workload.Control, 1, 0)
 	s.Tick()
 	st := newTestStore(t)
-	sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{})
+	sn := server.NewSnapshotter(s, server.PersistConfig{Store: st})
 	sn.Close()
 	done := make(chan struct{})
 	go func() {
@@ -201,7 +201,7 @@ func TestSnapshotterAfterCloseDoesNotBlock(t *testing.T) {
 		t.Fatalf("a snapshot landed after Close: %s", p)
 	}
 
-	syn := server.NewSnapshotter(s, st, server.SnapshotterConfig{Sync: true})
+	syn := server.NewSnapshotter(s, server.PersistConfig{Store: st, Sync: true})
 	syn.Close()
 	syn.Snapshot()
 	if written, _ := syn.Stats(); written != 1 {
@@ -217,7 +217,7 @@ func TestSnapshotterAsyncUnderTicks(t *testing.T) {
 	s := newPersistRef(workload.Farm, 2, 0)
 	st := newTestStore(t)
 	st.KeepFulls = 0
-	sn := server.NewSnapshotter(s, st, server.SnapshotterConfig{Every: 1, FullEvery: 3})
+	sn := server.NewSnapshotter(s, server.PersistConfig{Store: st, Every: 1, FullEvery: 3})
 	for i := 0; i < ticks; i++ {
 		s.Tick()
 		sn.MaybeSnapshot(s.TickNumber())

@@ -15,51 +15,49 @@ import (
 const MaxFrameSize = 4 << 20
 
 // maxPooledReadBuf caps the payload buffer a connection keeps between
-// reads. Frames up to this size reuse the pooled buffer; larger (legal but
-// rare) frames get a transient allocation instead, so one oversized frame
-// cannot pin up to MaxFrameSize (4 MiB) per connection for its lifetime —
-// at 10k connections that pin would cost 40 GiB.
+// reads, and the outbound batch it keeps between stream writes. Frames up
+// to this size reuse the pooled buffer; larger (legal but rare) frames get
+// a transient allocation instead, so one oversized frame cannot pin up to
+// MaxFrameSize (4 MiB) per connection for its lifetime — at 10k
+// connections that pin would cost 40 GiB.
 const maxPooledReadBuf = 64 << 10
 
 // Conn frames packets over a byte stream. It is safe for one concurrent
 // reader and one concurrent writer. Byte and message counters feed the
 // Table 8 network statistics; they are plain atomics so the hot write path
 // pays no stats mutex.
+//
+// Every write takes one path: the frame is appended to the in-progress
+// batch, and the flush boundary hands that batch to its sink (see
+// flushLocked and writer.go).
 type Conn struct {
 	rw   io.ReadWriteCloser
 	br   *bufio.Reader
 	rbuf []byte // pooled payload buffer, owned by the reader goroutine
 
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	wbuf []byte
-	// batchDepth suspends the flush-per-packet discipline while > 0: writes
-	// accumulate in bw and go out on the closing FlushBatch (or when the
-	// buffer fills). Guarded by wmu.
+	// The outbound side, all guarded by wmu: batch stages frames until the
+	// flush boundary, batchStats counts them, and batchDepth > 0 while a
+	// BeginBatch/FlushBatch window is open. aw, once StartWriter has run,
+	// is the batch's sink instead of the stream; free holds the batch
+	// buffers its goroutine has written and handed back.
+	wmu        sync.Mutex
+	batch      []byte
+	batchStats outStats
 	batchDepth int
-	// aw, when non-nil, switches the connection into async-writer mode (see
-	// StartWriter): writes stage into pending and enqueue at the flush
-	// boundary instead of touching the socket. All three guarded by wmu.
-	aw           *connWriter
-	pending      []byte
-	pendingStats outStats
+	aw         *connWriter
+	free       [][]byte
 
-	msgsOut      atomic.Int64
-	bytesOut     atomic.Int64
-	entityMsgs   atomic.Int64
-	entityBytes  atomic.Int64
-	msgsIn       atomic.Int64
-	bytesIn      atomic.Int64
-	lastActivity atomic.Int64 // unix nanoseconds
+	msgsOut     atomic.Int64
+	bytesOut    atomic.Int64
+	entityMsgs  atomic.Int64
+	entityBytes atomic.Int64
+	msgsIn      atomic.Int64
+	bytesIn     atomic.Int64
 }
 
 // NewConn wraps a stream (usually a *net.TCPConn) in a packet framer.
 func NewConn(rw io.ReadWriteCloser) *Conn {
-	return &Conn{
-		rw: rw,
-		br: bufio.NewReaderSize(rw, 32<<10),
-		bw: bufio.NewWriterSize(rw, 32<<10),
-	}
+	return &Conn{rw: rw, br: bufio.NewReaderSize(rw, 32<<10)}
 }
 
 // Dial connects a packet conn to a TCP address.
@@ -71,114 +69,129 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(c), nil
 }
 
-// noteOut records outbound traffic for one packet of the given frame size.
-func (c *Conn) noteOut(frame int, entity bool) {
-	c.msgsOut.Add(1)
-	c.bytesOut.Add(int64(frame))
-	if entity {
-		c.entityMsgs.Add(1)
-		c.entityBytes.Add(int64(frame))
-	}
-	c.lastActivity.Store(time.Now().UnixNano())
-}
-
-// flushLocked flushes unless a batch is open; caller holds wmu.
-func (c *Conn) flushLocked() error {
-	if c.batchDepth > 0 {
-		return nil
-	}
-	return c.bw.Flush()
-}
-
-// WritePacket frames and sends one packet, returning the frame size in
-// bytes. Outside a batch it flushes immediately (game traffic is latency
-// sensitive); inside a BeginBatch/FlushBatch window the bytes ride the
-// batch. In async-writer mode nothing touches the socket: the frame stages
-// onto the in-progress batch and, at the flush boundary, enqueues onto the
-// bounded writer queue — a full queue returns ErrBacklog, a dead peer the
-// writer's sticky error.
+// WritePacket frames p onto the in-progress batch and returns the frame
+// size in bytes. Outside a BeginBatch/FlushBatch window the write is its
+// own flush boundary (game traffic is latency sensitive) and returns the
+// sink's error: the stream's write error, or, after StartWriter,
+// ErrBacklog for a full writer queue and the writer's sticky fault for a
+// dead peer. Inside a window the write only stages, so it cannot fail: the
+// error is nil, and the window's closing FlushBatch reports the sink's.
 func (c *Conn) WritePacket(p Packet) (int, error) {
 	c.wmu.Lock()
-	c.wbuf = AppendFrame(c.wbuf[:0], p)
-	frame := len(c.wbuf)
-	if c.aw != nil {
-		c.appendAsyncLocked(c.wbuf, EntityRelated(p))
-		var err error
-		if c.batchDepth == 0 {
-			err = c.enqueueLocked()
-		}
-		c.wmu.Unlock()
-		return frame, err
-	}
-	if _, err := c.bw.Write(c.wbuf); err != nil {
-		c.wmu.Unlock()
-		return 0, err
-	}
-	if err := c.flushLocked(); err != nil {
-		c.wmu.Unlock()
-		return 0, err
-	}
-	c.wmu.Unlock()
-	c.noteOut(frame, EntityRelated(p))
-	return frame, nil
+	defer c.wmu.Unlock()
+	n := c.stagePacketLocked(p)
+	return n, c.flushLocked()
 }
 
-// WriteFrame sends an already-encoded frame as a raw byte copy — the
-// broadcast fast path: the packet was marshalled once (EncodeFrame) and
-// fans out to N connections without re-encoding. Flush and async-mode
-// discipline match WritePacket.
+// WriteFrame copies an already-encoded frame onto the in-progress batch —
+// the broadcast fast path: the packet was marshalled once (EncodeFrame)
+// and fans out to N connections without re-encoding. Flushing and errors
+// match WritePacket.
 func (c *Conn) WriteFrame(f Frame) (int, error) {
 	c.wmu.Lock()
-	if c.aw != nil {
-		c.appendAsyncLocked(f.data, f.entity)
-		var err error
-		if c.batchDepth == 0 {
-			err = c.enqueueLocked()
-		}
-		c.wmu.Unlock()
-		return len(f.data), err
-	}
-	if _, err := c.bw.Write(f.data); err != nil {
-		c.wmu.Unlock()
-		return 0, err
-	}
-	if err := c.flushLocked(); err != nil {
-		c.wmu.Unlock()
-		return 0, err
-	}
-	c.wmu.Unlock()
-	c.noteOut(len(f.data), f.entity)
-	return len(f.data), nil
+	defer c.wmu.Unlock()
+	c.batch = append(c.batchLocked(), f.data...)
+	c.batchStats.add(len(f.data), f.entity)
+	return len(f.data), c.flushLocked()
 }
 
-// BeginBatch opens a batch window: subsequent writes accumulate in the
-// connection's buffer instead of flushing per packet. Batches nest; each
-// BeginBatch must be paired with a FlushBatch. The server's dissemination
-// phase wraps each player's per-tick sends in one batch, turning a
-// flush (syscall) per packet into one per player per tick.
+// StagePacket frames p onto the in-progress batch without a flush
+// boundary, even outside a batch window: p leads the next flushed write or
+// batch. The server stages a player's LoginSuccess this way before it
+// publishes the player, so no tick frame can overtake it.
+func (c *Conn) StagePacket(p Packet) {
+	c.wmu.Lock()
+	c.stagePacketLocked(p)
+	c.wmu.Unlock()
+}
+
+// stagePacketLocked appends p's frame to the batch and returns its size.
+// Caller holds wmu.
+func (c *Conn) stagePacketLocked(p Packet) int {
+	start := len(c.batchLocked())
+	c.batch = AppendFrame(c.batch, p)
+	n := len(c.batch) - start
+	c.batchStats.add(n, EntityRelated(p))
+	return n
+}
+
+// batchLocked returns the batch to stage onto. When the last batch went to
+// the writer queue it is nil, and a buffer the writer handed back — or a
+// new one — takes its place. Caller holds wmu.
+func (c *Conn) batchLocked() []byte {
+	if c.batch == nil {
+		if n := len(c.free); n > 0 {
+			c.batch = c.free[n-1][:0]
+			c.free = c.free[:n-1]
+		} else {
+			c.batch = make([]byte, 0, 4<<10)
+		}
+	}
+	return c.batch
+}
+
+// BeginBatch opens a batch window: subsequent writes stage onto one batch
+// instead of flushing per packet. Batches nest; each BeginBatch must be
+// paired with a FlushBatch. The server's dissemination phase wraps each
+// player's per-tick sends in one batch, turning a flush per packet into
+// one per player per tick.
 func (c *Conn) BeginBatch() {
 	c.wmu.Lock()
 	c.batchDepth++
 	c.wmu.Unlock()
 }
 
+// Flush hands the in-progress batch to its sink now, unless a batch window
+// is open: the window's closing FlushBatch carries it then. Its errors are
+// FlushBatch's.
+func (c *Conn) Flush() error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.flushLocked()
+}
+
 // FlushBatch closes the innermost batch window and, when the last one
-// closes, flushes everything accumulated. In async-writer mode the closing
-// flush enqueues the batch instead of writing it: ErrBacklog means the
-// whole batch was dropped (the peer is not draining), any other error is
-// the writer's sticky fault.
+// closes, flushes the batch: it returns the stream's write error, or, after
+// StartWriter, ErrBacklog when the whole batch was dropped (the peer is not
+// draining) and the writer's sticky fault for a dead peer.
 func (c *Conn) FlushBatch() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.batchDepth > 0 {
 		c.batchDepth--
 	}
-	if c.batchDepth == 0 {
-		if c.aw != nil {
-			return c.enqueueLocked()
-		}
-		return c.bw.Flush()
+	return c.flushLocked()
+}
+
+// flushLocked is the flush boundary: unless a batch window is open, it
+// hands the batch to its sink — the writer queue after StartWriter,
+// otherwise the stream, written on the caller's goroutine — and counts it
+// once the sink has taken it. A retained stream batch larger than
+// maxPooledReadBuf is dropped, so one burst cannot pin its buffer for the
+// connection's lifetime. Caller holds wmu.
+func (c *Conn) flushLocked() error {
+	if c.batchDepth > 0 {
+		return nil
 	}
+	st := c.batchStats
+	c.batchStats = outStats{}
+	var err error
+	if c.aw != nil {
+		err = c.enqueueLocked()
+	} else if len(c.batch) > 0 {
+		_, err = c.rw.Write(c.batch)
+		c.batch = c.batch[:0]
+		if cap(c.batch) > maxPooledReadBuf {
+			c.batch = nil
+		}
+	}
+	if err != nil {
+		return err
+	}
+	c.msgsOut.Add(st.msgs)
+	c.bytesOut.Add(st.bytes)
+	c.entityMsgs.Add(st.entityMsgs)
+	c.entityBytes.Add(st.entityBytes)
 	return nil
 }
 
@@ -256,7 +269,6 @@ func (c *Conn) readFrame() (frame []byte, id PacketID, body []byte, err error) {
 func (c *Conn) noteIn(frame int) {
 	c.msgsIn.Add(1)
 	c.bytesIn.Add(int64(frame))
-	c.lastActivity.Store(time.Now().UnixNano())
 }
 
 // SetReadDeadline bounds the next ReadPacket when the underlying stream
@@ -296,9 +308,9 @@ type Stats struct {
 
 // Stats returns a snapshot of the traffic counters. The counters are
 // independent atomics, so a snapshot taken during writes is not a single
-// consistent cut; loading the entity counters before the totals (writers
-// add totals first, noteOut) keeps the invariant EntityMsgs <= MsgsOut and
-// EntityBytes <= BytesOut regardless of interleaving.
+// consistent cut; loading the entity counters before the totals (the flush
+// boundary adds totals first) keeps the invariant EntityMsgs <= MsgsOut
+// and EntityBytes <= BytesOut regardless of interleaving.
 func (c *Conn) Stats() Stats {
 	entityMsgs, entityBytes := c.entityMsgs.Load(), c.entityBytes.Load()
 	return Stats{

@@ -7,28 +7,27 @@ import (
 	"time"
 )
 
-// Async per-connection writers. In synchronous mode (the default) every
-// WritePacket/WriteFrame/FlushBatch performs the socket write on the
-// caller's goroutine — which means one slow or dead TCP peer can block the
-// server's tick loop for as long as the kernel send buffer stays full.
-// StartWriter moves the socket I/O onto a dedicated writer goroutine behind
-// a bounded queue of ready-to-write byte batches:
+// Async per-connection writers. Every write stages its frame onto the
+// connection's in-progress batch, and the flush boundary (FlushBatch, or
+// the write itself outside a batch window) hands the batch to one of two
+// sinks. Until StartWriter the sink is the stream, written on the caller's
+// goroutine: clients, the gateway and login handshakes use it, and a slow
+// or dead peer blocks the caller for as long as the kernel send buffer
+// stays full. StartWriter makes the sink a bounded queue of ready-to-write
+// batches drained by a dedicated writer goroutine:
 //
-//   - The caller's writes only append to an in-progress batch buffer; the
-//     batch is handed to the queue at the flush boundary (FlushBatch, or
-//     immediately for writes outside a batch window). Enqueueing never
-//     blocks.
+//   - Enqueueing never blocks.
 //   - The queue is bounded in both batches and bytes. When the peer cannot
 //     keep up the flush boundary fails fast with ErrBacklog and the batch's
-//     bytes are reclaimed into the buffer pool — the caller decides what to
-//     resend (the game server falls back to a keyframe).
+//     bytes are reclaimed — the caller decides what to resend (the game
+//     server falls back to a keyframe).
 //   - Each socket write runs under a write deadline. A peer that keeps a
 //     write stalled past it kills the writer: the error sticks, every
 //     queued batch is reclaimed, and all subsequent writes report the
 //     fault so the caller can disconnect the peer.
 //
-// Traffic counters are applied when a batch is accepted into the queue,
-// never for dropped batches, so Stats reflect bytes actually handed to the
+// Either way traffic counters apply when the sink takes a batch, never for
+// a failed or dropped one, so Stats reflect bytes written or handed to the
 // writer.
 
 // ErrBacklog reports that the peer's bounded writer queue could not accept
@@ -69,8 +68,8 @@ type writeDeadliner interface {
 }
 
 // outStats accumulates the traffic counters of an in-progress batch; they
-// are applied to the connection's atomics only when the batch is accepted
-// into the queue (dropped batches never count).
+// are applied to the connection's atomics only when the sink takes the
+// batch (failed and dropped batches never count).
 type outStats struct {
 	msgs, bytes             int64
 	entityMsgs, entityBytes int64
@@ -93,17 +92,15 @@ type connWriter struct {
 	cond        *sync.Cond
 	queue       [][]byte
 	queuedBytes int
-	free        [][]byte // reclaimed batch buffers, reused for new batches
-	err         error    // sticky fault: first write/deadline error
+	err         error // sticky fault: first write/deadline error
 	closed      bool
 	done        chan struct{} // closed when the writer goroutine exits
 }
 
-// StartWriter switches the connection into async-writer mode: all
-// subsequent WritePacket/WriteFrame/FlushBatch calls enqueue onto a bounded
-// queue drained by a dedicated goroutine and never block on the socket.
-// Call it once, after any synchronous handshake traffic; starting an
-// already-async connection is a no-op.
+// StartWriter makes the writer queue the connection's sink: from now on
+// every flush boundary enqueues its batch onto a bounded queue drained by a
+// dedicated goroutine and never blocks on the socket. Call it once, after
+// any synchronous handshake traffic; starting it again is a no-op.
 func (c *Conn) StartWriter(cfg WriterConfig) {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -117,7 +114,7 @@ func (c *Conn) StartWriter(cfg WriterConfig) {
 }
 
 // WriterQueueDepth returns the async writer's current backlog in batches
-// and bytes (0, 0 in synchronous mode) — the per-connection queue-depth
+// and bytes (0, 0 before StartWriter) — the per-connection queue-depth
 // gauge the server's tick counters sample.
 func (c *Conn) WriterQueueDepth() (batches, bytes int) {
 	c.wmu.Lock()
@@ -132,7 +129,7 @@ func (c *Conn) WriterQueueDepth() (batches, bytes int) {
 }
 
 // WriterErr returns the async writer's sticky fault: non-nil once a socket
-// write failed or missed its deadline. Synchronous connections return nil.
+// write failed or missed its deadline; nil before StartWriter.
 func (c *Conn) WriterErr() error {
 	c.wmu.Lock()
 	aw := c.aw
@@ -157,70 +154,34 @@ func (aw *connWriter) stop() {
 	aw.mu.Unlock()
 }
 
-// getBatchLocked returns an empty batch buffer, reusing a reclaimed one
-// when available. Caller holds c.wmu.
-func (c *Conn) getBatchLocked() []byte {
+// enqueueLocked hands the in-progress batch to the writer queue, which
+// owns its buffer until the writer hands it back to c.free. It never
+// blocks: a full queue drops the batch, keeping its buffer, and returns
+// ErrBacklog; a faulted writer returns its sticky error. Caller holds
+// c.wmu.
+func (c *Conn) enqueueLocked() error {
 	aw := c.aw
 	aw.mu.Lock()
 	defer aw.mu.Unlock()
-	if n := len(aw.free); n > 0 {
-		buf := aw.free[n-1]
-		aw.free = aw.free[:n-1]
-		return buf[:0]
+	var err error
+	switch {
+	case len(c.batch) == 0:
+		return aw.err
+	case aw.err != nil:
+		err = aw.err
+	case aw.closed:
+		err = ErrWriterClosed
+	case len(aw.queue) >= aw.cfg.MaxBatches || aw.queuedBytes+len(c.batch) > aw.cfg.MaxBytes:
+		err = ErrBacklog
+	default:
+		aw.queue = append(aw.queue, c.batch)
+		aw.queuedBytes += len(c.batch)
+		aw.cond.Signal()
+		c.batch = nil
+		return nil
 	}
-	return make([]byte, 0, 4<<10)
-}
-
-// appendAsyncLocked stages frame bytes onto the connection's in-progress
-// batch. Caller holds c.wmu and has verified async mode.
-func (c *Conn) appendAsyncLocked(frame []byte, entity bool) {
-	if c.pending == nil {
-		c.pending = c.getBatchLocked()
-	}
-	c.pending = append(c.pending, frame...)
-	c.pendingStats.add(len(frame), entity)
-}
-
-// enqueueLocked hands the in-progress batch to the writer queue. It never
-// blocks: a full queue drops the batch, reclaims its buffer and returns
-// ErrBacklog; a faulted writer returns its sticky error. Counters are
-// applied only on acceptance. Caller holds c.wmu.
-func (c *Conn) enqueueLocked() error {
-	aw := c.aw
-	buf, st := c.pending, c.pendingStats
-	c.pending, c.pendingStats = nil, outStats{}
-
-	aw.mu.Lock()
-	if buf == nil {
-		err := aw.err
-		aw.mu.Unlock()
-		return err
-	}
-	if aw.err != nil || aw.closed {
-		err := aw.err
-		if err == nil {
-			err = ErrWriterClosed
-		}
-		aw.free = append(aw.free, buf)
-		aw.mu.Unlock()
-		return err
-	}
-	if len(aw.queue) >= aw.cfg.MaxBatches || aw.queuedBytes+len(buf) > aw.cfg.MaxBytes {
-		aw.free = append(aw.free, buf)
-		aw.mu.Unlock()
-		return ErrBacklog
-	}
-	aw.queue = append(aw.queue, buf)
-	aw.queuedBytes += len(buf)
-	aw.cond.Signal()
-	aw.mu.Unlock()
-
-	c.msgsOut.Add(st.msgs)
-	c.bytesOut.Add(st.bytes)
-	c.entityMsgs.Add(st.entityMsgs)
-	c.entityBytes.Add(st.entityBytes)
-	c.lastActivity.Store(time.Now().UnixNano())
-	return nil
+	c.batch = c.batch[:0]
+	return err
 }
 
 // writerLoop drains the queue onto the socket: each wakeup takes every
@@ -265,8 +226,10 @@ func (c *Conn) writerLoop(aw *connWriter) {
 			}
 		}
 		_, werr := c.rw.Write(buf)
+		c.wmu.Lock()
+		c.free = append(c.free, taken...)
+		c.wmu.Unlock()
 		aw.mu.Lock()
-		aw.free = append(aw.free, taken...)
 		if werr != nil {
 			aw.err = fmt.Errorf("protocol: async write: %w", werr)
 			aw.queue = nil

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"testing"
@@ -201,4 +203,105 @@ func TestStartWriterIdempotent(t *testing.T) {
 		t.Fatal("second StartWriter replaced the writer")
 	}
 	c.Close()
+}
+
+// discard swallows writes; safe for the writer goroutine.
+type discard struct{}
+
+func (discard) Read(p []byte) (int, error)  { return 0, io.EOF }
+func (discard) Write(p []byte) (int, error) { return len(p), nil }
+func (discard) Close() error                { return nil }
+
+// TestStatsSameForBothSinks: one write and batch sequence counts the same
+// on a connection that writes the stream itself and on one behind an
+// async writer — both count a batch when its sink takes it.
+func TestStatsSameForBothSinks(t *testing.T) {
+	run := func(c *Conn) Stats {
+		t.Helper()
+		move := EncodeFrame(&EntityMove{EntityID: 3, X: 1, Y: 2, Z: 3})
+		mustWrite := func(_ int, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustWrite(c.WritePacket(&KeepAlive{Nonce: 1}))
+		mustWrite(c.WriteFrame(move))
+		c.BeginBatch()
+		c.BeginBatch()
+		mustWrite(c.WritePacket(&EntityMoveRel{EntityID: 3, DX: 1}))
+		mustWrite(c.WriteFrame(move))
+		if err := c.FlushBatch(); err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(c.WritePacket(&Chat{Sender: "a", Text: "hi"}))
+		if err := c.FlushBatch(); err != nil {
+			t.Fatal(err)
+		}
+		c.StagePacket(&LoginSuccess{PlayerID: 1})
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return c.Stats()
+	}
+	syncStats := run(NewConn(discard{}))
+	async := NewConn(discard{})
+	async.StartWriter(WriterConfig{})
+	defer async.Close()
+	asyncStats := run(async)
+	if syncStats != asyncStats {
+		t.Fatalf("stats differ by sink:\nstream %+v\nwriter %+v", syncStats, asyncStats)
+	}
+	if syncStats.MsgsOut != 6 || syncStats.EntityMsgs != 3 {
+		t.Fatalf("stats %+v, want 6 msgs (3 entity)", syncStats)
+	}
+}
+
+// TestStreamBatchFailsAtFlush: inside a batch window a write only stages,
+// so a batch larger than any buffer to a closed peer reports nothing until
+// its FlushBatch, which returns the stream's error and counts nothing.
+func TestStreamBatchFailsAtFlush(t *testing.T) {
+	a, b := net.Pipe()
+	b.Close()
+	c := NewConn(a)
+	defer c.Close()
+	chunk := &ChunkData{Data: make([]byte, 8<<10)}
+	c.BeginBatch()
+	for i := 0; i < 10; i++ { // 80 KiB: past maxPooledReadBuf
+		if _, err := c.WritePacket(chunk); err != nil {
+			t.Fatalf("in-batch write %d: %v", i, err)
+		}
+	}
+	if err := c.FlushBatch(); !errors.Is(err, io.ErrClosedPipe) {
+		t.Fatalf("FlushBatch = %v, want the closed pipe's error", err)
+	}
+	if st := c.Stats(); st.MsgsOut != 0 || st.BytesOut != 0 {
+		t.Fatalf("failed batch counted: %+v", st)
+	}
+	if c.batch != nil {
+		t.Fatalf("kept a %d-byte batch buffer past maxPooledReadBuf", cap(c.batch))
+	}
+}
+
+// TestStagePacketLeadsNextFlush: a staged packet waits for the next flush
+// boundary and goes out ahead of what that boundary flushes.
+func TestStagePacketLeadsNextFlush(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewConn(rwc{&buf})
+	c.StagePacket(&LoginSuccess{PlayerID: 7})
+	if buf.Len() != 0 {
+		t.Fatal("StagePacket flushed")
+	}
+	c.BeginBatch()
+	if err := c.Flush(); err != nil || buf.Len() != 0 {
+		t.Fatalf("Flush inside a batch window wrote %d bytes (err %v)", buf.Len(), err)
+	}
+	c.WritePacket(&KeepAlive{Nonce: 1})
+	if err := c.FlushBatch(); err != nil {
+		t.Fatal(err)
+	}
+	want := AppendFrame(AppendFrame(nil, &LoginSuccess{PlayerID: 7}), &KeepAlive{Nonce: 1})
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("stream %x, want LoginSuccess then KeepAlive %x", buf.Bytes(), want)
+	}
 }

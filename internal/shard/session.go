@@ -148,7 +148,8 @@ func (s *Session) fault(err error) {
 
 // Send enqueues one tick's outbound packets followed by its barrier. The
 // batch boundary matches the tick boundary, so the writer flushes whole
-// ticks and the peer's barrier bucket is never torn.
+// ticks and the peer's barrier bucket is never torn. Writes inside the
+// batch only stage; the closing FlushBatch reports the writer's error.
 func (s *Session) Send(tick int64, pkts []protocol.Packet) error {
 	s.conn.BeginBatch()
 	handoffs := 0
@@ -156,13 +157,9 @@ func (s *Session) Send(tick int64, pkts []protocol.Packet) error {
 		if _, ok := p.(*protocol.EntityHandoff); ok {
 			handoffs++
 		}
-		if _, err := s.conn.WritePacket(p); err != nil {
-			return err
-		}
+		s.conn.WritePacket(p)
 	}
-	if _, err := s.conn.WritePacket(&protocol.ShardBarrier{Tick: tick, Handoffs: int32(handoffs)}); err != nil {
-		return err
-	}
+	s.conn.WritePacket(&protocol.ShardBarrier{Tick: tick, Handoffs: int32(handoffs)})
 	return s.conn.FlushBatch()
 }
 
