@@ -25,7 +25,11 @@ type CostModel struct {
 	BlockAddRmUS    float64 // block creation/destruction
 	ExplosionCellUS float64 // one blast-volume cell scan
 	LightScanUS     float64 // one lighting column block scan
-	RandomTickUS    float64 // one random-tick sample
+	// RandomTickUS is charged per random-tick sample the rate implies,
+	// including the samples of chunks with nothing to grow, which the
+	// engine counts without drawing. Charging them keeps the goldens; it
+	// also means the modelled clock pays for work the wall clock skips.
+	RandomTickUS float64
 
 	// Entity costs.
 	MobUS          float64 // full mob tick (AI + physics)

@@ -670,6 +670,13 @@ func sortedPositions(set map[world.Pos]struct{}) []world.Pos {
 // Each chunk's samples come from its own per-tick stream (streams.go), so a
 // chunk's growth is a pure function of (seed, chunk, tick): shards skipping
 // unowned chunks leave the owned chunks' sequences untouched.
+//
+// A barren chunk, one whose GrowableCount is zero, is counted, not
+// sampled: applyGrowth neither writes nor draws for a block that cannot
+// grow, so its samples would change nothing, and since every chunk draws
+// from its own stream, skipping its draws shifts no other chunk's.
+// RandomTicks still counts the skipped samples, so the modelled clock
+// charges them as before.
 func (e *Engine) randomTicks() {
 	rate := e.cfg.RandomTickRate
 	if rate <= 0 {
@@ -677,6 +684,10 @@ func (e *Engine) randomTicks() {
 	}
 	for _, c := range e.w.LoadedChunkRefs() {
 		if !e.ownsChunk(c.Pos) {
+			continue
+		}
+		if c.GrowableCount() == 0 {
+			e.counters.RandomTicks += rate
 			continue
 		}
 		origin := c.Pos.Origin()

@@ -108,6 +108,12 @@ func (b Block) IsSolid() bool {
 // terrain-physics rule of §2.2.2).
 func (b Block) IsGravityAffected() bool { return b.ID == Sand || b.ID == Gravel }
 
+// IsGrowable reports whether random ticks can change the block: the crops
+// and plants the simulation's growth rule advances (sim's applyGrowth).
+func (b Block) IsGrowable() bool {
+	return b.ID == Wheat || b.ID == Kelp || b.ID == Sapling
+}
+
 // IsRedstoneComponent reports whether the block participates in the
 // logic-circuit simulation.
 func (b Block) IsRedstoneComponent() bool {

@@ -93,8 +93,12 @@ func floorMod(a, b int) int {
 // lighting data. Blocks are stored in a flat array indexed Y-major so a
 // column scan is contiguous.
 type Chunk struct {
-	Pos    ChunkPos
-	blocks [ChunkSize * ChunkSize * Height]Block
+	Pos ChunkPos
+	// growable counts the blocks random ticks can change (Block.IsGrowable).
+	// It sits beside Pos so that the random-tick pass, which skips chunks
+	// where it is zero, reads only the header's first cache line of them.
+	growable int
+	blocks   [ChunkSize * ChunkSize * Height]Block
 	// lightHeight caches, per column, the Y of the highest opaque block + 1:
 	// the sky-light horizon. Terrain changes above/at the horizon force a
 	// column recompute, the dynamic-lighting workload of §2.2.2.
@@ -151,6 +155,12 @@ func (c *Chunk) Set(lx, y, lz int, b Block) Block {
 	case !old.IsAir() && b.IsAir():
 		c.nonAir--
 	}
+	switch {
+	case !old.IsGrowable() && b.IsGrowable():
+		c.growable++
+	case old.IsGrowable() && !b.IsGrowable():
+		c.growable--
+	}
 	return old
 }
 
@@ -202,6 +212,10 @@ func (c *Chunk) fill() *chunkMemo {
 
 // NonAirCount returns the number of non-air blocks in the chunk.
 func (c *Chunk) NonAirCount() int { return c.nonAir }
+
+// GrowableCount returns the number of blocks in the chunk that random ticks
+// can change (Block.IsGrowable).
+func (c *Chunk) GrowableCount() int { return c.growable }
 
 // LightHorizon returns the cached sky-light horizon for a column.
 func (c *Chunk) LightHorizon(lx, lz int) int {

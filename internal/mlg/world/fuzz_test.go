@@ -101,6 +101,9 @@ func FuzzChunkRLE(f *testing.F) {
 		if c.NonAirCount() != c2.NonAirCount() {
 			t.Fatalf("nonAir diverged: %d vs %d", c.NonAirCount(), c2.NonAirCount())
 		}
+		if c.GrowableCount() != c2.GrowableCount() || c.GrowableCount() != recountGrowable(c) {
+			t.Fatalf("growable count diverged: %d vs %d, recount %d", c.GrowableCount(), c2.GrowableCount(), recountGrowable(c))
+		}
 		for i := 0; i < ChunkSize; i++ {
 			if c.HighestSolidY(i, i) != c2.HighestSolidY(i, i) {
 				t.Fatalf("column %d solid height diverged", i)

@@ -52,17 +52,17 @@ func (w *World) Save(wr io.Writer) error {
 
 // DecodeRLE decodes a chunk wire payload produced by Chunk.AppendRLE back
 // into the chunk, replacing its contents and rebuilding the derived state
-// (occupancy, lighting). It is the inverse the ChunkData protocol consumers
-// need, and it rejects malformed input — truncated runs, zero-length runs,
-// overflowing or underfilled payloads — with an error, never a panic, so it
-// is safe to feed network bytes (see FuzzChunkRLE).
+// (occupancy, growable count, lighting). It is the inverse the ChunkData
+// protocol consumers need, and it rejects malformed input — truncated runs,
+// zero-length runs, overflowing or underfilled payloads — with an error,
+// never a panic, so it is safe to feed network bytes (see FuzzChunkRLE).
 func (c *Chunk) DecodeRLE(data []byte) error {
 	if len(data)%4 != 0 {
 		return fmt.Errorf("chunk rle: truncated run at byte %d", len(data)-len(data)%4)
 	}
 	var blocks [ChunkSize * ChunkSize * Height]Block
 	idx := 0
-	nonAir := 0
+	nonAir, growable := 0, 0
 	for off := 0; off < len(data); off += 4 {
 		count := int(data[off])<<8 | int(data[off+1])
 		if count == 0 {
@@ -79,12 +79,16 @@ func (c *Chunk) DecodeRLE(data []byte) error {
 		if !b.IsAir() {
 			nonAir += count
 		}
+		if b.IsGrowable() {
+			growable += count
+		}
 	}
 	if idx != len(blocks) {
 		return fmt.Errorf("chunk rle: payload underfills chunk: %d of %d blocks", idx, len(blocks))
 	}
 	c.blocks = blocks
 	c.nonAir = nonAir
+	c.growable = growable
 	c.rev++
 	c.RecomputeAllLight()
 	return nil

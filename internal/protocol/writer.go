@@ -207,8 +207,11 @@ func (c *Conn) writerLoop(aw *connWriter) {
 			aw.mu.Unlock()
 			return
 		}
+		// The queue keeps its backing array for the next enqueue; the
+		// batches it held now belong to taken.
 		taken = append(taken[:0], aw.queue...)
-		aw.queue = nil
+		clear(aw.queue)
+		aw.queue = aw.queue[:0]
 		aw.queuedBytes = 0
 		aw.mu.Unlock()
 

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -211,6 +213,49 @@ type discard struct{}
 func (discard) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 func (discard) Close() error                { return nil }
+
+// TestWriterKeepsUpWithoutAllocs: on an async conn whose writer keeps up,
+// a write allocates nothing once warm. The batch buffer comes back through
+// c.free, and the writer's queue keeps its backing array between rounds.
+// Like the server's Test*Allocs it counts process-wide mallocs with the
+// collector off and keeps the cheapest of several runs.
+func TestWriterKeepsUpWithoutAllocs(t *testing.T) {
+	c := NewConn(discard{})
+	c.StartWriter(WriterConfig{})
+	defer c.Close()
+	frame := EncodeFrame(&KeepAlive{Nonce: 1})
+	drained := func() bool {
+		c.wmu.Lock()
+		defer c.wmu.Unlock()
+		return len(c.free) > 0
+	}
+	const writes = 100
+	writeAll := func() {
+		for i := 0; i < writes; i++ {
+			if _, err := c.WriteFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+			for !drained() {
+				runtime.Gosched()
+			}
+		}
+	}
+	writeAll()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fewest := ^uint64(0)
+	for run := 0; run < 5; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		writeAll()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("%.2f allocs per write", float64(fewest)/writes)
+	if fewest > 0 {
+		t.Fatal("a write that the writer drains allocated")
+	}
+}
 
 // TestStatsSameForBothSinks: one write and batch sequence counts the same
 // on a connection that writes the stream itself and on one behind an

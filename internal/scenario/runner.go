@@ -338,7 +338,9 @@ func (tw *Twin) checkInterest() string {
 // decrease across steps, and every loaded chunk's memoized Sum equals the
 // FNV-64a of a fresh AppendRLE. A block write that skipped the revision
 // bump would leave the chunk's encoding memo — and with it wire payloads,
-// snapshots and shard mirrors — serving stale bytes.
+// snapshots and shard mirrors — serving stale bytes. The same fresh
+// encoding recounts the chunk's growable blocks: a stale GrowableCount
+// would let random ticks skip a chunk that should grow.
 func (tw *Twin) checkRevisions(w *world.World, chunks []world.ChunkState) string {
 	var buf []byte
 	for _, c := range chunks {
@@ -346,11 +348,21 @@ func (tw *Twin) checkRevisions(w *world.World, chunks []world.ChunkState) string
 			return fmt.Sprintf("chunk %v revision went backwards: %d -> %d", c.Pos, prev, c.Revision)
 		}
 		tw.prevRevs[c.Pos] = c.Revision
-		buf = w.ChunkIfLoaded(c.Pos).AppendRLE(buf[:0])
+		chunk := w.ChunkIfLoaded(c.Pos)
+		buf = chunk.AppendRLE(buf[:0])
 		h := fnv.New64a()
 		h.Write(buf)
 		if h.Sum64() != c.Sum {
 			return fmt.Sprintf("chunk %v cache stale at revision %d", c.Pos, c.Revision)
+		}
+		growable := 0
+		for i := 0; i < len(buf); i += 4 {
+			if world.B(world.BlockID(buf[i+2])).IsGrowable() {
+				growable += int(buf[i])<<8 | int(buf[i+1])
+			}
+		}
+		if growable != chunk.GrowableCount() {
+			return fmt.Sprintf("chunk %v growable count %d, its blocks hold %d", c.Pos, chunk.GrowableCount(), growable)
 		}
 	}
 	return ""
