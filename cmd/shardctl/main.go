@@ -18,6 +18,11 @@
 // completes within -takeover-within ticks, that the cluster's exchange
 // never faulted, and that the bots survived the takeover without their
 // gateway connections dying.
+//
+// Both shards run on the real clock, so each sleeps out its own 50 ms tick
+// budget inside its Tick. The shards tick at the same time, so a cluster
+// tick takes one budget; -tick-every is an extra pause between cluster
+// ticks on top of it.
 package main
 
 import (
@@ -45,7 +50,7 @@ func main() {
 		within    = flag.Int("takeover-within", 40, "ticks allowed for standby takeover")
 		split     = flag.Int("split", 16, "chunk-X split between the two shards")
 		worldName = flag.String("world", "Farm", "workload world")
-		tickEvery = flag.Duration("tick-every", 10*time.Millisecond, "cluster tick pacing (compressed wall clock)")
+		tickEvery = flag.Duration("tick-every", 10*time.Millisecond, "extra pause between cluster ticks, on top of the shards' 50 ms tick budget")
 	)
 	flag.Parse()
 	if err := run(*bots, *ticks, *killAt, *within, int32(*split), *worldName, *tickEvery); err != nil {

@@ -7,9 +7,9 @@ import (
 
 // Parallel runs fn(i) for every i in [0, n) across at most workers
 // goroutines, returning when all calls complete: the engine's one fan-out.
-// The terrain engine hands it the tick's regions, one index per region, and
-// core its benchmark runs. Indices are claimed in order by atomic
-// work-stealing.
+// The terrain engine hands it the tick's regions, one index per region;
+// core its benchmark runs; and shard.Cluster its live shards, one index per
+// shard tick. Indices are claimed in order by atomic work-stealing.
 //
 // workers <= 1 or n <= 1 degrades to a plain serial loop on the calling
 // goroutine — no goroutines, no synchronization.

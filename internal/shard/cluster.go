@@ -11,12 +11,12 @@ import (
 )
 
 // Cluster drives N shard servers in lockstep inside one process: every
-// shard ticks the same tick number, then all exchange traffic flows, then
-// the next tick begins. The inter-shard sessions run over in-process pipes
-// but through the full packet codec and async writer queues, so the
-// lockstep cluster exercises the identical wire path a multi-process
-// deployment uses — it is the reference implementation the equivalence and
-// failover suites pin.
+// shard ticks the same tick number, concurrently, then all exchange
+// traffic flows, then the next tick begins. The inter-shard sessions run
+// over in-process pipes but through the full packet codec and async writer
+// queues, so the lockstep cluster exercises the identical wire path a
+// multi-process deployment uses — it is the reference implementation the
+// equivalence and failover suites pin.
 type Cluster struct {
 	cfg    ClusterConfig
 	shards []*server.Server
@@ -24,6 +24,7 @@ type Cluster struct {
 	dead   []bool
 	tick   int64
 	err    error
+	live   []int               // Tick's live shard indices, reused across ticks
 	recs   []server.TickRecord // Tick's per-shard records, reused across ticks
 }
 
@@ -34,7 +35,10 @@ type ClusterConfig struct {
 	Map Map
 	// Build constructs one bare shard server with the given ownership
 	// predicate wired into its ShardConfig. Called again during failover,
-	// so it must not install workload state — Install does that.
+	// so it must not install workload state — Install does that. The
+	// shards tick at the same time on different goroutines, so the servers
+	// it returns must not share unsynchronized mutable state: each needs
+	// its own clock, machine model, hooks and random source.
 	Build func(i int, owns func(world.ChunkPos) bool) (*server.Server, error)
 	// Install populates a freshly built shard with the workload. Skipped
 	// on failover restores, which recover state from the snapshot instead.
@@ -120,28 +124,34 @@ func (c *Cluster) setErr(err error) {
 // Tick advances every live shard one tick in lockstep and returns the
 // merged record: counters summed across shards (the quantities a
 // single-server run must match), durations the per-shard maximum.
+//
+// The live shards tick at the same time, each Server.Tick on its own
+// goroutine (world.Parallel), so a tick costs the slowest shard's tick
+// rather than the sum. Then every live endpoint sends and then every one
+// applies, both serially in shard order, so the exchange, the merged
+// record and Err's first error do not depend on which shard finished
+// first.
 func (c *Cluster) Tick() server.TickRecord {
-	recs := c.recs[:0]
-	for i, s := range c.shards {
+	live := c.live[:0]
+	for i := range c.shards {
 		if !c.dead[i] {
-			recs = append(recs, s.Tick())
+			live = append(live, i)
 		}
 	}
-	c.recs = recs
-	if len(recs) == 0 {
+	c.live = live
+	if len(live) == 0 {
 		return server.TickRecord{}
 	}
+	recs := slices.Grow(c.recs[:0], len(live))[:len(live)]
+	c.recs = recs
+	world.Parallel(len(live), len(live), func(k int) { recs[k] = c.shards[live[k]].Tick() })
 	tick := recs[0].Tick
 	c.tick = tick
-	for i := range c.shards {
-		if !c.dead[i] {
-			c.setErr(c.eps[i].SendTick(tick))
-		}
+	for _, i := range live {
+		c.setErr(c.eps[i].SendTick(tick))
 	}
-	for i := range c.shards {
-		if !c.dead[i] {
-			c.setErr(c.eps[i].ApplyTick(tick))
-		}
+	for _, i := range live {
+		c.setErr(c.eps[i].ApplyTick(tick))
 	}
 	return mergeRecords(recs)
 }

@@ -45,7 +45,7 @@ func newExchangePair(t *testing.T) *exchangePair {
 	m := shard.Map{Splits: []int32{equivSplit}}
 	p := &exchangePair{}
 	for i := range p.eps {
-		s, err := buildFn(server.Vanilla, workload.Control, m, nil)(i, m.Owns(i))
+		s, err := buildFn(server.Vanilla, workload.Control, m, nil, nil)(i, m.Owns(i))
 		if err != nil {
 			t.Fatal(err)
 		}

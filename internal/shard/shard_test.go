@@ -16,6 +16,7 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,7 +38,8 @@ const equivSplit = 16
 
 // buildFn returns a ClusterConfig.Build closure for the given flavor and
 // workload; every shard gets its own world instance with the same seed.
-func buildFn(f server.Flavor, k workload.Kind, m shard.Map, stores []*persist.Store) func(int, func(world.ChunkPos) bool) (*server.Server, error) {
+// tune, when non-nil, adjusts shard i's config before its server is built.
+func buildFn(f server.Flavor, k workload.Kind, m shard.Map, stores []*persist.Store, tune func(i int, cfg *server.Config)) func(int, func(world.ChunkPos) bool) (*server.Server, error) {
 	return func(i int, owns func(world.ChunkPos) bool) (*server.Server, error) {
 		w := workload.NewWorld(k, world.PaperControlSeed)
 		cfg := server.DefaultConfig(f)
@@ -45,6 +47,9 @@ func buildFn(f server.Flavor, k workload.Kind, m shard.Map, stores []*persist.St
 		cfg.Shard = server.ShardConfig{Count: m.Count(), Index: i, Owns: owns}
 		if stores != nil {
 			cfg.Persist = server.PersistConfig{Store: stores[i], Every: 10, Sync: true}
+		}
+		if tune != nil {
+			tune(i, &cfg)
 		}
 		return server.New(w, cfg, env.NewMachine(env.DAS5SixteenCore, 1), env.NewVirtualClock(epoch)), nil
 	}
@@ -56,7 +61,7 @@ func buildFn(f server.Flavor, k workload.Kind, m shard.Map, stores []*persist.St
 // isolates the partition itself rather than config differences.
 func refServer(t testing.TB, f server.Flavor, k workload.Kind, spec *workload.Spec) *server.Server {
 	one := shard.Map{}
-	s, err := buildFn(f, k, one, nil)(0, one.Owns(0))
+	s, err := buildFn(f, k, one, nil, nil)(0, one.Owns(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +73,11 @@ func refServer(t testing.TB, f server.Flavor, k workload.Kind, spec *workload.Sp
 	return s
 }
 
-func newFarmCluster(t testing.TB, f server.Flavor, spec workload.Spec, stores []*persist.Store) *shard.Cluster {
+func newFarmCluster(t testing.TB, f server.Flavor, spec workload.Spec, stores []*persist.Store, tune func(int, *server.Config)) *shard.Cluster {
 	m := shard.Map{Splits: []int32{equivSplit}}
 	c, err := shard.NewCluster(shard.ClusterConfig{
 		Map:   m,
-		Build: buildFn(f, workload.Farm, m, stores),
+		Build: buildFn(f, workload.Farm, m, stores, tune),
 		Install: func(s *server.Server, i int) error {
 			return workload.Install(s, spec)
 		},
@@ -239,7 +244,7 @@ func TestClusterEquivalence(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			single := refServer(t, f, workload.Farm, &spec)
-			cluster := newFarmCluster(t, f, spec, nil)
+			cluster := newFarmCluster(t, f, spec, nil, nil)
 			single.Connect("eq")
 			cluster.Connect("eq")
 
@@ -291,7 +296,7 @@ func TestClusterHandoff(t *testing.T) {
 	m := shard.Map{Splits: []int32{equivSplit}}
 	cluster, err := shard.NewCluster(shard.ClusterConfig{
 		Map:   m,
-		Build: buildFn(server.Vanilla, workload.Control, m, nil),
+		Build: buildFn(server.Vanilla, workload.Control, m, nil, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +361,7 @@ func TestClusterMirror(t *testing.T) {
 	m := shard.Map{Splits: []int32{equivSplit}}
 	cluster, err := shard.NewCluster(shard.ClusterConfig{
 		Map:   m,
-		Build: buildFn(server.Vanilla, workload.Control, m, nil),
+		Build: buildFn(server.Vanilla, workload.Control, m, nil, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -397,8 +402,8 @@ func TestClusterFailover(t *testing.T) {
 		}
 		stores[i] = st
 	}
-	control := newFarmCluster(t, server.Vanilla, spec, nil)
-	subject := newFarmCluster(t, server.Vanilla, spec, stores)
+	control := newFarmCluster(t, server.Vanilla, spec, nil, nil)
+	subject := newFarmCluster(t, server.Vanilla, spec, stores, nil)
 
 	compare := func(tick int, rc, rs server.TickRecord) {
 		t.Helper()
@@ -452,7 +457,7 @@ func newHandoffRig(tb testing.TB) (handoff func()) {
 	m := shard.Map{Splits: []int32{equivSplit}}
 	cluster, err := shard.NewCluster(shard.ClusterConfig{
 		Map:   m,
-		Build: buildFn(server.Vanilla, workload.Control, m, nil),
+		Build: buildFn(server.Vanilla, workload.Control, m, nil, nil),
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -498,27 +503,102 @@ func BenchmarkShardHandoff(b *testing.B) {
 	b.ReportMetric(handoffBatch, "handoffs/op")
 }
 
-// TestShardHandoffAllocs bounds the allocations of one warmed
-// BenchmarkShardHandoff operation, counted as the server package's
-// checkAllocs counts: the cheapest of several operations with the collector
-// off. The sessions' reader and writer goroutines allocate inside each
-// count too, and at GOMAXPROCS > 1 the first handful of operations after
-// setup can all read a few over the steady count, so this takes twenty.
-func TestShardHandoffAllocs(t *testing.T) {
-	const bound = 305
-	handoff := newHandoffRig(t)
+// checkAllocs fails t when the fewest allocations any of runs calls of f
+// makes exceed bound, counted as the server package counts them: process
+// wide, collector off. The sessions' reader and writer goroutines allocate
+// inside each count too.
+func checkAllocs(t *testing.T, runs int, f func(), bound uint64) {
+	t.Helper()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fewest := uint64(math.MaxUint64)
-	for i := 0; i < 20; i++ {
+	for i := 0; i < runs; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		handoff()
+		f()
 		runtime.ReadMemStats(&after)
 		fewest = min(fewest, after.Mallocs-before.Mallocs)
 	}
-	t.Logf("%d allocs per %d-entity handoff, bound %d", fewest, handoffBatch, bound)
+	t.Logf("%d allocs, bound %d", fewest, bound)
 	if fewest > bound {
 		t.Fatal("allocations over the bound")
+	}
+}
+
+// TestShardHandoffAllocs bounds the allocations of one warmed
+// BenchmarkShardHandoff operation (handoffBatch entities). At GOMAXPROCS >
+// 1 the first handful of operations after setup can all read a few over
+// the steady count, so this takes the cheapest of twenty.
+func TestShardHandoffAllocs(t *testing.T) {
+	checkAllocs(t, 20, newHandoffRig(t), 305)
+}
+
+// TestClusterTickAllocs bounds the allocations of a warm 2-shard Farm
+// cluster's clusterWindow ticks, both shards hosting an active district.
+// The shards drain terrain serially: at the default worker count the
+// drains follow GOMAXPROCS, and their allocations would spread the counts
+// wider than one allocation per tick. The bound follows the server
+// package's tick windows: the highest count seen at GOMAXPROCS 1, 2 and 4
+// plus twice the spread plus 10, rounded up to ten, for the cheapest of
+// five consecutive windows (the sessions' goroutines allocate into some
+// windows and not others). One extra allocation per cluster tick adds
+// clusterWindow.
+func TestClusterTickAllocs(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("Farm cluster tick window; skipped in -short and under -race")
+	}
+	const clusterWindow = 60
+	spec := workload.Farm.DefaultSpec()
+	spec.Scale = 2
+	cluster := newFarmCluster(t, server.Vanilla, spec, nil, func(_ int, cfg *server.Config) { cfg.Sim.Workers = 1 })
+	for i := 0; i < 100; i++ {
+		cluster.Tick()
+	}
+	checkAllocs(t, 5, func() {
+		for i := 0; i < clusterWindow; i++ {
+			cluster.Tick()
+		}
+	}, 1190)
+	if err := cluster.Err(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClusterTicksShardsConcurrently pins that Cluster.Tick runs the live
+// shards' ticks at the same time. Each shard's AfterTick hook, the tail of
+// its Server.Tick, meets the other shard's hook at a two-party rendezvous,
+// which completes only while both ticks are in flight together. Shards
+// ticked one after another leave the first hook waiting alone until it
+// gives up, so the test fails instead of hanging.
+func TestClusterTicksShardsConcurrently(t *testing.T) {
+	const ticks, timeout = 5, 5 * time.Second
+	arrived := [2]chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
+	var met atomic.Int64
+	meet := func(i int) {
+		arrived[i] <- struct{}{}
+		select {
+		case <-arrived[1-i]:
+			met.Add(1)
+		case <-time.After(timeout):
+		}
+	}
+	m := shard.Map{Splits: []int32{equivSplit}}
+	cluster, err := shard.NewCluster(shard.ClusterConfig{
+		Map: m,
+		Build: buildFn(server.Vanilla, workload.Control, m, nil, func(i int, cfg *server.Config) {
+			cfg.Hooks.AfterTick = func(server.TickRecord) { meet(i) }
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= ticks; i++ {
+		cluster.Tick()
+		if err := cluster.Err(); err != nil {
+			t.Fatalf("tick %d: exchange fault: %v", i, err)
+		}
+		if got := met.Load(); got != int64(2*i) {
+			t.Fatalf("tick %d: %d of %d shard ticks met their peer mid-tick; the shards ticked one after another", i, got, 2*i)
+		}
 	}
 }
