@@ -23,8 +23,10 @@ import (
 //
 //   - Encode-once frames: a broadcast packet (block change, chat,
 //     keep-alive, time update, entity move) is marshalled to wire bytes
-//     exactly once (protocol.EncodeFrame) and written to N connections as a
-//     raw byte copy (Conn.WriteFrame).
+//     exactly once (protocol.EncodeFrame) and copied into each of N
+//     connections' batches (Conn.WriteFrame). A tick's frames are encoded
+//     into one per-tick arena that sendReal reuses across ticks; since
+//     every write copies, no staged or queued batch aliases it.
 //   - Tick-scoped batch flushing: each player's per-tick sends sit between
 //     Conn.BeginBatch and Conn.FlushBatch, so a tick costs one enqueue per
 //     player instead of one syscall per packet.
@@ -203,10 +205,28 @@ type entSnap struct {
 	hasFrame bool
 }
 
-// sendBuffers holds sendReal's per-tick slices, reused across ticks.
+// sendBuffers holds sendReal's per-tick buffers, reused across ticks, so
+// the outbound path allocates nothing per broadcast frame.
+//
+// arena holds the encoded bytes of one tick's broadcast frames: sendReal
+// truncates it once per tick, and every frame it writes is copied into the
+// connection's batch, so no frame outlives the tick. It keeps no retention
+// rule: it holds one tick's frames, and OnChange caps a tick's block
+// changes at 20 000 entries.
+//
+// A packet passed through the protocol.Packet interface escapes to the
+// heap, so each packet sendReal encodes or writes that way has one scratch
+// value here instead of a fresh one per call.
 type sendBuffers struct {
 	ents     []entSnap
 	bcFrames []protocol.Frame
+	arena    []byte
+
+	keepAlive protocol.KeepAlive
+	time      protocol.TimeUpdate
+	move      protocol.EntityMove
+	rel       protocol.EntityMoveRel
+	destroy   protocol.DestroyEntity
 }
 
 // quant quantizes a coordinate to the EntityMoveRel 1/32-block grid.
@@ -220,12 +240,13 @@ func floorRound(v float64) int64 {
 }
 
 // fullMoveFrame returns the entity's encode-once full EntityMove frame,
-// marshalling it on first use this tick.
-func (e *entSnap) fullMoveFrame() protocol.Frame {
+// marshalling it into b's arena on first use this tick. The arena may grow
+// here, mid-tick; frames encoded before keep viewing the array they were
+// encoded into.
+func (e *entSnap) fullMoveFrame(b *sendBuffers) protocol.Frame {
 	if !e.hasFrame {
-		e.frame = protocol.EncodeFrame(&protocol.EntityMove{
-			EntityID: int32(e.id), X: e.x, Y: e.y, Z: e.z,
-		})
+		b.move = protocol.EntityMove{EntityID: int32(e.id), X: e.x, Y: e.y, Z: e.z}
+		b.arena, e.frame = protocol.EncodeFrame(b.arena, &b.move)
 		e.hasFrame = true
 	}
 	return e.frame
@@ -235,10 +256,10 @@ func (e *entSnap) fullMoveFrame() protocol.Frame {
 // Entity updates are interest-filtered (only entities inside the player's
 // chunk view area are sent) and capped per tick per player, like production
 // servers' broadcast budgets. Broadcast packets (block changes, plus a
-// KeepAlive on keep-alive ticks) are encoded once and fanned out as raw
-// frames; each player's whole tick goes out under a single flush (async
-// conns: a single writer-queue enqueue). It returns the IDs of players
-// whose connection faulted mid-send, for the caller to reap.
+// KeepAlive on keep-alive ticks) are encoded once into the tick's arena and
+// fanned out as raw frames; each player's whole tick goes out under a
+// single flush (async conns: a single writer-queue enqueue). It returns the
+// IDs of players whose connection faulted mid-send, for the caller to reap.
 func (s *Server) sendReal(players []*Player, bc []protocol.BlockChange, keepAlive bool, counts *tickCounts) []int64 {
 	const entityCap = 400
 	var hasReal bool
@@ -253,7 +274,8 @@ func (s *Server) sendReal(players []*Player, bc []protocol.BlockChange, keepAliv
 	}
 
 	// Snapshot entity positions (and their chunk, for the interest filter).
-	ents := s.sendScratch.ents[:0]
+	buf := &s.sendScratch
+	ents := buf.ents[:0]
 	s.ents.Entities(func(e *entity.Entity) {
 		ents = append(ents, entSnap{
 			id: e.ID, chunk: world.ChunkPosAt(e.Pos.BlockPos()),
@@ -261,23 +283,29 @@ func (s *Server) sendReal(players []*Player, bc []protocol.BlockChange, keepAliv
 			q: qpos{x: quant(e.Pos.X), y: quant(e.Pos.Y), z: quant(e.Pos.Z)},
 		})
 	})
-	s.sendScratch.ents = ents
+	buf.ents = ents
 
 	s.mu.Lock()
 	tick := s.tick
 	s.mu.Unlock()
 
-	// Encode the tick's shared broadcast frames exactly once.
-	bcFrames := s.sendScratch.bcFrames[:0]
+	// Encode the tick's shared broadcast frames exactly once, into the
+	// arena the last tick's frames used.
+	arena := buf.arena[:0]
+	bcFrames := buf.bcFrames[:0]
+	var f protocol.Frame
 	for i := range bc {
-		bcFrames = append(bcFrames, protocol.EncodeFrame(&bc[i]))
+		arena, f = protocol.EncodeFrame(arena, &bc[i])
+		bcFrames = append(bcFrames, f)
 	}
 	if keepAlive {
-		bcFrames = append(bcFrames, protocol.EncodeFrame(&protocol.KeepAlive{Nonce: tick}))
+		buf.keepAlive = protocol.KeepAlive{Nonce: tick}
+		arena, f = protocol.EncodeFrame(arena, &buf.keepAlive)
+		bcFrames = append(bcFrames, f)
 	}
-	s.sendScratch.bcFrames = bcFrames
-
-	tickFrame := protocol.EncodeFrame(&protocol.TimeUpdate{Tick: tick})
+	buf.time = protocol.TimeUpdate{Tick: tick}
+	arena, tickFrame := protocol.EncodeFrame(arena, &buf.time)
+	buf.arena, buf.bcFrames = arena, bcFrames
 	vd := int32(s.cfg.Net.ViewDistance)
 
 	var dead []int64
@@ -318,7 +346,7 @@ func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame 
 		clear(p.lastSent)
 	}
 
-	var rel protocol.EntityMoveRel
+	buf := &s.sendScratch
 	p.conn.BeginBatch()
 	for _, f := range bcFrames {
 		p.conn.WriteFrame(f)
@@ -350,15 +378,15 @@ func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame 
 		}
 		dx, dy, dz := en.q.x-last.x, en.q.y-last.y, en.q.z-last.z
 		if tracked && fitsInt8(dx) && fitsInt8(dy) && fitsInt8(dz) {
-			rel = protocol.EntityMoveRel{
+			buf.rel = protocol.EntityMoveRel{
 				EntityID: int32(en.id),
 				DX:       int8(dx), DY: int8(dy), DZ: int8(dz),
 			}
-			p.conn.WritePacket(&rel)
+			p.conn.WritePacket(&buf.rel)
 		} else {
 			// First sighting, a jump too large for a delta, or a keyframe
 			// re-baseline: full move.
-			p.conn.WriteFrame(en.fullMoveFrame())
+			p.conn.WriteFrame(en.fullMoveFrame(buf))
 		}
 		p.lastSent[en.id] = en.q
 		sent++
@@ -376,7 +404,8 @@ func (s *Server) sendPlayerTick(p *Player, bcFrames []protocol.Frame, tickFrame 
 	p.gone = gone
 	for _, id := range gone {
 		delete(p.lastSent, id)
-		p.conn.WritePacket(&protocol.DestroyEntity{EntityID: int32(id)})
+		buf.destroy = protocol.DestroyEntity{EntityID: int32(id)}
+		p.conn.WritePacket(&buf.destroy)
 	}
 	p.conn.WriteFrame(tickFrame)
 	if err := p.conn.FlushBatch(); err != nil {
@@ -411,7 +440,7 @@ func (s *Server) BroadcastChat(c *protocol.Chat) {
 	if len(conns) == 0 {
 		return
 	}
-	f := protocol.EncodeFrame(c)
+	_, f := protocol.EncodeFrame(nil, c)
 	var dropped int64
 	for _, conn := range conns {
 		if _, err := conn.WriteFrame(f); errors.Is(err, protocol.ErrBacklog) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -210,6 +211,127 @@ func TestLoginSuccessLeadsTickFrames(t *testing.T) {
 		t.Fatal("no frame reached the peer")
 	}
 	s.Disconnect(p.ID)
+}
+
+// TestQueuedBatchesOutliveArenaReuse pins the arena's validity rule on real
+// async writers: sendReal encodes a tick's broadcast frames into one arena
+// and rewrites it on the next tick, while the writers may still hold the
+// last tick's batches. Two peers that do not read keep tick t's batches
+// queued while tick t+1 reuses the arena; read afterwards, each stream
+// must carry exactly the packets of every tick. A first tick of block
+// changes grows the arena, so ticks t and t+1 encode into the same array
+// from its start. The loner sees no entity, so its tick-t batch is one
+// frame, the TimeUpdate: the batch a write that staged its frame without
+// copying would leave aliasing the arena.
+func TestQueuedBatchesOutliveArenaReuse(t *testing.T) {
+	w := world.New(&world.FlatGenerator{SurfaceY: 10, Surface: world.Grass})
+	s := New(w, DefaultConfig(Vanilla), nil, testClock())
+	type peer struct {
+		p    *Player
+		end  net.Conn
+		want []protocol.Packet
+	}
+	join := func(name string) *peer {
+		a, b := net.Pipe()
+		conn := protocol.NewConn(a)
+		conn.StartWriter(protocol.WriterConfig{})
+		p := s.connect(name, conn)
+		t.Cleanup(func() { s.Disconnect(p.ID); b.Close() })
+		p.pendingChunks = nil // broadcast frames only
+		login := &protocol.LoginSuccess{PlayerID: int32(p.ID), X: p.Pos.X, Y: p.Pos.Y, Z: p.Pos.Z}
+		if err := conn.Flush(); err != nil { // as handleConn sends it
+			t.Fatal(err)
+		}
+		return &peer{p: p, end: b, want: []protocol.Packet{login}}
+	}
+	// Out of view: 10 chunks east, past the view distance.
+	const away = 16 * 10
+	viewer, loner := join("viewer"), join("loner")
+	peers := []*peer{viewer, loner}
+	loner.p.Pos.X += away
+	players := []*Player{viewer.p, loner.p}
+	ew := s.EntityWorld()
+	for x := 4; x < 7; x++ {
+		ew.SpawnMob(world.Pos{X: x, Y: 11, Z: 4})
+	}
+	var mobs []*entity.Entity
+	ew.Entities(func(e *entity.Entity) { mobs = append(mobs, e) })
+	full := func(e *entity.Entity) protocol.Packet {
+		return &protocol.EntityMove{EntityID: int32(e.ID), X: e.Pos.X, Y: e.Pos.Y, Z: e.Pos.Z}
+	}
+	blockChanges := func(n int) []protocol.BlockChange {
+		bc := make([]protocol.BlockChange, n)
+		for i := range bc {
+			bc[i] = protocol.BlockChange{X: int32(i), Y: 11, Z: int32(n), BlockID: 1, Meta: uint8(i)}
+			for _, p := range peers {
+				p.want = append(p.want, &bc[i])
+			}
+		}
+		return bc
+	}
+	step := func(e *entity.Entity) {
+		e.Pos.X += 1.0 / 16 // two 1/32-block steps
+		viewer.want = append(viewer.want, &protocol.EntityMoveRel{EntityID: int32(e.ID), DX: 2})
+	}
+	send := func(tick int64, bc []protocol.BlockChange, keepAlive bool) {
+		t.Helper()
+		for _, p := range peers {
+			p.want = append(p.want, &protocol.TimeUpdate{Tick: tick})
+		}
+		s.mu.Lock()
+		s.tick = tick
+		s.mu.Unlock()
+		var counts tickCounts
+		if dead := s.sendReal(players, bc, keepAlive, &counts); len(dead) > 0 {
+			t.Fatalf("tick %d: players %v faulted", tick, dead)
+		}
+	}
+
+	// Tick t-1 grows the arena: block changes, and the viewer's first
+	// sighting of every mob.
+	const tick = 100
+	bc := blockChanges(32)
+	for _, e := range mobs {
+		viewer.want = append(viewer.want, full(e))
+	}
+	send(tick-1, bc, false)
+
+	// Tick t: the TimeUpdate is the arena's first frame.
+	for _, e := range mobs {
+		step(e)
+	}
+	send(tick, nil, false)
+
+	// Tick t+1 rewrites the arena from its start: block changes, a
+	// keep-alive, deltas, and the last mob leaving the viewer for the
+	// loner.
+	bc = blockChanges(2)
+	for _, p := range peers {
+		p.want = append(p.want, &protocol.KeepAlive{Nonce: tick + 1})
+	}
+	last := mobs[len(mobs)-1]
+	for _, e := range mobs[:len(mobs)-1] {
+		step(e)
+	}
+	last.Pos.X += away
+	viewer.want = append(viewer.want, &protocol.DestroyEntity{EntityID: int32(last.ID)})
+	loner.want = append(loner.want, full(last))
+	send(tick+1, bc, true)
+
+	// Only now do the peers read.
+	for _, p := range peers {
+		p.end.SetReadDeadline(time.Now().Add(10 * time.Second))
+		c := protocol.NewConn(p.end)
+		for i, want := range p.want {
+			got, _, err := c.ReadPacket()
+			if err != nil {
+				t.Fatalf("%s: packet %d: %v", p.p.Name, i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: packet %d is %T %+v, want %T %+v", p.p.Name, i, got, got, want, want)
+			}
+		}
+	}
 }
 
 // TestKeepAliveRidesTick: with nothing but Tick driving the server (no Run,

@@ -348,7 +348,11 @@ type Server struct {
 	// at least one real TCP connection exists (realConns) — virtual players
 	// never read them, and skipping the per-block append removes the
 	// dominant buffering overhead of TNT crater ticks on virtual-only runs.
+	// spareChanges is the list disseminate consumed last tick, handed back
+	// once sent: the two swap every tick, so the listener appends into
+	// grown capacity instead of regrowing a list from nothing.
 	blockChanges     []protocol.BlockChange
+	spareChanges     []protocol.BlockChange
 	blockChangeCount int
 	// realConns counts socket-backed sessions. It is read by the world's
 	// change listener (tick goroutine, under the world lock) and written by
@@ -866,7 +870,7 @@ func (s *Server) disseminate(counts *tickCounts) {
 	s.mu.Lock()
 	bc := s.blockChanges
 	nBC := s.blockChangeCount
-	s.blockChanges = nil
+	s.blockChanges, s.spareChanges = s.spareChanges[:0], nil
 	s.blockChangeCount = 0
 	nPlayers := len(s.order)
 	players := s.tickPlayers[:0]
@@ -980,6 +984,9 @@ func (s *Server) disseminate(counts *tickCounts) {
 
 	// Real connections additionally receive materialized packets.
 	dead = append(dead, s.sendReal(players, bc, keepAlive, counts)...)
+	s.mu.Lock()
+	s.spareChanges = bc
+	s.mu.Unlock()
 
 	// Sample the queue-depth gauge and reap faulted peers. Disconnect closes
 	// the connection, which reclaims every batch its writer still holds.

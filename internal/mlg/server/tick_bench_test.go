@@ -179,14 +179,14 @@ var tickParallelScenarios = []struct {
 	allocs      uint64
 }{
 	{"Lag2", workload.Lag, 2, 100, 1, 370},
-	{"Lag2", workload.Lag, 2, 100, 2, 1290},
-	{"Lag2", workload.Lag, 2, 100, 4, 1270},
+	{"Lag2", workload.Lag, 2, 100, 2, 1130},
+	{"Lag2", workload.Lag, 2, 100, 4, 1120},
 	{"Farm4", workload.Farm, 4, 300, 1, 180},
-	{"Farm4", workload.Farm, 4, 300, 2, 450},
-	{"Farm4", workload.Farm, 4, 300, 4, 490},
+	{"Farm4", workload.Farm, 4, 300, 2, 380},
+	{"Farm4", workload.Farm, 4, 300, 4, 410},
 	{"TNT2", workload.TNT, 2, 0, 1, 24690},
-	{"TNT2", workload.TNT, 2, 0, 2, 25440},
-	{"TNT2", workload.TNT, 2, 0, 4, 25500},
+	{"TNT2", workload.TNT, 2, 0, 2, 25320},
+	{"TNT2", workload.TNT, 2, 0, 4, 25310},
 }
 
 // tickWindow runs the measured window and returns the most simulation

@@ -14,6 +14,13 @@ import (
 // workers <= 1 or n <= 1 degrades to a plain serial loop on the calling
 // goroutine — no goroutines, no synchronization.
 //
+// A parallel call allocates twice at any worker count: the claim counter
+// and WaitGroup, in one struct, and the one worker closure every goroutine
+// runs. Both escape to the workers; only a resident pool of goroutines
+// could avoid them, and Parallel keeps none between calls. A go statement
+// on a closure without arguments needs no wrapper, so starting a worker
+// allocates nothing more.
+//
 // fn must be safe to call concurrently for distinct i; calls are not ordered.
 func Parallel(workers, n int, fn func(int)) {
 	if workers > n {
@@ -25,20 +32,23 @@ func Parallel(workers, n int, fn func(int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
+	var st struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
 	}
-	wg.Wait()
+	work := func() {
+		defer st.wg.Done()
+		for {
+			i := int(st.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	st.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
+	}
+	st.wg.Wait()
 }

@@ -72,6 +72,23 @@ func TestParallelSerialDegrade(t *testing.T) {
 	}
 }
 
+// TestParallelAllocs pins Parallel's own allocations at 2 per call at any
+// worker count: the shared claim state and the one worker closure. The
+// cluster ticks its shards and the engine drains its regions through it on
+// every tick. fn is built once outside the count, as a caller that keeps
+// its closure would.
+func TestParallelAllocs(t *testing.T) {
+	var sink [8]atomic.Int32
+	fn := func(i int) { sink[i].Add(1) }
+	for _, workers := range []int{2, 4} {
+		got := testing.AllocsPerRun(100, func() { Parallel(workers, len(sink), fn) })
+		t.Logf("workers %d: %.0f allocs per call", workers, got)
+		if got > 2 {
+			t.Errorf("workers %d: %.0f allocs per call, want at most 2", workers, got)
+		}
+	}
+}
+
 // TestRegionSeedStability pins RegionSeed as a pure function: per-region
 // entity decision streams are seeded from it, so its values are part of the
 // simulation's determinism contract — changing them changes every golden

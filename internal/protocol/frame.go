@@ -5,6 +5,13 @@ package protocol
 // per recipient; a Frame is the packet's complete wire representation —
 // length prefix, ID varint, body — produced exactly once and then written
 // to N connections as a raw byte copy via Conn.WriteFrame.
+//
+// Frames are encoded by appending to a caller-owned arena, so a tick's
+// broadcast frames can share one reused buffer. A frame stays valid until
+// its arena is reused. Conn.WriteFrame copies the bytes into the
+// connection's batch, so no staged or queued batch aliases the arena, and
+// the arena may be reused as soon as every WriteFrame of its frames has
+// returned.
 
 // Frame is one packet in its full wire form: encoded once for broadcast
 // (EncodeFrame), or read undecoded for relay (Conn.ReadFrame). The zero
@@ -14,9 +21,18 @@ type Frame struct {
 	entity bool
 }
 
-// EncodeFrame marshals p once into a reusable Frame.
-func EncodeFrame(p Packet) Frame {
-	return Frame{data: AppendFrame(nil, p), entity: EntityRelated(p)}
+// EncodeFrame appends p's wire frame to arena and returns the grown arena
+// and a Frame that views the appended bytes (capped, so appending to it
+// cannot write into the arena). A nil arena gives the frame its own slice.
+//
+// The frame stays valid until the arena is reused: truncated and appended
+// to again. Growing the arena is safe: a frame sliced before the arena
+// grew keeps pointing at the array it was encoded into. Conn.WriteFrame
+// copies, so a written frame's arena may be reused once WriteFrame returns.
+func EncodeFrame(arena []byte, p Packet) ([]byte, Frame) {
+	start := len(arena)
+	arena = AppendFrame(arena, p)
+	return arena, Frame{data: arena[start:len(arena):len(arena)], entity: EntityRelated(p)}
 }
 
 // Len returns the frame's size on the wire in bytes.

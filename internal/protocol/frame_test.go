@@ -24,13 +24,36 @@ func TestAppendFrameMatchesWritePacket(t *testing.T) {
 		if n != len(frame) {
 			t.Errorf("%T: WritePacket size %d, frame size %d", p, n, len(frame))
 		}
-		f := EncodeFrame(p)
+		_, f := EncodeFrame(nil, p)
 		if f.Len() != len(frame) {
 			t.Errorf("%T: EncodeFrame.Len %d, want %d", p, f.Len(), len(frame))
 		}
 		if f.EntityRelated() != EntityRelated(p) {
 			t.Errorf("%T: frame entity classification diverges", p)
 		}
+	}
+}
+
+// TestEncodeFrameArena: frames appended to one arena, which grows under
+// them, each keep their own packet's bytes, and a frame is capped so an
+// append to it cannot write into the frame after it.
+func TestEncodeFrameArena(t *testing.T) {
+	var arena []byte
+	pkts := allPackets()
+	frames := make([]Frame, len(pkts))
+	for i, p := range pkts {
+		arena, frames[i] = EncodeFrame(arena, p)
+	}
+	for i, p := range pkts {
+		if !bytes.Equal(frames[i].data, AppendFrame(nil, p)) {
+			t.Errorf("%T: frame %d changed after later encodes", p, i)
+		}
+	}
+	arena, first := EncodeFrame(make([]byte, 0, 64), &KeepAlive{Nonce: 1})
+	_, second := EncodeFrame(arena, &KeepAlive{Nonce: 2})
+	_ = append(first.data, 0xFF)
+	if !bytes.Equal(second.data, AppendFrame(nil, &KeepAlive{Nonce: 2})) {
+		t.Fatal("appending to a frame overwrote the next frame in the arena")
 	}
 }
 
@@ -52,7 +75,8 @@ func TestBatchedFrameStreamByteIdentical(t *testing.T) {
 	cb := NewConn(rwc{&batched})
 	cb.BeginBatch()
 	for _, p := range pkts {
-		if _, err := cb.WriteFrame(EncodeFrame(p)); err != nil {
+		_, f := EncodeFrame(nil, p)
+		if _, err := cb.WriteFrame(f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +111,8 @@ func TestNestedBatchesFlushOnce(t *testing.T) {
 	c := NewConn(rwc{&buf})
 	c.BeginBatch()
 	c.BeginBatch()
-	if _, err := c.WriteFrame(EncodeFrame(&KeepAlive{Nonce: 7})); err != nil {
+	_, f := EncodeFrame(nil, &KeepAlive{Nonce: 7})
+	if _, err := c.WriteFrame(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.FlushBatch(); err != nil {
@@ -109,8 +134,8 @@ func TestNestedBatchesFlushOnce(t *testing.T) {
 func TestWriteFrameStats(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewConn(rwc{&buf})
-	move := EncodeFrame(&EntityMove{EntityID: 9, X: 1, Y: 2, Z: 3})
-	chat := EncodeFrame(&Chat{Sender: "a", Text: "hi"})
+	_, move := EncodeFrame(nil, &EntityMove{EntityID: 9, X: 1, Y: 2, Z: 3})
+	_, chat := EncodeFrame(nil, &Chat{Sender: "a", Text: "hi"})
 	c.WriteFrame(move)
 	c.WriteFrame(move)
 	c.WriteFrame(chat)

@@ -223,7 +223,7 @@ func TestWriterKeepsUpWithoutAllocs(t *testing.T) {
 	c := NewConn(discard{})
 	c.StartWriter(WriterConfig{})
 	defer c.Close()
-	frame := EncodeFrame(&KeepAlive{Nonce: 1})
+	_, frame := EncodeFrame(nil, &KeepAlive{Nonce: 1})
 	drained := func() bool {
 		c.wmu.Lock()
 		defer c.wmu.Unlock()
@@ -263,7 +263,7 @@ func TestWriterKeepsUpWithoutAllocs(t *testing.T) {
 func TestStatsSameForBothSinks(t *testing.T) {
 	run := func(c *Conn) Stats {
 		t.Helper()
-		move := EncodeFrame(&EntityMove{EntityID: 3, X: 1, Y: 2, Z: 3})
+		_, move := EncodeFrame(nil, &EntityMove{EntityID: 3, X: 1, Y: 2, Z: 3})
 		mustWrite := func(_ int, err error) {
 			t.Helper()
 			if err != nil {

@@ -43,7 +43,11 @@ type peerLink struct {
 	// mirrored over this link.
 	mirrored map[world.ChunkPos]uint64
 
-	out []protocol.Packet // this tick's outbound packets
+	// This tick's outbound packets: handoffs and mirrors are staged as
+	// values, and out points at them, handoffs first, for Session.Send.
+	handoffs []protocol.EntityHandoff
+	mirrors  []protocol.ChunkMirror
+	out      []protocol.Packet
 }
 
 // NewEndpoint wraps a shard server for inter-shard exchange. Sessions are
@@ -90,7 +94,7 @@ func (ep *Endpoint) Peers() []int { return slices.Clone(ep.order) }
 func (ep *Endpoint) SendTick(tick int64) error {
 	for _, p := range ep.order {
 		l := ep.links[p]
-		l.out = l.out[:0]
+		l.handoffs, l.mirrors, l.out = l.handoffs[:0], l.mirrors[:0], l.out[:0]
 	}
 
 	ents := ep.S.EntityWorld()
@@ -101,7 +105,7 @@ func (ep *Endpoint) SendTick(tick int64) error {
 			ents.Arrive(h)
 			continue
 		}
-		l.out = append(l.out, &protocol.EntityHandoff{
+		l.handoffs = append(l.handoffs, protocol.EntityHandoff{
 			Kind: uint8(h.Kind),
 			X:    h.Pos.X, Y: h.Pos.Y, Z: h.Pos.Z,
 			VX: h.Vel.X, VY: h.Vel.Y, VZ: h.Vel.Z,
@@ -118,8 +122,15 @@ func (ep *Endpoint) SendTick(tick int64) error {
 
 	for _, peer := range ep.order {
 		l := ep.links[peer]
+		for i := range l.handoffs {
+			l.out = append(l.out, &l.handoffs[i])
+		}
+		for i := range l.mirrors {
+			l.out = append(l.out, &l.mirrors[i])
+		}
 		err := l.sess.Send(tick, l.out)
-		clear(l.out) // release this tick's handoffs and chunk images
+		clear(l.mirrors) // release this tick's chunk images
+		clear(l.out)
 		if err != nil {
 			return fmt.Errorf("shard %d → %d: %w", ep.Index, peer, err)
 		}
@@ -149,7 +160,7 @@ func (ep *Endpoint) queueMirrors() {
 				continue
 			}
 			l.mirrored[cp] = sum
-			l.out = append(l.out, &protocol.ChunkMirror{ChunkX: cp.X, ChunkZ: cp.Z, Data: c.Payload()})
+			l.mirrors = append(l.mirrors, protocol.ChunkMirror{ChunkX: cp.X, ChunkZ: cp.Z, Data: c.Payload()})
 		}
 	}
 }

@@ -530,7 +530,7 @@ func checkAllocs(t *testing.T, runs int, f func(), bound uint64) {
 // 1 the first handful of operations after setup can all read a few over
 // the steady count, so this takes the cheapest of twenty.
 func TestShardHandoffAllocs(t *testing.T) {
-	checkAllocs(t, 20, newHandoffRig(t), 305)
+	checkAllocs(t, 20, newHandoffRig(t), 239)
 }
 
 // TestClusterTickAllocs bounds the allocations of a warm 2-shard Farm
@@ -558,7 +558,7 @@ func TestClusterTickAllocs(t *testing.T) {
 		for i := 0; i < clusterWindow; i++ {
 			cluster.Tick()
 		}
-	}, 1190)
+	}, 1110)
 	if err := cluster.Err(); err != nil {
 		t.Fatal(err)
 	}
