@@ -156,8 +156,10 @@ type Engine struct {
 	// redstonePending holds logic-component updates; they are only drained
 	// on redstone ticks (every second game tick).
 	redstonePending []scheduledUpdate
-	// scheduled maps future tick numbers to their due updates.
+	// scheduled maps future tick numbers to their due updates; spareDue is
+	// a consumed list, emptied, for the next due tick (scheduleAt).
 	scheduled map[int64][]scheduledUpdate
+	spareDue  []scheduledUpdate
 	// spawners tracks spawner block positions for periodic activation;
 	// hoppers tracks hopper positions for item collection. The sorted
 	// views are cached (invalidated on mutation in trackSpecial) because
@@ -311,8 +313,7 @@ func (e *Engine) onBlockChange(p world.Pos, old, new world.Block) {
 		// cascades; only the spawner/hopper bookkeeping above applies.
 		return
 	}
-	e.root.queueNeighbors(p)
-	e.root.notifyObservers(p)
+	e.root.blockChanged(p)
 }
 
 // trackSpecial maintains the spawner/hopper position sets.
@@ -340,21 +341,30 @@ func (e *Engine) trackSpecial(p world.Pos, b world.Block) {
 	}
 }
 
-// queueNeighbors enqueues rule re-evaluation for a position's six
-// neighbours and itself. Logic components go on the redstone queue.
-func (x *exec) queueNeighbors(p world.Pos) {
-	x.enqueue(scheduledUpdate{pos: p, kind: updateNeighbor})
-	for _, n := range p.Neighbors6() {
-		x.enqueue(scheduledUpdate{pos: n, kind: updateNeighbor})
+// blockChanged is the engine's reaction to a block change at p: the
+// neighbour updates, then the observer pulses, both read from one stencil
+// taken after the write.
+func (x *exec) blockChanged(p world.Pos) {
+	var s world.Stencil
+	x.queueNeighbors(p, &s)
+	x.notifyObservers(p, &s)
+}
+
+// queueNeighbors reads p's stencil into s and enqueues rule re-evaluation
+// for p and then its six neighbours. Logic components go on the redstone
+// queue.
+func (x *exec) queueNeighbors(p world.Pos, s *world.Stencil) {
+	x.wc.Stencil(p, s)
+	x.enqueue(scheduledUpdate{pos: p, kind: updateNeighbor}, s.Block, s.Loaded)
+	ns := p.Neighbors6()
+	for d := range ns {
+		x.enqueue(scheduledUpdate{pos: ns[d], kind: updateNeighbor}, s.Nb[d], s.NbLoaded[d])
 	}
 }
 
-func (x *exec) enqueue(u scheduledUpdate) {
-	if !x.e.owns(u.pos) {
-		return
-	}
-	b, loaded := x.wc.BlockIfLoaded(u.pos)
-	if !loaded {
+// enqueue routes u by the block b currently at its position.
+func (x *exec) enqueue(u scheduledUpdate, b world.Block, loaded bool) {
+	if !loaded || !x.e.owns(u.pos) {
 		return
 	}
 	if b.IsRedstoneComponent() {
@@ -364,16 +374,15 @@ func (x *exec) enqueue(u scheduledUpdate) {
 	}
 }
 
-// notifyObservers pulses any observer watching the changed position.
-func (x *exec) notifyObservers(changed world.Pos) {
-	for _, d := range []world.Direction{world.DirUp, world.DirDown, world.DirNorth,
-		world.DirSouth, world.DirEast, world.DirWest} {
-		op := d.Move(changed)
-		if !x.e.owns(op) {
+// notifyObservers pulses any observer, among the neighbours in changed's
+// stencil s, that faces the changed position.
+func (x *exec) notifyObservers(changed world.Pos, s *world.Stencil) {
+	for d, b := range s.Nb {
+		if !s.NbLoaded[d] || b.ID != world.Observer {
 			continue
 		}
-		b, loaded := x.wc.BlockIfLoaded(op)
-		if !loaded || b.ID != world.Observer {
+		op := world.Direction(d).Move(changed)
+		if !x.e.owns(op) {
 			continue
 		}
 		// The observer fires only if it faces the changed block. A dedicated
@@ -409,7 +418,18 @@ func (x *exec) scheduleVal(p world.Pos, delayTicks int, kind updateKind, val uin
 			event{kind: evSchedule, pos: p, i1: due, upd: kind, val: val})
 		return
 	}
-	x.e.scheduled[due] = append(x.e.scheduled[due], scheduledUpdate{pos: p, kind: kind, val: val})
+	x.e.scheduleAt(due, scheduledUpdate{pos: p, kind: kind, val: val})
+}
+
+// scheduleAt appends u to the updates due at tick due. A due tick's first
+// update takes the list Tick consumed last, so steady schedules reuse one
+// backing array instead of growing a fresh one per due tick.
+func (e *Engine) scheduleAt(due int64, u scheduledUpdate) {
+	q, ok := e.scheduled[due]
+	if !ok {
+		q, e.spareDue = e.spareDue, nil
+	}
+	e.scheduled[due] = append(q, u)
 }
 
 // ScheduleIgnite queues TNT ignition at p after delayTicks — used by
@@ -458,6 +478,11 @@ func (e *Engine) Tick() Counters {
 			} else {
 				e.pending = append(e.pending, u)
 			}
+		}
+		// Every entry was copied out above. Within queueRetainEntries, the
+		// list becomes the next due tick's (scheduleAt).
+		if cap(due) <= queueRetainEntries {
+			e.spareDue = due[:0]
 		}
 	}
 
@@ -518,14 +543,13 @@ func (x *exec) drain(queue *[]scheduledUpdate, budget int, redstoneAllowed bool)
 	for head < len(*queue) && budget > 0 {
 		u := (*queue)[head]
 		head++
-		if !redstoneAllowed {
-			if b, loaded := x.wc.BlockIfLoaded(u.pos); loaded && b.IsRedstoneComponent() {
-				*x.redstone = append(*x.redstone, u)
-				continue
-			}
+		b, loaded := x.wc.BlockIfLoaded(u.pos)
+		if !redstoneAllowed && loaded && b.IsRedstoneComponent() {
+			*x.redstone = append(*x.redstone, u)
+			continue
 		}
 		budget--
-		x.apply(u)
+		x.apply(u, b, loaded)
 	}
 	if head > 0 {
 		q := *queue

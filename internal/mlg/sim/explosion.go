@@ -58,7 +58,7 @@ func (e *Engine) Explode(p world.Pos, radius float64) (int, Counters) {
 				if d2 > r2 || d2 < (radius-1.5)*(radius-1.5) {
 					continue // only the shell
 				}
-				e.root.queueNeighbors(p.Add(dx, dy, dz))
+				e.root.queueNeighbors(p.Add(dx, dy, dz), &world.Stencil{})
 			}
 		}
 	}
@@ -109,7 +109,7 @@ func (e *Engine) MergedExplosions(centers []world.Pos, radius float64) (int, Cou
 	e.suppress = false
 	// A single perimeter pass for the whole batch.
 	for _, c := range centers {
-		e.root.queueNeighbors(c)
+		e.root.queueNeighbors(c, &world.Stencil{})
 	}
 	return destroyed, e.counters.Sub(before)
 }

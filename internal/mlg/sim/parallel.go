@@ -146,8 +146,7 @@ func (r *regionRun) setBlock(x *exec, p world.Pos, b world.Block) {
 	}
 	if old != b {
 		r.events = append(r.events, event{kind: evBlockChange, pos: p, old: old, nb: b})
-		x.queueNeighbors(p)
-		x.notifyObservers(p)
+		x.blockChanged(p)
 	}
 }
 
@@ -181,15 +180,14 @@ func (r *regionRun) drainQueue(x *exec, q *[]scheduledUpdate, pops *int, redston
 	for *pops < len(*q) && !r.escaped {
 		u := (*q)[*pops]
 		*pops++
-		if !redstoneAllowed {
-			if b, loaded := x.wc.BlockIfLoaded(u.pos); loaded && b.IsRedstoneComponent() {
-				*x.redstone = append(*x.redstone, u)
-				r.log = append(r.log, logRec{applied: false})
-				continue
-			}
+		b, loaded := x.wc.BlockIfLoaded(u.pos)
+		if !redstoneAllowed && loaded && b.IsRedstoneComponent() {
+			*x.redstone = append(*x.redstone, u)
+			r.log = append(r.log, logRec{applied: false})
+			continue
 		}
 		np0, nr0, ne0 := len(r.pendingQ), len(r.redstoneQ), len(r.events)
-		x.apply(u)
+		x.apply(u, b, loaded)
 		r.log = append(r.log, logRec{
 			applied: true,
 			np:      uint16(len(r.pendingQ) - np0),
@@ -482,8 +480,7 @@ func (e *Engine) applyMergePlan(regions []*regionRun) {
 		case evSpawnItem:
 			e.ents.SpawnItem(ev.pos, world.BlockID(ev.i1))
 		case evSchedule:
-			e.scheduled[ev.i1] = append(e.scheduled[ev.i1],
-				scheduledUpdate{pos: ev.pos, kind: ev.upd, val: ev.val})
+			e.scheduleAt(ev.i1, scheduledUpdate{pos: ev.pos, kind: ev.upd, val: ev.val})
 		}
 	}
 	e.merging = false

@@ -19,14 +19,14 @@ func (x *exec) isReceivingPower(p world.Pos) bool {
 
 // incomingPower returns the strongest power level delivered to p.
 func (x *exec) incomingPower(p world.Pos) uint8 {
+	var s world.Stencil
+	x.wc.Stencil(p, &s)
 	var best uint8
-	for _, d := range []world.Direction{world.DirUp, world.DirDown, world.DirNorth,
-		world.DirSouth, world.DirEast, world.DirWest} {
-		np := d.Move(p)
-		nb, loaded := x.wc.BlockIfLoaded(np)
-		if !loaded {
+	for d, nb := range s.Nb {
+		if !s.NbLoaded[d] {
 			continue
 		}
+		np := world.Direction(d).Move(p)
 		var pw uint8
 		switch nb.ID {
 		case world.Repeater:
@@ -43,7 +43,7 @@ func (x *exec) incomingPower(p world.Pos) uint8 {
 			// A torch does not power the block it is attached to (the block
 			// directly beneath it) — otherwise every torch would switch its
 			// own base and oscillate.
-			if np != p.Up() {
+			if world.Direction(d) != world.DirUp {
 				pw = nb.PowerOutput()
 			}
 		case world.RedstoneWire:

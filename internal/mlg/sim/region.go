@@ -47,7 +47,8 @@ type partitionScratch struct {
 	dirty   map[world.ChunkPos]int32
 	comps   [][]world.ChunkPos // chunks per component, in component-id order
 	regions []*regionRun
-	remap   []int32 // component id -> index into the key-sorted regions
+	remap   []int32          // component id -> index into the key-sorted regions
+	stack   []world.ChunkPos // LabelComponents' search stack
 	vp, vr  []int32
 }
 
@@ -88,7 +89,7 @@ func (e *Engine) partitionRegions(minRegions int) (regions []*regionRun, vpInit,
 	// Component ids follow map iteration order, but components are
 	// canonical, and the final region order is fixed by the key sort below.
 	comps := ps.comps[:0]
-	world.LabelComponents(dirty, regionLinkChunks, func(comp int32, cp world.ChunkPos) {
+	world.LabelComponents(dirty, regionLinkChunks, &ps.stack, func(comp int32, cp world.ChunkPos) {
 		if int(comp) == len(comps) {
 			if len(comps) < cap(comps) {
 				comps = comps[:len(comps)+1]

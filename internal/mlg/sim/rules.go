@@ -5,13 +5,13 @@ import (
 	"repro/internal/mlg/world"
 )
 
-// apply dispatches one queued update to the rule for the block currently at
-// the position. This is the "Process Actions / simulation rules applicable"
+// apply dispatches one queued update to the rule for the block b currently
+// at the position, as the drain read it (loaded is false for an unloaded
+// chunk). This is the "Process Actions / simulation rules applicable"
 // loop of the operational model (Figure 4, component 5). Rules run on an
 // exec context so the serial drain and the region-parallel drains share one
 // implementation.
-func (x *exec) apply(u scheduledUpdate) {
-	b, loaded := x.wc.BlockIfLoaded(u.pos)
+func (x *exec) apply(u scheduledUpdate, b world.Block, loaded bool) {
 	if !loaded {
 		return
 	}

@@ -7,8 +7,11 @@ import "hash/fnv"
 // generated when players come near them"). Height is bounded to keep the
 // engine compact; every workload world fits comfortably.
 const (
-	// ChunkSize is the horizontal extent of a chunk in blocks.
-	ChunkSize = 16
+	// ChunkSize is the horizontal extent of a chunk in blocks. It is a
+	// power of two, so a chunk coordinate is an arithmetic shift (which
+	// floors on negative values) and a local coordinate a mask.
+	ChunkSize  = 1 << chunkShift
+	chunkShift = 4
 	// Height is the vertical extent of the world in blocks.
 	Height = 64
 	// SeaLevel is the water-fill level used by terrain generation.
@@ -40,12 +43,12 @@ func (cp ChunkPos) Compare(o ChunkPos) int {
 
 // ChunkPosAt returns the chunk containing the block position.
 func ChunkPosAt(p Pos) ChunkPos {
-	return ChunkPos{X: int32(floorDiv(p.X, ChunkSize)), Z: int32(floorDiv(p.Z, ChunkSize))}
+	return ChunkPos{X: int32(p.X >> chunkShift), Z: int32(p.Z >> chunkShift)}
 }
 
 // ChunkLocal returns the chunk-local horizontal coordinates of p.
 func ChunkLocal(p Pos) (lx, lz int) {
-	return floorMod(p.X, ChunkSize), floorMod(p.Z, ChunkSize)
+	return p.X & (ChunkSize - 1), p.Z & (ChunkSize - 1)
 }
 
 // Origin returns the world position of the chunk's (0, 0, 0) corner.
@@ -71,22 +74,6 @@ func RegionSeed(worldSeed int64, key ChunkPos) int64 {
 		}
 	}
 	return int64(h & 0x7FFFFFFFFFFFFFFF)
-}
-
-func floorDiv(a, b int) int {
-	q := a / b
-	if (a%b != 0) && ((a < 0) != (b < 0)) {
-		q--
-	}
-	return q
-}
-
-func floorMod(a, b int) int {
-	m := a % b
-	if m != 0 && ((a < 0) != (b < 0)) {
-		m += b
-	}
-	return m
 }
 
 // Chunk is one ChunkSize×Height×ChunkSize column of blocks plus its derived
@@ -126,6 +113,13 @@ type chunkMemo struct {
 func NewChunk(cp ChunkPos) *Chunk { return &Chunk{Pos: cp} }
 
 func blockIndex(lx, y, lz int) int { return (y*ChunkSize+lz)*ChunkSize + lx }
+
+// cellIndex is blockIndex for a world position whose Y is in range: the
+// cell of p in its own chunk.
+func cellIndex(p Pos) int {
+	lx, lz := ChunkLocal(p)
+	return blockIndex(lx, p.Y, lz)
+}
 
 // At returns the block at chunk-local coordinates. Out-of-range coordinates
 // return air.

@@ -130,14 +130,14 @@ func (w *World) Block(p Pos) Block {
 	// At would race with it (readers still do not serialize each other).
 	w.mu.RLock()
 	if c := w.chunks[cp]; c != nil {
-		b := c.At(floorMod(p.X, ChunkSize), p.Y, floorMod(p.Z, ChunkSize))
+		b := c.blocks[cellIndex(p)]
 		w.mu.RUnlock()
 		return b
 	}
 	w.mu.RUnlock()
 	w.mu.Lock()
 	c := w.chunkLocked(cp)
-	b := c.At(floorMod(p.X, ChunkSize), p.Y, floorMod(p.Z, ChunkSize))
+	b := c.blocks[cellIndex(p)]
 	w.mu.Unlock()
 	return b
 }
@@ -155,7 +155,7 @@ func (w *World) BlockIfLoaded(p Pos) (Block, bool) {
 		w.mu.RUnlock()
 		return Block{}, false
 	}
-	b := c.At(floorMod(p.X, ChunkSize), p.Y, floorMod(p.Z, ChunkSize))
+	b := c.blocks[cellIndex(p)]
 	w.mu.RUnlock()
 	return b, true
 }
@@ -168,7 +168,7 @@ func (w *World) SetBlock(p Pos, b Block) Block {
 		return Block{}
 	}
 	cp := ChunkPosAt(p)
-	lx, lz := floorMod(p.X, ChunkSize), floorMod(p.Z, ChunkSize)
+	lx, lz := ChunkLocal(p)
 
 	w.mu.Lock()
 	c := w.chunkLocked(cp)
@@ -195,14 +195,14 @@ func (w *World) HighestSolidY(x, z int) int {
 	cp := ChunkPosAt(Pos{X: x, Z: z})
 	w.mu.RLock()
 	if c := w.chunks[cp]; c != nil {
-		y := c.HighestSolidY(floorMod(x, ChunkSize), floorMod(z, ChunkSize))
+		y := c.HighestSolidY(x&(ChunkSize-1), z&(ChunkSize-1))
 		w.mu.RUnlock()
 		return y
 	}
 	w.mu.RUnlock()
 	w.mu.Lock()
 	c := w.chunkLocked(cp)
-	y := c.HighestSolidY(floorMod(x, ChunkSize), floorMod(z, ChunkSize))
+	y := c.HighestSolidY(x&(ChunkSize-1), z&(ChunkSize-1))
 	w.mu.Unlock()
 	return y
 }
@@ -313,7 +313,68 @@ func (cc *ChunkCache) BlockIfLoaded(p Pos) (Block, bool) {
 	if c == nil {
 		return Block{}, false
 	}
-	return c.At(floorMod(p.X, ChunkSize), p.Y, floorMod(p.Z, ChunkSize)), true
+	return c.blocks[cellIndex(p)], true
+}
+
+// Stencil is a block and its six face neighbours with their loaded flags:
+// exactly what BlockIfLoaded returns for each of the seven positions.
+// Neighbours are indexed by Direction, the order of Pos.Neighbors6.
+type Stencil struct {
+	Block    Block
+	Loaded   bool
+	Nb       [6]Block
+	NbLoaded [6]bool
+}
+
+// Stencil fills s with the blocks at p and its six face neighbours. It
+// resolves p's chunk once and steps by stride inside it; a neighbour across
+// a chunk edge, and every cell of a p outside the vertical range or in an
+// unloaded chunk, is read through BlockIfLoaded.
+func (cc *ChunkCache) Stencil(p Pos, s *Stencil) {
+	var c *Chunk
+	if p.Y >= 0 && p.Y < Height {
+		c = cc.chunkAt(ChunkPosAt(p))
+	}
+	if c == nil {
+		s.Block, s.Loaded = cc.BlockIfLoaded(p)
+		for d, n := range p.Neighbors6() {
+			s.Nb[d], s.NbLoaded[d] = cc.BlockIfLoaded(n)
+		}
+		return
+	}
+	const dy, dz = ChunkSize * ChunkSize, ChunkSize
+	lx, lz := ChunkLocal(p)
+	i := blockIndex(lx, p.Y, lz)
+	s.Block, s.Loaded = c.blocks[i], true
+	s.NbLoaded = [6]bool{true, true, true, true, true, true}
+	// Above the top and below the bottom is loaded air, as in BlockIfLoaded.
+	s.Nb[DirUp], s.Nb[DirDown] = Block{}, Block{}
+	if p.Y < Height-1 {
+		s.Nb[DirUp] = c.blocks[i+dy]
+	}
+	if p.Y > 0 {
+		s.Nb[DirDown] = c.blocks[i-dy]
+	}
+	if lz > 0 {
+		s.Nb[DirNorth] = c.blocks[i-dz]
+	} else {
+		s.Nb[DirNorth], s.NbLoaded[DirNorth] = cc.BlockIfLoaded(p.North())
+	}
+	if lz < ChunkSize-1 {
+		s.Nb[DirSouth] = c.blocks[i+dz]
+	} else {
+		s.Nb[DirSouth], s.NbLoaded[DirSouth] = cc.BlockIfLoaded(p.South())
+	}
+	if lx < ChunkSize-1 {
+		s.Nb[DirEast] = c.blocks[i+1]
+	} else {
+		s.Nb[DirEast], s.NbLoaded[DirEast] = cc.BlockIfLoaded(p.East())
+	}
+	if lx > 0 {
+		s.Nb[DirWest] = c.blocks[i-1]
+	} else {
+		s.Nb[DirWest], s.NbLoaded[DirWest] = cc.BlockIfLoaded(p.West())
+	}
 }
 
 // ChunkCount returns the number of loaded chunks.

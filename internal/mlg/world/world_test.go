@@ -410,14 +410,58 @@ func TestSavedSize(t *testing.T) {
 	}
 }
 
-// Property: floorDiv/floorMod reconstruct the argument and mod is in range.
+// refFloorDiv and refFloorMod are floor division and modulo by ChunkSize
+// written with Go's truncating operators: the reference for the shift and
+// mask in ChunkPosAt and ChunkLocal.
+func refFloorDiv(a int) int {
+	q := a / ChunkSize
+	if a%ChunkSize < 0 {
+		q--
+	}
+	return q
+}
+
+func refFloorMod(a int) int {
+	m := a % ChunkSize
+	if m < 0 {
+		m += ChunkSize
+	}
+	return m
+}
+
+// TestFloorDivModProperty: ChunkPosAt and ChunkLocal are floor division and
+// floor modulo by ChunkSize (the chunk coordinate then truncated to int32),
+// on chunk edges around zero, values near ±2³¹ and ±2⁶², the int extremes
+// and random values; and floor division and modulo reconstruct the value.
 func TestFloorDivModProperty(t *testing.T) {
-	f := func(a int32) bool {
+	check := func(v int) bool {
+		p := Pos{X: v, Y: 0, Z: -v}
+		lx, lz := ChunkLocal(p)
+		want := ChunkPos{X: int32(refFloorDiv(v)), Z: int32(refFloorDiv(-v))}
+		return ChunkPosAt(p) == want && lx == refFloorMod(v) && lz == refFloorMod(-v)
+	}
+	for _, v := range []int{
+		0, 1, 15, 16, 17, 31, 32, -1, -15, -16, -17, -31, -32, -33,
+		1<<31 - 17, 1<<31 - 16, 1<<31 - 1, 1 << 31, 1<<31 + 15, 1<<31 + 16,
+		-1<<31 + 1, -1 << 31, -1<<31 - 1, -1<<31 - 16, -1<<31 - 17,
+		1<<62 - 1, 1 << 62, 1<<62 + 15, -1<<62 + 1, -1 << 62, -1<<62 - 1, -1<<62 - 17,
+		math.MaxInt, math.MaxInt - 15, math.MinInt, math.MinInt + 15, math.MinInt + 16,
+	} {
+		if !check(v) {
+			lx, _ := ChunkLocal(Pos{X: v})
+			t.Errorf("x = %d: ChunkPosAt %v, ChunkLocal %d; want chunk %d, local %d",
+				v, ChunkPosAt(Pos{X: v}), lx, int32(refFloorDiv(v)), refFloorMod(v))
+		}
+	}
+	if err := quick.Check(func(a int64) bool { return check(int(a)) }, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	reconstruct := func(a int32) bool {
 		x := int(a)
-		q, m := floorDiv(x, ChunkSize), floorMod(x, ChunkSize)
+		q, m := refFloorDiv(x), refFloorMod(x)
 		return q*ChunkSize+m == x && m >= 0 && m < ChunkSize
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	if err := quick.Check(reconstruct, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,11 +25,19 @@ type Session struct {
 	// merely slow. Defaults to 30 s.
 	WaitTimeout time.Duration
 
+	// barrier is Send's scratch end-of-tick marker: WritePacket encodes it
+	// at once, so one value serves every tick.
+	barrier protocol.ShardBarrier
+
 	mu      sync.Mutex
 	cond    *sync.Cond
 	ready   map[int64][]protocol.Packet
 	pending []protocol.Packet
 	err     error
+	// timer bounds WaitBarrier; one per session, re-armed per call. waitTick
+	// is the tick the call waits for, for its fault message.
+	timer    *time.Timer
+	waitTick int64
 }
 
 // sessionWriter bounds the inter-shard writer queue. Mirror bursts after a
@@ -159,7 +167,8 @@ func (s *Session) Send(tick int64, pkts []protocol.Packet) error {
 		}
 		s.conn.WritePacket(p)
 	}
-	s.conn.WritePacket(&protocol.ShardBarrier{Tick: tick, Handoffs: int32(handoffs)})
+	s.barrier = protocol.ShardBarrier{Tick: tick, Handoffs: int32(handoffs)}
+	s.conn.WritePacket(&s.barrier)
 	return s.conn.FlushBatch()
 }
 
@@ -167,12 +176,15 @@ func (s *Session) Send(tick int64, pkts []protocol.Packet) error {
 // the packets that preceded it, in send order.
 func (s *Session) WaitBarrier(tick int64) ([]protocol.Packet, error) {
 	deadline := time.Now().Add(s.WaitTimeout)
-	timer := time.AfterFunc(s.WaitTimeout, func() {
-		s.fault(fmt.Errorf("shard: peer %d missed barrier for tick %d", s.peer, tick))
-	})
-	defer timer.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.waitTick = tick
+	if s.timer == nil {
+		s.timer = time.AfterFunc(s.WaitTimeout, s.missedBarrier)
+	} else {
+		s.timer.Reset(s.WaitTimeout)
+	}
+	defer s.timer.Stop()
 	for {
 		if pkts, ok := s.ready[tick]; ok {
 			delete(s.ready, tick)
@@ -186,6 +198,15 @@ func (s *Session) WaitBarrier(tick int64) ([]protocol.Packet, error) {
 		}
 		s.cond.Wait()
 	}
+}
+
+// missedBarrier faults the session when WaitBarrier's timer expires, which
+// wakes the waiting call.
+func (s *Session) missedBarrier() {
+	s.mu.Lock()
+	tick := s.waitTick
+	s.mu.Unlock()
+	s.fault(fmt.Errorf("shard: peer %d missed barrier for tick %d", s.peer, tick))
 }
 
 // Peer returns the peer shard index (learned from the hello on accepted
