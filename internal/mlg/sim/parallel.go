@@ -22,7 +22,8 @@ package sim
 //     with the original interleaved queue order, extended by the logged
 //     child counts — yields the exact serial pop sequence, which orders the
 //     buffered events and materializes the leftover queues (see
-//     buildMergePlan).
+//     buildMergePlan). Every tag sequence is kept as region runs (tagRun),
+//     so the replay's appends scale with runs, not entries.
 //
 // If a region escapes its owned set, or the tick's applied updates would
 // have hit MaxUpdatesPerTick (whose deferral semantics are order-dependent),
@@ -82,8 +83,7 @@ type undoRec struct {
 // its private counters and caches, and the logs the merge replays.
 type regionRun struct {
 	key   world.ChunkPos
-	comp  int32                       // flood-fill component id, carried across the key sort
-	owned map[world.ChunkPos]struct{} // core chunks plus one-chunk halo
+	owned map[world.ChunkPos]struct{} // core chunks plus one-chunk halo (the partition's map, read-only)
 
 	pendingQ  []scheduledUpdate
 	redstoneQ []scheduledUpdate
@@ -199,22 +199,22 @@ func (r *regionRun) drainQueue(x *exec, q *[]scheduledUpdate, pops *int, redston
 
 // mergePlan is the virtual-queue replay: its working memory — engine-owned,
 // cleared per use — and, once buildMergePlan has validated it, its outcome:
-// the effect events in serial order and the tag sequences of the leftover
-// queues, which applyMergePlan materializes from the cursors.
+// the effect events in serial order and the leftover queues, as region
+// runs that applyMergePlan materializes from the cursors.
 type mergePlan struct {
 	regions []*regionRun
 	applied int
 
-	vp, vr   []int32 // virtual pending / redstone queues of region tags
-	leftover []int32 // even ticks: pending-queue children of the redstone drain
-	logIdx   []int   // per region: next log record
-	pIdx     []int   // per region: virtual cursor into pendingQ
-	rIdx     []int   // per region: virtual cursor into redstoneQ
-	evIdx    []int   // per region: next event
+	vp, vr   []tagRun // virtual pending / redstone queues
+	leftover []tagRun // even ticks: pending-queue children of the redstone drain
+	logIdx   []int    // per region: next log record
+	pIdx     []int    // per region: virtual cursor into pendingQ
+	rIdx     []int    // per region: virtual cursor into redstoneQ
+	evIdx    []int    // per region: next event
 
-	events   []*event
-	pendTags []int32 // leftover e.pending, materialized from pIdx
-	redTags  []int32 // leftover e.redstonePending, materialized from rIdx
+	events   []tagRun // effect events in serial order
+	pendTags []tagRun // leftover e.pending, materialized from pIdx
+	redTags  []tagRun // leftover e.redstonePending, materialized from rIdx
 }
 
 // tryParallelDrains attempts to drain this tick's queues on the region-
@@ -326,46 +326,71 @@ func (e *Engine) tryParallelDrains(budget int) bool {
 	return true
 }
 
-// pop consumes one virtual queue entry of region tag: it advances the
-// region's queue cursor and returns its next log record, or false when the
-// region logged fewer pops than the replay needs.
-func (m *mergePlan) pop(tag int32, fromPending bool) (logRec, bool) {
-	if fromPending {
-		m.pIdx[tag]++
-	} else {
-		m.rIdx[tag]++
+// replay pops the virtual queue *q to its end, run by run. A run of region
+// r pops r's next log records in a tight loop — every pop checks the budget
+// and the log exactly as the serial loop condition would — and its children
+// and events are summed and appended once per run. Children that join *q
+// itself extend the run in place when it is the queue's tail, which is
+// where the FIFO puts them. On the pending drain (redstone false) reroutes
+// and redstone children join m.vr; on the redstone drain pending children
+// join m.leftover, and a reroute is inconsistent. cursor counts r's pops
+// from its local queue.
+func (m *mergePlan) replay(q *[]tagRun, cursor []int, redstone bool, budget int) bool {
+	sink := &m.vr
+	if redstone {
+		sink = &m.leftover
 	}
-	log := m.regions[tag].log
-	if m.logIdx[tag] >= len(log) {
-		return logRec{}, false
+	for h := 0; h < len(*q); h++ {
+		r := (*q)[h].region
+		tail := h == len(*q)-1
+		log := m.regions[r].log
+		li := m.logIdx[r]
+		n := int((*q)[h].n)
+		same, other, ne := 0, 0, 0
+		for k := 0; k < n; k++ {
+			if m.applied >= budget || li >= len(log) {
+				return false
+			}
+			rec := log[li]
+			li++
+			if !rec.applied {
+				if redstone {
+					return false
+				}
+				other++ // re-routed to the redstone queue
+				continue
+			}
+			m.applied++
+			ne += int(rec.ne)
+			own, out := int(rec.np), int(rec.nr)
+			if redstone {
+				own, out = out, own
+			}
+			other += out
+			if tail {
+				n += own
+			} else {
+				same += own
+			}
+		}
+		if tail {
+			(*q)[h].n = int32(n)
+		}
+		m.logIdx[r] = li
+		cursor[r] += n
+		m.evIdx[r] += ne
+		m.events = appendRun(m.events, r, ne)
+		*sink = appendRun(*sink, r, other)
+		*q = appendRun(*q, r, same)
 	}
-	rec := log[m.logIdx[tag]]
-	m.logIdx[tag]++
-	return rec, true
-}
-
-// expand replays one applied update: its pending children join pendSink, its
-// redstone children the virtual redstone queue, and its events the plan.
-func (m *mergePlan) expand(tag int32, rec logRec, pendSink *[]int32) {
-	m.applied++
-	for i := 0; i < int(rec.np); i++ {
-		*pendSink = append(*pendSink, tag)
-	}
-	for i := 0; i < int(rec.nr); i++ {
-		m.vr = append(m.vr, tag)
-	}
-	evs := m.regions[tag].events
-	for i := 0; i < int(rec.ne); i++ {
-		m.events = append(m.events, &evs[m.evIdx[tag]])
-		m.evIdx[tag]++
-	}
+	return true
 }
 
 // buildMergePlan replays the virtual queues to reconstruct the serial pop
 // order (see the package comment) into e.plan. It returns false if the
 // replay detects an inconsistency — a budget overrun or a log/queue mismatch
 // — in which case the caller rolls the tick back.
-func (e *Engine) buildMergePlan(regions []*regionRun, vpInit, vrInit []int32, evenTick bool, budget int) bool {
+func (e *Engine) buildMergePlan(regions []*regionRun, vpInit, vrInit []tagRun, evenTick bool, budget int) bool {
 	m := &e.plan
 	n := len(regions)
 	m.regions, m.applied = regions, 0
@@ -383,20 +408,8 @@ func (e *Engine) buildMergePlan(regions []*regionRun, vpInit, vrInit []int32, ev
 	// popping entirely — including pops that would only re-route — so any
 	// further virtual pop means the tick is not reconstructible and must
 	// roll back.
-	for h := 0; h < len(m.vp); h++ {
-		if m.applied >= budget {
-			return false
-		}
-		tag := m.vp[h]
-		rec, ok := m.pop(tag, true)
-		if !ok {
-			return false
-		}
-		if !rec.applied {
-			m.vr = append(m.vr, tag) // re-routed to the redstone queue
-			continue
-		}
-		m.expand(tag, rec, &m.vp)
+	if !m.replay(&m.vp, m.pIdx, false, budget) {
+		return false
 	}
 	for i, r := range regions {
 		if m.pIdx[i] != r.pendPops {
@@ -407,16 +420,8 @@ func (e *Engine) buildMergePlan(regions []*regionRun, vpInit, vrInit []int32, ev
 	if evenTick {
 		// Phase 2: the redstone drain. Children routed to the pending queue
 		// are this tick's leftovers, kept in pop order.
-		for h := 0; h < len(m.vr); h++ {
-			if m.applied >= budget {
-				return false // serial would stop popping here
-			}
-			tag := m.vr[h]
-			rec, ok := m.pop(tag, false)
-			if !ok || !rec.applied {
-				return false
-			}
-			m.expand(tag, rec, &m.leftover)
+		if !m.replay(&m.vr, m.rIdx, true, budget) {
+			return false
 		}
 		for i, r := range regions {
 			if m.rIdx[i] != r.redPops || m.logIdx[i] != len(r.log) || m.evIdx[i] != len(r.events) {
@@ -437,16 +442,16 @@ func (e *Engine) buildMergePlan(regions []*regionRun, vpInit, vrInit []int32, ev
 	return true
 }
 
-// materialize converts a tag sequence into concrete updates, appended to
-// dst, by walking each region's queue from its cursor: the k-th tag for
-// region r corresponds to the k-th not-yet-consumed entry of r's queue,
-// because tags were appended to the virtual queue in the same order the
-// region appended entries to its local queue.
-func materialize(dst []scheduledUpdate, regions []*regionRun, tags []int32, cursor []int, queueOf func(*regionRun) []scheduledUpdate) []scheduledUpdate {
-	for _, tag := range tags {
-		q := queueOf(regions[tag])
-		dst = append(dst, q[cursor[tag]])
-		cursor[tag]++
+// materialize converts region runs into concrete updates, appended to dst,
+// by walking each region's queue from its cursor: a run of n for region r
+// is the next n not-yet-consumed entries of r's queue, because runs were
+// appended to the virtual queue in the same order the region appended
+// entries to its local queue.
+func materialize(dst []scheduledUpdate, regions []*regionRun, runs []tagRun, cursor []int, queueOf func(*regionRun) []scheduledUpdate) []scheduledUpdate {
+	for _, run := range runs {
+		c, n := cursor[run.region], int(run.n)
+		dst = append(dst, queueOf(regions[run.region])[c:c+n]...)
+		cursor[run.region] = c + n
 	}
 	return dst
 }
@@ -469,18 +474,29 @@ func (e *Engine) applyMergePlan(regions []*regionRun) {
 
 	// Replay effects in serial order. merging makes the engine's own
 	// change listener maintain only the spawner/hopper sets: the regions
-	// already queued their cascades.
+	// already queued their cascades. The listener list is read once: no
+	// listener registers another.
+	listeners := e.w.ChangeListeners()
+	next := zeroed(plan.evIdx, len(regions))
 	e.merging = true
-	for _, ev := range plan.events {
-		switch ev.kind {
-		case evBlockChange:
-			e.w.EmitChange(ev.pos, ev.old, ev.nb)
-		case evSpawnTNT:
-			e.ents.SpawnPrimedTNT(ev.pos, int(ev.i1))
-		case evSpawnItem:
-			e.ents.SpawnItem(ev.pos, world.BlockID(ev.i1))
-		case evSchedule:
-			e.scheduleAt(ev.i1, scheduledUpdate{pos: ev.pos, kind: ev.upd, val: ev.val})
+	for _, run := range plan.events {
+		i := next[run.region]
+		next[run.region] += int(run.n)
+		evs := regions[run.region].events[i:next[run.region]]
+		for k := range evs {
+			ev := &evs[k]
+			switch ev.kind {
+			case evBlockChange:
+				for _, l := range listeners {
+					l(ev.pos, ev.old, ev.nb)
+				}
+			case evSpawnTNT:
+				e.ents.SpawnPrimedTNT(ev.pos, int(ev.i1))
+			case evSpawnItem:
+				e.ents.SpawnItem(ev.pos, world.BlockID(ev.i1))
+			case evSchedule:
+				e.scheduleAt(ev.i1, scheduledUpdate{pos: ev.pos, kind: ev.upd, val: ev.val})
+			}
 		}
 	}
 	e.merging = false

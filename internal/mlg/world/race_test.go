@@ -88,7 +88,9 @@ func TestExclusivePhaseShutsOutReaders(t *testing.T) {
 		// exactly as the engine's merge does.
 		w.AddMutationStats(1, 1)
 		if i%100 == 0 {
-			w.EmitChange(target, old, c.At(lx, target.Y, lz))
+			for _, l := range w.ChangeListeners() {
+				l(target, old, c.At(lx, target.Y, lz))
+			}
 		}
 	}
 	close(stop)

@@ -43,17 +43,15 @@ func (w *World) OnChange(l ChangeListener) {
 	w.listeners = append(w.listeners, l)
 }
 
-// EmitChange invokes every change listener for a mutation that was applied
-// outside SetBlock — the region-parallel simulation writes chunks directly
-// during its exclusive phase and replays the buffered (pos, old, new) events
-// through here afterwards, in the serial-equivalent order.
-func (w *World) EmitChange(p Pos, old, new Block) {
+// ChangeListeners returns the registered change listeners, for mutations
+// applied outside SetBlock — the region-parallel simulation writes chunks
+// directly during its exclusive phase and replays the buffered (pos, old,
+// new) events to these afterwards, in the serial-equivalent order. The
+// returned slice must not be modified.
+func (w *World) ChangeListeners() []ChangeListener {
 	w.mu.RLock()
-	listeners := w.listeners
-	w.mu.RUnlock()
-	for _, l := range listeners {
-		l(p, old, new)
-	}
+	defer w.mu.RUnlock()
+	return w.listeners
 }
 
 // BeginExclusive write-locks the world for a bulk mutation phase and returns
