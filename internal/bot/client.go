@@ -42,22 +42,9 @@ func Connect(addr string, cfg Config) (*Client, error) {
 		}
 	}
 	conn := protocol.NewConn(raw)
-	if _, err := conn.WritePacket(&protocol.Handshake{Version: protocol.ProtocolVersion}); err != nil {
+	if _, err := conn.LogIn(cfg.Name); err != nil {
 		conn.Close()
-		return nil, err
-	}
-	if _, err := conn.WritePacket(&protocol.Login{Name: cfg.Name}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	pkt, _, err := conn.ReadPacket()
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, ok := pkt.(*protocol.LoginSuccess); !ok {
-		conn.Close()
-		return nil, fmt.Errorf("bot %s: expected LoginSuccess, got %T", cfg.Name, pkt)
+		return nil, fmt.Errorf("bot %s: %w", cfg.Name, err)
 	}
 
 	c := &Client{bot: New(cfg), conn: conn, done: make(chan struct{})}

@@ -409,19 +409,9 @@ func TestRealTCPSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.WritePacket(&protocol.Handshake{Version: protocol.ProtocolVersion}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.WritePacket(&protocol.Login{Name: "it-bot"}); err != nil {
-		t.Fatal(err)
-	}
-	pkt, _, err := conn.ReadPacket()
+	ls, err := conn.LogIn("it-bot")
 	if err != nil {
 		t.Fatal(err)
-	}
-	ls, ok := pkt.(*protocol.LoginSuccess)
-	if !ok {
-		t.Fatalf("expected LoginSuccess, got %T", pkt)
 	}
 	if ls.PlayerID == 0 {
 		t.Fatal("no player id assigned")

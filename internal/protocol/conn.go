@@ -69,6 +69,27 @@ func Dial(addr string) (*Conn, error) {
 	return NewConn(c), nil
 }
 
+// LogIn runs the client side of the login exchange: a Handshake at
+// ProtocolVersion and a Login for name, then the server's answer, which
+// must be a LoginSuccess. On error the caller closes the connection.
+func (c *Conn) LogIn(name string) (*LoginSuccess, error) {
+	if _, err := c.WritePacket(&Handshake{Version: ProtocolVersion}); err != nil {
+		return nil, err
+	}
+	if _, err := c.WritePacket(&Login{Name: name}); err != nil {
+		return nil, err
+	}
+	pkt, _, err := c.ReadPacket()
+	if err != nil {
+		return nil, err
+	}
+	ls, ok := pkt.(*LoginSuccess)
+	if !ok {
+		return nil, fmt.Errorf("protocol: login answered with %#x", int32(pkt.ID()))
+	}
+	return ls, nil
+}
+
 // WritePacket frames p onto the in-progress batch and returns the frame
 // size in bytes. Outside a BeginBatch/FlushBatch window the write is its
 // own flush boundary (game traffic is latency sensitive) and returns the

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -59,21 +60,17 @@ func entityRelatedID(id PacketID) bool {
 }
 
 // --- body encoding helpers ---
+//
+// Bodies are written with the append helpers and read back through a
+// reader: each read takes its field off the front of the body, and the
+// first field that runs short or holds a bad varint makes the reader's
+// error sticky, after which every read returns zero. An UnmarshalBody
+// therefore reads its fields in order and returns r.err once. Bytes after
+// the last field are ignored.
 
 func appendString(dst []byte, s string) []byte {
 	dst = AppendVarint(dst, int32(len(s)))
 	return append(dst, s...)
-}
-
-func readString(src []byte) (string, []byte, error) {
-	n, rest, err := readVarintBytes(src)
-	if err != nil {
-		return "", nil, err
-	}
-	if n < 0 || int(n) > len(rest) {
-		return "", nil, fmt.Errorf("protocol: string length %d exceeds buffer %d", n, len(rest))
-	}
-	return string(rest[:n]), rest[n:], nil
 }
 
 func readVarintBytes(src []byte) (int32, []byte, error) {
@@ -97,37 +94,65 @@ func appendF64(dst []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-func readF64(src []byte) (float64, []byte, error) {
-	if len(src) < 8 {
-		return 0, nil, fmt.Errorf("protocol: short float64")
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(src)), src[8:], nil
-}
-
 func appendI64(dst []byte, v int64) []byte { return binary.BigEndian.AppendUint64(dst, uint64(v)) }
-
-func readI64(src []byte) (int64, []byte, error) {
-	if len(src) < 8 {
-		return 0, nil, fmt.Errorf("protocol: short int64")
-	}
-	return int64(binary.BigEndian.Uint64(src)), src[8:], nil
-}
 
 func appendI32(dst []byte, v int32) []byte { return binary.BigEndian.AppendUint32(dst, uint32(v)) }
 
-func readI32(src []byte) (int32, []byte, error) {
-	if len(src) < 4 {
-		return 0, nil, fmt.Errorf("protocol: short int32")
-	}
-	return int32(binary.BigEndian.Uint32(src)), src[4:], nil
+// errShortBody reports a body that ends before its last field, or a length
+// prefix that points past the end of the body.
+var errShortBody = errors.New("protocol: short packet body")
+
+// reader decodes one packet body with a sticky error.
+type reader struct {
+	b   []byte
+	err error
 }
 
-func readU8(src []byte) (byte, []byte, error) {
-	if len(src) < 1 {
-		return 0, nil, fmt.Errorf("protocol: short byte")
+// zeros backs the fixed-width reads after the body has run short.
+var zeros [8]byte
+
+// take returns the next n bytes, or nil once the body is short.
+func (r *reader) take(n int) []byte {
+	if r.err != nil {
+		return nil
 	}
-	return src[0], src[1:], nil
+	if n < 0 || n > len(r.b) {
+		r.err = errShortBody
+		return nil
+	}
+	v := r.b[:n]
+	r.b = r.b[n:]
+	return v
 }
+
+// fixed returns the next n bytes (1 <= n <= 8), or n zero bytes once the
+// body is short.
+func (r *reader) fixed(n int) []byte {
+	if v := r.take(n); v != nil {
+		return v
+	}
+	return zeros[:n]
+}
+
+func (r *reader) u8() uint8      { return r.fixed(1)[0] }
+func (r *reader) i32() int32     { return int32(binary.BigEndian.Uint32(r.fixed(4))) }
+func (r *reader) u64() uint64    { return binary.BigEndian.Uint64(r.fixed(8)) }
+func (r *reader) i64() int64     { return int64(r.u64()) }
+func (r *reader) f64() float64   { return math.Float64frombits(r.u64()) }
+func (r *reader) string() string { return string(r.bytes()) }
+
+func (r *reader) varint() int32 {
+	if r.err != nil {
+		return 0
+	}
+	v, rest, err := readVarintBytes(r.b)
+	r.b, r.err = rest, err
+	return v
+}
+
+// bytes reads a varint length prefix and returns that many bytes, aliasing
+// the body: a decoder that keeps them copies them.
+func (r *reader) bytes() []byte { return r.take(int(r.varint())) }
 
 // --- packet definitions ---
 
@@ -141,9 +166,9 @@ func (p *Handshake) MarshalBody(dst []byte) []byte {
 	return AppendVarint(dst, p.Version)
 }
 func (p *Handshake) UnmarshalBody(src []byte) error {
-	v, _, err := readVarintBytes(src)
-	p.Version = v
-	return err
+	r := reader{b: src}
+	p.Version = r.varint()
+	return r.err
 }
 
 // Login carries the player name.
@@ -154,9 +179,9 @@ type Login struct {
 func (*Login) ID() PacketID                    { return IDLogin }
 func (p *Login) MarshalBody(dst []byte) []byte { return appendString(dst, p.Name) }
 func (p *Login) UnmarshalBody(src []byte) error {
-	s, _, err := readString(src)
-	p.Name = s
-	return err
+	r := reader{b: src}
+	p.Name = r.string()
+	return r.err
 }
 
 // LoginSuccess assigns the player's entity ID and spawn position.
@@ -173,18 +198,10 @@ func (p *LoginSuccess) MarshalBody(dst []byte) []byte {
 	return appendF64(dst, p.Z)
 }
 func (p *LoginSuccess) UnmarshalBody(src []byte) error {
-	var err error
-	if p.PlayerID, src, err = readVarintBytes(src); err != nil {
-		return err
-	}
-	if p.X, src, err = readF64(src); err != nil {
-		return err
-	}
-	if p.Y, src, err = readF64(src); err != nil {
-		return err
-	}
-	p.Z, _, err = readF64(src)
-	return err
+	r := reader{b: src}
+	p.PlayerID = r.varint()
+	p.X, p.Y, p.Z = r.f64(), r.f64(), r.f64()
+	return r.err
 }
 
 // KeepAlive is the liveness probe; the client echoes the nonce.
@@ -195,9 +212,9 @@ type KeepAlive struct {
 func (*KeepAlive) ID() PacketID                    { return IDKeepAlive }
 func (p *KeepAlive) MarshalBody(dst []byte) []byte { return appendI64(dst, p.Nonce) }
 func (p *KeepAlive) UnmarshalBody(src []byte) error {
-	v, _, err := readI64(src)
-	p.Nonce = v
-	return err
+	r := reader{b: src}
+	p.Nonce = r.i64()
+	return r.err
 }
 
 // Chat is a chat message. Meterstick's response-time probe sends a chat
@@ -218,15 +235,11 @@ func (p *Chat) MarshalBody(dst []byte) []byte {
 	return appendI64(dst, p.SentUnixNano)
 }
 func (p *Chat) UnmarshalBody(src []byte) error {
-	var err error
-	if p.Sender, src, err = readString(src); err != nil {
-		return err
-	}
-	if p.Text, src, err = readString(src); err != nil {
-		return err
-	}
-	p.SentUnixNano, _, err = readI64(src)
-	return err
+	r := reader{b: src}
+	p.Sender = r.string()
+	p.Text = r.string()
+	p.SentUnixNano = r.i64()
+	return r.err
 }
 
 // PlayerMove is a client movement input.
@@ -241,15 +254,9 @@ func (p *PlayerMove) MarshalBody(dst []byte) []byte {
 	return appendF64(dst, p.Z)
 }
 func (p *PlayerMove) UnmarshalBody(src []byte) error {
-	var err error
-	if p.X, src, err = readF64(src); err != nil {
-		return err
-	}
-	if p.Y, src, err = readF64(src); err != nil {
-		return err
-	}
-	p.Z, _, err = readF64(src)
-	return err
+	r := reader{b: src}
+	p.X, p.Y, p.Z = r.f64(), r.f64(), r.f64()
+	return r.err
 }
 
 // Player actions.
@@ -274,21 +281,11 @@ func (p *PlayerAction) MarshalBody(dst []byte) []byte {
 	return append(dst, p.BlockID)
 }
 func (p *PlayerAction) UnmarshalBody(src []byte) error {
-	var err error
-	if p.Action, src, err = readU8(src); err != nil {
-		return err
-	}
-	if p.X, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.Y, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.Z, src, err = readI32(src); err != nil {
-		return err
-	}
-	p.BlockID, _, err = readU8(src)
-	return err
+	r := reader{b: src}
+	p.Action = r.u8()
+	p.X, p.Y, p.Z = r.i32(), r.i32(), r.i32()
+	p.BlockID = r.u8()
+	return r.err
 }
 
 // BlockChange is a terrain state update.
@@ -306,21 +303,11 @@ func (p *BlockChange) MarshalBody(dst []byte) []byte {
 	return append(dst, p.BlockID, p.Meta)
 }
 func (p *BlockChange) UnmarshalBody(src []byte) error {
-	var err error
-	if p.X, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.Y, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.Z, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.BlockID, src, err = readU8(src); err != nil {
-		return err
-	}
-	p.Meta, _, err = readU8(src)
-	return err
+	r := reader{b: src}
+	p.X, p.Y, p.Z = r.i32(), r.i32(), r.i32()
+	p.BlockID = r.u8()
+	p.Meta = r.u8()
+	return r.err
 }
 
 // ChunkData is a bulk terrain transfer (sent on join and chunk load).
@@ -337,22 +324,10 @@ func (p *ChunkData) MarshalBody(dst []byte) []byte {
 	return append(dst, p.Data...)
 }
 func (p *ChunkData) UnmarshalBody(src []byte) error {
-	var err error
-	if p.ChunkX, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.ChunkZ, src, err = readI32(src); err != nil {
-		return err
-	}
-	var n int32
-	if n, src, err = readVarintBytes(src); err != nil {
-		return err
-	}
-	if int(n) > len(src) || n < 0 {
-		return fmt.Errorf("protocol: chunk data length %d exceeds buffer", n)
-	}
-	p.Data = append([]byte(nil), src[:n]...)
-	return nil
+	r := reader{b: src}
+	p.ChunkX, p.ChunkZ = r.i32(), r.i32()
+	p.Data = append([]byte(nil), r.bytes()...)
+	return r.err
 }
 
 // SpawnEntity announces a new entity.
@@ -371,21 +346,11 @@ func (p *SpawnEntity) MarshalBody(dst []byte) []byte {
 	return appendF64(dst, p.Z)
 }
 func (p *SpawnEntity) UnmarshalBody(src []byte) error {
-	var err error
-	if p.EntityID, src, err = readVarintBytes(src); err != nil {
-		return err
-	}
-	if p.Kind, src, err = readU8(src); err != nil {
-		return err
-	}
-	if p.X, src, err = readF64(src); err != nil {
-		return err
-	}
-	if p.Y, src, err = readF64(src); err != nil {
-		return err
-	}
-	p.Z, _, err = readF64(src)
-	return err
+	r := reader{b: src}
+	p.EntityID = r.varint()
+	p.Kind = r.u8()
+	p.X, p.Y, p.Z = r.f64(), r.f64(), r.f64()
+	return r.err
 }
 
 // EntityMove updates an entity's position.
@@ -402,18 +367,10 @@ func (p *EntityMove) MarshalBody(dst []byte) []byte {
 	return appendF64(dst, p.Z)
 }
 func (p *EntityMove) UnmarshalBody(src []byte) error {
-	var err error
-	if p.EntityID, src, err = readVarintBytes(src); err != nil {
-		return err
-	}
-	if p.X, src, err = readF64(src); err != nil {
-		return err
-	}
-	if p.Y, src, err = readF64(src); err != nil {
-		return err
-	}
-	p.Z, _, err = readF64(src)
-	return err
+	r := reader{b: src}
+	p.EntityID = r.varint()
+	p.X, p.Y, p.Z = r.f64(), r.f64(), r.f64()
+	return r.err
 }
 
 // DestroyEntity removes an entity.
@@ -424,9 +381,9 @@ type DestroyEntity struct {
 func (*DestroyEntity) ID() PacketID                    { return IDDestroyEntity }
 func (p *DestroyEntity) MarshalBody(dst []byte) []byte { return AppendVarint(dst, p.EntityID) }
 func (p *DestroyEntity) UnmarshalBody(src []byte) error {
-	v, _, err := readVarintBytes(src)
-	p.EntityID = v
-	return err
+	r := reader{b: src}
+	p.EntityID = r.varint()
+	return r.err
 }
 
 // PlayerPosition is the server's authoritative position correction.
@@ -441,15 +398,9 @@ func (p *PlayerPosition) MarshalBody(dst []byte) []byte {
 	return appendF64(dst, p.Z)
 }
 func (p *PlayerPosition) UnmarshalBody(src []byte) error {
-	var err error
-	if p.X, src, err = readF64(src); err != nil {
-		return err
-	}
-	if p.Y, src, err = readF64(src); err != nil {
-		return err
-	}
-	p.Z, _, err = readF64(src)
-	return err
+	r := reader{b: src}
+	p.X, p.Y, p.Z = r.f64(), r.f64(), r.f64()
+	return r.err
 }
 
 // TimeUpdate carries the server's tick number.
@@ -460,9 +411,9 @@ type TimeUpdate struct {
 func (*TimeUpdate) ID() PacketID                    { return IDTimeUpdate }
 func (p *TimeUpdate) MarshalBody(dst []byte) []byte { return appendI64(dst, p.Tick) }
 func (p *TimeUpdate) UnmarshalBody(src []byte) error {
-	v, _, err := readI64(src)
-	p.Tick = v
-	return err
+	r := reader{b: src}
+	p.Tick = r.i64()
+	return r.err
 }
 
 // Disconnect closes the connection with a reason.
@@ -473,9 +424,9 @@ type Disconnect struct {
 func (*Disconnect) ID() PacketID                    { return IDDisconnect }
 func (p *Disconnect) MarshalBody(dst []byte) []byte { return appendString(dst, p.Reason) }
 func (p *Disconnect) UnmarshalBody(src []byte) error {
-	s, _, err := readString(src)
-	p.Reason = s
-	return err
+	r := reader{b: src}
+	p.Reason = r.string()
+	return r.err
 }
 
 // EntityMoveRel is a compact delta-encoded entity movement update, the
@@ -492,15 +443,10 @@ func (p *EntityMoveRel) MarshalBody(dst []byte) []byte {
 	return append(dst, byte(p.DX), byte(p.DY), byte(p.DZ))
 }
 func (p *EntityMoveRel) UnmarshalBody(src []byte) error {
-	var err error
-	if p.EntityID, src, err = readVarintBytes(src); err != nil {
-		return err
-	}
-	if len(src) < 3 {
-		return fmt.Errorf("protocol: short entity move rel")
-	}
-	p.DX, p.DY, p.DZ = int8(src[0]), int8(src[1]), int8(src[2])
-	return nil
+	r := reader{b: src}
+	p.EntityID = r.varint()
+	p.DX, p.DY, p.DZ = int8(r.u8()), int8(r.u8()), int8(r.u8())
+	return r.err
 }
 
 // WorldStream is a bulk terrain/light refresh blob: the steady background
@@ -517,15 +463,9 @@ func (p *WorldStream) MarshalBody(dst []byte) []byte {
 	return append(dst, p.Data...)
 }
 func (p *WorldStream) UnmarshalBody(src []byte) error {
-	n, rest, err := readVarintBytes(src)
-	if err != nil {
-		return err
-	}
-	if n < 0 || int(n) > len(rest) {
-		return fmt.Errorf("protocol: world stream length %d exceeds buffer", n)
-	}
-	p.Data = append([]byte(nil), rest[:n]...)
-	return nil
+	r := reader{b: src}
+	p.Data = append([]byte(nil), r.bytes()...)
+	return r.err
 }
 
 // New constructs an empty packet of the given ID, for decode dispatch.

@@ -110,22 +110,40 @@ func TestEntityRelatedClassification(t *testing.T) {
 	}
 }
 
+// TestTruncatedBodiesError: every strict prefix of every packet body is
+// rejected, bodies that end in a length-prefixed string or blob included
+// (their prefix then points past the end), and the full body decodes and
+// re-marshals to the same bytes.
 func TestTruncatedBodiesError(t *testing.T) {
-	for _, p := range allPackets() {
+	for _, p := range fuzzSeedPackets() {
 		body := p.MarshalBody(nil)
-		if len(body) == 0 {
+		fresh, _ := New(p.ID())
+		for n := 0; n < len(body); n++ {
+			if err := fresh.UnmarshalBody(body[:n]); err == nil {
+				t.Errorf("%T decoded a %d-byte prefix of its %d-byte body", p, n, len(body))
+			}
+		}
+		if err := fresh.UnmarshalBody(body); err != nil {
+			t.Errorf("%T: full body: %v", p, err)
+		} else if got := fresh.MarshalBody(nil); !bytes.Equal(got, body) {
+			t.Errorf("%T re-marshals %x, sent %x", p, got, body)
+		}
+	}
+}
+
+// TestUnmarshalBodyAllocs: decoding a fixed-size packet into an existing
+// value allocates nothing, so the body reader stays on the stack. Packets
+// that keep a string or a blob copy it and are left out.
+func TestUnmarshalBodyAllocs(t *testing.T) {
+	for _, p := range fuzzSeedPackets() {
+		switch p.(type) {
+		case *Login, *Chat, *Disconnect, *ChunkData, *WorldStream, *ChunkMirror:
 			continue
 		}
+		body := p.MarshalBody(nil)
 		fresh, _ := New(p.ID())
-		if err := fresh.UnmarshalBody(body[:len(body)-1]); err == nil {
-			// Some truncations remain decodable (e.g. trailing string bytes);
-			// only fixed-width tails must error. Skip packets ending in a
-			// string.
-			switch p.(type) {
-			case *Login, *Disconnect, *ChunkData, *WorldStream:
-				continue
-			}
-			t.Errorf("%T decoded truncated body without error", p)
+		if n := testing.AllocsPerRun(100, func() { fresh.UnmarshalBody(body) }); n != 0 {
+			t.Errorf("%T: %.0f allocs per decode, want 0", p, n)
 		}
 	}
 }
@@ -178,6 +196,34 @@ func TestConnOverPipe(t *testing.T) {
 	}
 	if ws.EntityBytes <= 0 || ws.EntityBytes >= ws.BytesOut {
 		t.Errorf("entity bytes = %d of %d", ws.EntityBytes, ws.BytesOut)
+	}
+}
+
+// TestLogIn: LogIn sends a Handshake and a Login for its name, and
+// returns the answer only when it is a LoginSuccess.
+func TestLogIn(t *testing.T) {
+	for _, answer := range []Packet{&LoginSuccess{PlayerID: 7, X: 8.5}, &Disconnect{Reason: "full"}} {
+		client, server := net.Pipe()
+		cc, sc := NewConn(client), NewConn(server)
+		go func() {
+			defer sc.Close()
+			want := []Packet{&Handshake{Version: ProtocolVersion}, &Login{Name: "bot-1"}}
+			for _, w := range want {
+				if got, _, err := sc.ReadPacket(); err != nil || !reflect.DeepEqual(got, w) {
+					return
+				}
+			}
+			sc.WritePacket(answer)
+		}()
+		ls, err := cc.LogIn("bot-1")
+		cc.Close()
+		if _, ok := answer.(*LoginSuccess); ok {
+			if err != nil || !reflect.DeepEqual(ls, answer) {
+				t.Errorf("LogIn = %+v, %v; want %+v", ls, err, answer)
+			}
+		} else if err == nil || ls != nil {
+			t.Errorf("LogIn answered by %T = %+v, %v; want an error", answer, ls, err)
+		}
 	}
 }
 

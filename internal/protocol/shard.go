@@ -6,10 +6,7 @@ package protocol
 // transport (frame reader, batched async writers, backlog shedding) is
 // shared code. IDs start at 0x11, above the client-facing range.
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Inter-shard packet IDs. 0x15 and 0x16 once carried halo entity ghosts,
 // which no shard read; they are retired, not reused, so a peer still
@@ -35,12 +32,10 @@ func (p *ShardHello) MarshalBody(dst []byte) []byte {
 	return appendI32(dst, p.Shards)
 }
 func (p *ShardHello) UnmarshalBody(src []byte) error {
-	var err error
-	if p.Shard, src, err = readI32(src); err != nil {
-		return err
-	}
-	p.Shards, _, err = readI32(src)
-	return err
+	r := reader{b: src}
+	p.Shard = r.i32()
+	p.Shards = r.i32()
+	return r.err
 }
 
 // ChunkMirror carries one boundary chunk's full RLE image from its owner to
@@ -59,22 +54,10 @@ func (p *ChunkMirror) MarshalBody(dst []byte) []byte {
 	return append(dst, p.Data...)
 }
 func (p *ChunkMirror) UnmarshalBody(src []byte) error {
-	var err error
-	if p.ChunkX, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.ChunkZ, src, err = readI32(src); err != nil {
-		return err
-	}
-	n, rest, err := readVarintBytes(src)
-	if err != nil {
-		return err
-	}
-	if n < 0 || int(n) > len(rest) {
-		return fmt.Errorf("protocol: chunk mirror length %d exceeds buffer", n)
-	}
-	p.Data = append([]byte(nil), rest[:n]...)
-	return nil
+	r := reader{b: src}
+	p.ChunkX, p.ChunkZ = r.i32(), r.i32()
+	p.Data = append([]byte(nil), r.bytes()...)
+	return r.err
 }
 
 // EntityHandoff migrates one entity to the shard owning its new chunk. The
@@ -111,36 +94,17 @@ func (p *EntityHandoff) MarshalBody(dst []byte) []byte {
 	return appendI32(dst, p.WanderCooldown)
 }
 func (p *EntityHandoff) UnmarshalBody(src []byte) error {
-	var err error
-	if p.Kind, src, err = readU8(src); err != nil {
-		return err
-	}
-	fs := [6]*float64{&p.X, &p.Y, &p.Z, &p.VX, &p.VY, &p.VZ}
-	for _, f := range fs {
-		if *f, src, err = readF64(src); err != nil {
-			return err
-		}
-	}
-	var og byte
-	if og, src, err = readU8(src); err != nil {
-		return err
-	}
-	p.OnGround = og != 0
-	if p.Age, src, err = readI32(src); err != nil {
-		return err
-	}
-	if p.ItemType, src, err = readU8(src); err != nil {
-		return err
-	}
-	if p.Fuse, src, err = readI32(src); err != nil {
-		return err
-	}
-	if len(src) < 8 {
-		return fmt.Errorf("protocol: entity handoff truncated")
-	}
-	p.SeedKey = binary.BigEndian.Uint64(src)
-	p.WanderCooldown, _, err = readI32(src[8:])
-	return err
+	r := reader{b: src}
+	p.Kind = r.u8()
+	p.X, p.Y, p.Z = r.f64(), r.f64(), r.f64()
+	p.VX, p.VY, p.VZ = r.f64(), r.f64(), r.f64()
+	p.OnGround = r.u8() != 0
+	p.Age = r.i32()
+	p.ItemType = r.u8()
+	p.Fuse = r.i32()
+	p.SeedKey = r.u64()
+	p.WanderCooldown = r.i32()
+	return r.err
 }
 
 // ShardBarrier marks the end of a shard's outbound traffic for one tick:
@@ -161,10 +125,8 @@ func (p *ShardBarrier) MarshalBody(dst []byte) []byte {
 	return appendI32(dst, p.Handoffs)
 }
 func (p *ShardBarrier) UnmarshalBody(src []byte) error {
-	var err error
-	if p.Tick, src, err = readI64(src); err != nil {
-		return err
-	}
-	p.Handoffs, _, err = readI32(src)
-	return err
+	r := reader{b: src}
+	p.Tick = r.i64()
+	p.Handoffs = r.i32()
+	return r.err
 }

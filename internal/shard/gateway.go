@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mlg/world"
+	"repro/internal/mlg/entity"
 	"repro/internal/protocol"
 )
 
@@ -116,23 +116,10 @@ func (g *Gateway) dialShard(i int, name string) (*upstream, *protocol.LoginSucce
 		return nil, nil, err
 	}
 	c := protocol.NewConn(nc)
-	if _, err := c.WritePacket(&protocol.Handshake{Version: protocol.ProtocolVersion}); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	if _, err := c.WritePacket(&protocol.Login{Name: name}); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	pkt, _, err := c.ReadPacket()
+	ls, err := c.LogIn(name)
 	if err != nil {
 		c.Close()
-		return nil, nil, err
-	}
-	ls, ok := pkt.(*protocol.LoginSuccess)
-	if !ok {
-		c.Close()
-		return nil, nil, fmt.Errorf("shard %d answered login with %#x", i, int32(pkt.ID()))
+		return nil, nil, fmt.Errorf("shard %d: %w", i, err)
 	}
 	return &upstream{shard: i, conn: c}, ls, nil
 }
@@ -191,7 +178,7 @@ func (g *Gateway) handle(raw net.Conn) {
 	if err != nil {
 		return
 	}
-	if owner := g.cfg.Map.ShardOfBlock(blockPos(ls.X, ls.Y, ls.Z)); owner != up.shard {
+	if owner := g.cfg.Map.ShardOfBlock(entity.Vec3{X: ls.X, Y: ls.Y, Z: ls.Z}.BlockPos()); owner != up.shard {
 		up.conn.Close()
 		if up, ls, err = g.dialOwner(owner, login.Name, clientGone); err != nil {
 			return
@@ -254,7 +241,7 @@ func (g *Gateway) handle(raw net.Conn) {
 			return
 		}
 		if mv, ok := pkt.(*protocol.PlayerMove); ok {
-			if dest := g.cfg.Map.ShardOfBlock(blockPos(mv.X, mv.Y, mv.Z)); dest != up.shard {
+			if dest := g.cfg.Map.ShardOfBlock(entity.Vec3{X: mv.X, Y: mv.Y, Z: mv.Z}.BlockPos()); dest != up.shard {
 				if err := reroute(dest); err != nil {
 					return
 				}
@@ -277,17 +264,4 @@ func (g *Gateway) handle(raw net.Conn) {
 			}
 		}
 	}
-}
-
-// blockPos converts continuous coordinates to the containing block.
-func blockPos(x, y, z float64) world.Pos {
-	return world.Pos{X: floori(x), Y: floori(y), Z: floori(z)}
-}
-
-func floori(f float64) int {
-	i := int(f)
-	if f < 0 && float64(i) != f {
-		i--
-	}
-	return i
 }
